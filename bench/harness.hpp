@@ -9,8 +9,6 @@
  * shared baseline cache, per-job wall time and a live progress line.
  * Results land in registration order regardless of worker count, so
  * the paper-style summary tables are bit-identical for any --jobs N.
- * Binaries that also register native google-benchmark timings (the
- * throughput/storage tables) still get them run by benchMain().
  *
  * Common flags: --jobs N (default: hardware threads, or DOL_JOBS),
  * --json FILE (dol-sweep-v1 structured results), --quiet.
@@ -19,8 +17,7 @@
 #ifndef DOL_BENCH_HARNESS_HPP
 #define DOL_BENCH_HARNESS_HPP
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -148,9 +145,9 @@ registerCell(Collector &collector, const WorkloadSpec &spec,
 }
 
 /**
- * Standard bench main: run the queued sweep in parallel, run any
- * native google-benchmark registrations, then print the summary
- * table. @p collector may be null for binaries with no sweep.
+ * Standard bench main: run the queued sweep in parallel, then print
+ * the summary table. @p collector may be null for binaries with no
+ * sweep. Unknown arguments are an error (exit status 1).
  */
 inline int
 benchMain(int argc, char **argv, Collector *collector,
@@ -164,8 +161,6 @@ benchMain(int argc, char **argv, Collector *collector,
             std::strtoul(env, nullptr, 10));
     }
 
-    // Strip runner flags before handing the rest to google-benchmark.
-    std::vector<char *> remaining{argv, argv + 1};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
@@ -176,21 +171,16 @@ benchMain(int argc, char **argv, Collector *collector,
         } else if (arg == "--quiet") {
             sweep_options.progress = false;
         } else {
-            remaining.push_back(argv[i]);
+            std::fprintf(stderr,
+                         "%s: unrecognized argument '%s' (flags: "
+                         "--jobs N, --json FILE, --quiet)\n",
+                         argv[0], arg.c_str());
+            return 1;
         }
     }
-    int bench_argc = static_cast<int>(remaining.size());
-
-    benchmark::Initialize(&bench_argc, remaining.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               remaining.data()))
-        return 1;
 
     if (collector)
         collector->runAll(sweep_options);
-
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
 
     if (collector && !json_path.empty()) {
         if (!collector->store().writeJsonFile(json_path,
@@ -203,7 +193,7 @@ benchMain(int argc, char **argv, Collector *collector,
     return 0;
 }
 
-/** Overload for binaries with no sweep (native benchmarks only). */
+/** Overload for binaries with no sweep (static tables only). */
 inline int
 benchMain(int argc, char **argv, const std::function<void()> &summary)
 {

@@ -1,41 +1,16 @@
 /**
  * @file
- * Table I: the simulated machine configuration, plus a simulator
- * throughput benchmark (instructions simulated per second).
+ * Table I: the simulated machine configuration.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "bench/harness.hpp"
 #include "metrics/table.hpp"
 #include "sim/simulator.hpp"
-#include "workloads/suite.hpp"
 
 namespace
 {
-
-void
-BM_SimulatorThroughput(benchmark::State &state)
-{
-    using namespace dol;
-    const WorkloadSpec &spec = findWorkload("libquantum.syn");
-    for (auto _ : state) {
-        MemoryImage image;
-        auto kernel = spec.factory(image);
-        SimConfig config;
-        config.maxInstrs = 100000;
-        Simulator sim(config, *kernel, nullptr);
-        sim.run();
-        benchmark::DoNotOptimize(sim.ipc());
-        state.SetItemsProcessed(state.items_processed() +
-                                static_cast<std::int64_t>(
-                                    sim.instructions()));
-    }
-}
-
-BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
 
 void
 printTableOne()

@@ -4,8 +4,6 @@
  * each implementation's storageBits() against the paper's budgets.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -21,20 +19,6 @@ const std::map<std::string, double> kPaperKilobytes = {
     {"FDP", 2.5},       {"SMS", 12.0}, {"AMPM", 4.0},  {"T2", 2.3},
     {"T2P1", 3.37},     {"TPC", 4.57},
 };
-
-void
-BM_StorageAccounting(benchmark::State &state)
-{
-    dol::MemoryImage image;
-    for (auto _ : state) {
-        for (const auto &[name, kb] : kPaperKilobytes) {
-            auto pf = dol::makePrefetcher(name, &image);
-            benchmark::DoNotOptimize(pf->storageBits());
-        }
-    }
-}
-
-BENCHMARK(BM_StorageAccounting);
 
 void
 printTableTwo()

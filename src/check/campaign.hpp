@@ -9,8 +9,8 @@
  * land in a pre-sized slot vector indexed by case, so the summary
  * text is a pure function of (seed, cases, mutation). Failures are
  * shrunk in the worker that found them and written to the reproducer
- * directory as a DOLTRC01 trace plus a text sidecar containing the
- * exact replay command.
+ * directory as a DOLINS01 instruction trace plus a text sidecar
+ * containing the exact replay command.
  */
 
 #ifndef DOL_CHECK_CAMPAIGN_HPP

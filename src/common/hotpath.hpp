@@ -1,23 +1,18 @@
 /**
  * @file
- * Runtime kill-switches for the structural hot-path optimisations
- * (PR 9): the event-driven fast paths (MSHR/DRAM-queue scan skipping)
- * and, via simd.hpp, the vector tag scans.
+ * Runtime kill-switch for the event-driven hot-path fast paths
+ * (MSHR/DRAM-queue scan skipping).
  *
- * Both switches resolve once per process from the environment and can
+ * The switch resolves once per process from the environment and can
  * be overridden in-process by tests, so a single binary can run the
  * optimised and the reference path back to back and compare results
- * byte for byte:
- *
- *  - DOL_FASTPATH=0  disables the quiescence short-circuits (every
- *    scan runs in full, as before PR 9);
- *  - DOL_SIMD=scalar|sse2|avx2  pins the tag-scan implementation
- *    (see simd.hpp).
+ * byte for byte: DOL_FASTPATH=0 disables the quiescence
+ * short-circuits (every scan runs in full).
  *
  * Components *cache* the flag at construction (a member bool), so the
  * override must be set before the component is built. The fast paths
- * are provably result-identical; the switches exist so CI can prove
- * it on every host rather than trust the proof.
+ * are provably result-identical; the switch exists so CI can prove it
+ * on every host rather than trust the proof.
  */
 
 #ifndef DOL_COMMON_HOTPATH_HPP

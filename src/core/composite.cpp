@@ -31,17 +31,9 @@ void
 CompositePrefetcher::addComponent(std::unique_ptr<Prefetcher> extra)
 {
     _extras.push_back(std::move(extra));
-    _health.emplace_back();
     _extraBoundAccesses.push_back(0);
     if (_adapt)
         _adapt->addExtra();
-}
-
-bool
-CompositePrefetcher::extraSuspended(std::size_t index) const
-{
-    return index < _health.size() &&
-           _health[index].suspendedUntil > _accessCount;
 }
 
 void
@@ -208,40 +200,15 @@ CompositePrefetcher::routeToExtras(const AccessInfo &access,
 
     const unsigned index = *binding;
     ++_extraBoundAccesses[index];
-    ExtraHealth &health = _health[index];
-    if (access.l1HitPrefetched &&
-        access.l1HitComp == _extras[index]->id()) {
-        ++health.usedWindow;
-    }
-    if (_config.adaptiveThrottle && health.suspendedUntil > _accessCount)
-        return; // component on probation: no prefetching
-
     Prefetcher &extra = *_extras[index];
-    const std::uint64_t issued_before = emitter.issuedCount();
     runSlot(AdaptiveCoordinator::kFirstExtraSlot + index, extra, emitter,
             _config.extraDest, [&] { extra.train(access, emitter); });
-    health.issuedWindow += emitter.issuedCount() - issued_before;
-
-    if (_config.adaptiveThrottle &&
-        health.issuedWindow >= _config.throttleWindow) {
-        const double accuracy =
-            static_cast<double>(health.usedWindow) /
-            static_cast<double>(health.issuedWindow);
-        if (accuracy < _config.throttleMinAccuracy) {
-            health.suspendedUntil =
-                _accessCount + _config.suspendAccesses;
-        }
-        health.issuedWindow = 0;
-        health.usedWindow = 0;
-    }
 }
 
 void
 CompositePrefetcher::train(const AccessInfo &access,
                            PrefetchEmitter &emitter)
 {
-    ++_accessCount;
-
     // Adaptive feedback: credit the component whose prefetched line
     // this demand hit, before any training mutates state.
     if (_adapt && access.l1HitPrefetched) {

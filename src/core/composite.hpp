@@ -48,24 +48,12 @@ class CompositePrefetcher : public Prefetcher
         std::optional<unsigned> extraDest;
 
         /**
-         * Adaptive coordination (the paper's "flexibility" conjecture,
-         * section III): measure each extra component's effective
-         * accuracy online and suspend components whose accuracy
-         * collapses, re-admitting them after a probation window.
-         */
-        bool adaptiveThrottle = false;
-        std::uint64_t throttleWindow = 2048;  ///< issues per verdict
-        double throttleMinAccuracy = 0.15;
-        std::uint64_t suspendAccesses = 8192; ///< probation length
-
-        /**
-         * Full feedback-driven coordination (`--coordinator adaptive`,
-         * src/core/adaptive.hpp): windowed accuracy/coverage EWMAs,
-         * slow-start degree ramping for the extras, and K-window
-         * claimant demotion. Orthogonal to (and subsuming) the older
-         * adaptiveThrottle suspension above; off by default so the
-         * hardwired coordinator — and every golden trace — is
-         * untouched.
+         * Feedback-driven coordination (`--coordinator adaptive`,
+         * src/core/adaptive.hpp; the paper's "flexibility" conjecture,
+         * section III): windowed accuracy/coverage EWMAs, slow-start
+         * degree ramping for the extras, and K-window claimant
+         * demotion. Off by default so the hardwired coordinator — and
+         * every golden trace — is untouched.
          */
         bool adaptive = false;
         AdaptiveParams adapt{};
@@ -109,9 +97,6 @@ class CompositePrefetcher : public Prefetcher
      * -1 when unbound (tests and the differential checker).
      */
     int boundExtraOf(Pc m_pc) const;
-
-    /** Is extra component @p index currently suspended? (tests) */
-    bool extraSuspended(std::size_t index) const;
 
     // Adaptive coordination ----------------------------------------
     /** The adaptive policy engine, nullptr in hardwired mode. */
@@ -196,16 +181,6 @@ class CompositePrefetcher : public Prefetcher
     /** Instruction -> extra-component binding (round-robin seeded). */
     FlatHashMap<Pc, unsigned> _bindings;
     unsigned _nextBinding = 0;
-
-    /** Online accuracy bookkeeping for the adaptive coordinator. */
-    struct ExtraHealth
-    {
-        std::uint64_t issuedWindow = 0;
-        std::uint64_t usedWindow = 0;
-        std::uint64_t suspendedUntil = 0; ///< access count threshold
-    };
-    std::vector<ExtraHealth> _health;
-    std::uint64_t _accessCount = 0;
 
     /** Last coordinator owner per instruction — maintained only while
      *  a trace context is attached (the map stays empty otherwise, so

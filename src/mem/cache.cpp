@@ -4,7 +4,6 @@
 
 #include "common/hotpath.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 
 namespace dol
 {
@@ -38,10 +37,12 @@ Cache::find(Addr line_addr)
     const Addr tag = lineAddr(line_addr);
     // Line addresses have zeroed offset bits, so a valid tag can never
     // equal kNoAddr (all ones): the tag mirror alone decides the hit.
-    // The whole set compares in one or two vector ops (simd.hpp).
-    const int way = simd::findTag(_tags.data() + base, _params.assoc, tag);
-    return way >= 0 ? &_lines[base + static_cast<unsigned>(way)]
-                    : nullptr;
+    const Addr *tags = _tags.data() + base;
+    for (unsigned way = 0; way < _params.assoc; ++way) {
+        if (tags[way] == tag)
+            return &_lines[base + way];
+    }
+    return nullptr;
 }
 
 const Cache::Line *
@@ -62,14 +63,20 @@ Cache::insert(Addr line_addr, Line **out_line)
 {
     const std::size_t base = setIndex(line_addr);
     // Victim scan over the dense tag/stamp mirrors: first free way,
-    // else least-recently-stamped — identical order to a scan of the
-    // Line structs themselves. The free-way search is a vector tag
-    // match; the stamp argmin keeps the scalar tie-break.
-    const std::size_t victim_index =
-        base + simd::victimWay(_tags.data() + base,
-                               _stamps.data() + base, _params.assoc,
-                               kNoAddr);
-    Line *victim_line = &_lines[victim_index];
+    // else least-recently-stamped (earliest way on ties) — identical
+    // order to a scan of the Line structs themselves.
+    const Addr *tags = _tags.data() + base;
+    const std::uint64_t *stamps = _stamps.data() + base;
+    unsigned victim_way = 0;
+    for (unsigned way = 0; way < _params.assoc; ++way) {
+        if (tags[way] == kNoAddr) {
+            victim_way = way;
+            break;
+        }
+        if (stamps[way] < stamps[victim_way])
+            victim_way = way;
+    }
+    Line *victim_line = &_lines[base + victim_way];
 
     std::optional<Victim> victim;
     if (victim_line->valid) {

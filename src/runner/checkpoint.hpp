@@ -3,8 +3,8 @@
  * Crash-safe checkpoint journal for sweeps and fuzz campaigns.
  *
  * The journal is an append-only binary file ("DOLCKPT1" magic) of
- * length-prefixed, FNV-1a-checksummed records (framing shared with
- * the DOLLEAS1 lease ledger — see runner/framed_file.hpp), fsync'd
+ * length-prefixed, FNV-1a-checksummed records (the framing lives in
+ * runner/framed_file.hpp), fsync'd
  * after every append, so at any kill point — SIGKILL included — the
  * file holds a prefix of whole records plus at most one torn tail.
  * The loader stops at the first short or checksum-failing record,
@@ -26,22 +26,20 @@
  *               cases are deliberately not journaled: a resumed
  *               campaign re-runs them, regenerating the identical
  *               diff and reproducer files.
- *   kCellFailed one quarantined cell (opt-in via
- *               SweepOptions::journalFailures; fleet workers set it).
- *               A resuming sweep re-runs these cells — the record
- *               exists so a fleet coordinator can count the cell as
- *               covered and the merger can surface it in the merged
- *               document's failed_cells section instead of silently
- *               dropping a foreign journal's losses.
+ *   kCellFailed one quarantined cell. A resuming sweep re-runs these
+ *               cells; the record exists so `dolsim --merge` can
+ *               surface a shard's losses in the merged document's
+ *               failed_cells section, exactly as a single-process
+ *               run reports them.
  *
  * In-flight work is never journaled and re-runs on resume; the
  * journal never has to encode an exception mid-flight.
  *
  * Two read paths exist: CheckpointJournal::load() materializes every
  * record (convenient for small journals), and CheckpointReader
- * streams records one at a time with their file offsets — the fleet
- * merger uses it to index 10k-cell journals and re-read individual
- * rows without ever holding a whole journal in memory.
+ * streams records one at a time with their file offsets — the
+ * journal merge uses it to index 10k-cell journals and re-read
+ * individual rows without ever holding a whole journal in memory.
  */
 
 #ifndef DOL_RUNNER_CHECKPOINT_HPP
@@ -101,7 +99,7 @@ struct JournalJobDone
     std::vector<MetricsRow> rows;
 };
 
-/** One quarantined cell (journalFailures mode). */
+/** One quarantined cell. */
 struct JournalCellFailed
 {
     std::uint64_t jobIndex = 0;
@@ -109,7 +107,7 @@ struct JournalCellFailed
 };
 
 // Payload codecs, shared by the journal writer, load(), and the
-// fleet merger's two-pass streaming reads. Decoders return false on
+// journal merge's two-pass streaming reads. Decoders return false on
 // a short or malformed payload and leave @p out unspecified.
 std::string encodePlanPayload(const JournalPlan &plan);
 std::string encodeJobDonePayload(const JournalJobDone &job);

@@ -62,6 +62,24 @@ parseCoordinatorMode(const std::string &text, bool &adaptive_out)
     return false;
 }
 
+bool
+parseShard(const std::string &text, std::uint64_t &index_out,
+           std::uint64_t &count_out)
+{
+    const std::size_t slash = text.find('/');
+    if (slash == std::string::npos)
+        return false;
+    std::uint64_t count = 0;
+    std::uint64_t index = 0;
+    if (!parseUnsignedInRange(text.substr(slash + 1), 1, 65536, count) ||
+        !parseUnsignedInRange(text.substr(0, slash), 0, count - 1,
+                              index))
+        return false;
+    index_out = index;
+    count_out = count;
+    return true;
+}
+
 std::string
 cellTracePath(const std::string &base, const std::string &workload,
               const std::string &prefetcher, const std::string &variant)

@@ -47,6 +47,15 @@ bool parseUnsignedInRange(const std::string &text, std::uint64_t min,
 bool parseCoordinatorMode(const std::string &text, bool &adaptive_out);
 
 /**
+ * Parse a --shard value "i/N": N a count in [1, 65536], i an index in
+ * [0, N). Both halves go through parseUnsigned, so "1/3x", "-1/3",
+ * "3/3" and "0/0" are rejected.
+ * @return false (outs untouched) on any violation.
+ */
+bool parseShard(const std::string &text, std::uint64_t &index_out,
+                std::uint64_t &count_out);
+
+/**
  * Per-cell trace file name for multi-cell sweeps:
  * "<base>.<workload>.<prefetcher><variant>". Single-cell sweeps use
  * @p base verbatim (callers special-case that).

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "runner/wire.hpp"
@@ -10,6 +11,22 @@
 
 namespace dol::runner
 {
+
+namespace
+{
+
+/** Bytes of @p file past @p offset; 0 when the file is shorter. */
+std::uint64_t
+bytesAfter(std::FILE *file, std::uint64_t offset)
+{
+    struct stat st;
+    if (fstat(fileno(file), &st) != 0 ||
+        static_cast<std::uint64_t>(st.st_size) < offset)
+        return 0;
+    return static_cast<std::uint64_t>(st.st_size) - offset;
+}
+
+} // namespace
 
 bool
 FramedWriter::create(const std::string &path, const char (&magic)[8],
@@ -143,6 +160,14 @@ FramedReader::next(Record &out)
     const std::uint32_t length = env.u32();
     const std::uint64_t checksum = env.u64();
 
+    // A length reaching past the end of the file is a torn or corrupt
+    // envelope. Reject it before allocating: one flipped high byte
+    // would otherwise zero-fill up to 4 GiB for a payload that is not
+    // there.
+    if (length > bytesAfter(_file, _pos + kFrameEnvelopeBytes)) {
+        _tornTail = true;
+        return false;
+    }
     std::string payload(length, '\0');
     if (length > 0 &&
         std::fread(payload.data(), 1, length, _file) != length) {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Append-only framed record files: the one durable container format
- * behind both DOLCKPT1 checkpoint journals and DOLLEAS1 lease
- * ledgers.
+ * Append-only framed record files: the durable container format
+ * behind DOLCKPT1 checkpoint journals.
  *
  * Layout: an 8-byte magic, then records of
  *
@@ -12,9 +11,9 @@
  * so at any kill point — SIGKILL included — the file holds a prefix
  * of whole records plus at most one torn tail. The reader streams
  * records one at a time (it never materializes the whole file) and
- * stops at the first short or checksum-failing record, reporting how
- * many clean bytes precede it; a resuming writer truncates the tail
- * away before appending.
+ * stops at the first short, oversized or checksum-failing record,
+ * reporting how many clean bytes precede it; a resuming writer
+ * truncates the tail away before appending.
  */
 
 #ifndef DOL_RUNNER_FRAMED_FILE_HPP
@@ -102,7 +101,8 @@ class FramedReader
     /**
      * Read the next intact record. False at clean end-of-file or at
      * a torn/corrupt tail (distinguish with tornTail()); never
-     * throws and never blocks on malformed input.
+     * throws, never blocks on malformed input, and never allocates
+     * more than the file holds.
      */
     bool next(Record &out);
 

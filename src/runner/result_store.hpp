@@ -62,7 +62,7 @@ MetricsRow makeMetricsRow(const RunOutput &out,
 
 /**
  * Serialize one row as its dol-sweep-v1 "results" array element.
- * ResultStore::toJson() and the streaming fleet merger both emit rows
+ * ResultStore::toJson() and the streaming journal merge both emit rows
  * through this exact function, which is what makes a merged document
  * byte-identical to a single-process one.
  */
@@ -86,7 +86,7 @@ struct FailedCell
 };
 
 /** Serialize one cell as its "failed_cells" array element (shared
- *  with the fleet merger for the same byte-identity reason as
+ *  with the journal merge for the same byte-identity reason as
  *  writeMetricsRowJson). */
 void writeFailedCellJson(JsonWriter &json, const FailedCell &cell);
 

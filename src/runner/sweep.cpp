@@ -210,7 +210,7 @@ SweepRunner::run()
         kResumed, ///< merged from the checkpoint journal
         kFailed,  ///< retry budget exhausted (quarantined)
         kForeign, ///< outside [rangeBegin, rangeEnd): another
-                  ///< worker's cells, skipped without "interrupted"
+                  ///< shard's cells, skipped without "interrupted"
     };
     std::vector<std::uint8_t> state(jobs.size(), kPending);
 
@@ -367,7 +367,7 @@ SweepRunner::run()
             cell.attempts = attempts;
             cell.kind = last_kind;
             cell.error = last_error;
-            if (journal.isOpen() && _options.journalFailures) {
+            if (journal.isOpen()) {
                 JournalCellFailed rec;
                 rec.jobIndex = i;
                 rec.cell = cell;
@@ -435,8 +435,8 @@ SweepRunner::run()
             report.meta.failedCells.push_back(std::move(failed[i]));
             break;
         case kForeign:
-            // Another lease's cells: absent from this worker's
-            // report by design, not an interruption.
+            // Another shard's cells: absent from this report by
+            // design, not an interruption.
             break;
         default:
             report.interrupted = true;

@@ -14,8 +14,9 @@
  *
  * Fault tolerance (all opt-in through SweepOptions):
  *  - checkpointPath journals every completed job (rows + counters,
- *    fsync'd) through a CheckpointJournal; resume=true skips the
- *    journaled jobs and merges their rows back so the final document
+ *    fsync'd) and every quarantined cell through a CheckpointJournal;
+ *    resume=true skips the completed jobs, re-runs the quarantined
+ *    ones, and merges the journaled rows back so the final document
  *    is byte-identical to an uninterrupted run's deterministic parts.
  *  - cellTimeoutMs arms a per-attempt cooperative deadline (the
  *    simulator polls it every few thousand instructions), retries
@@ -63,8 +64,7 @@ std::uint64_t cellSeed(std::string_view workload,
  * Split @p count cells into at most @p parts contiguous, non-empty,
  * balanced [begin, end) ranges that exactly cover [0, count) in
  * order. Fewer than @p parts ranges come back when count < parts;
- * count == 0 yields no ranges. The fleet coordinator leases these
- * ranges to workers.
+ * count == 0 yields no ranges. `dolsim --shard i/N` runs range i.
  */
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 partitionRange(std::uint64_t count, unsigned parts);
@@ -109,20 +109,13 @@ struct SweepOptions
     const FaultPlan *faultPlan = nullptr;
 
     /** Execute only jobs [rangeBegin, rangeEnd) of the queued grid —
-     *  a fleet worker's lease. Jobs outside the range are skipped
-     *  without marking the sweep interrupted, and the journal plan
-     *  still describes the full grid, so every worker's journal
+     *  one shard of a sharded sweep. Jobs outside the range are
+     *  skipped without marking the sweep interrupted, and the journal
+     *  plan still describes the full grid, so every shard's journal
      *  shares one identity and their records merge by job index.
      *  rangeEnd = 0 means "to the end of the grid". */
     std::uint64_t rangeBegin = 0;
     std::uint64_t rangeEnd = 0;
-
-    /** Also journal quarantined cells (kCellFailed records). Fleet
-     *  workers set this so the coordinator counts a failed cell as
-     *  covered — instead of endlessly re-leasing it — and the merger
-     *  surfaces it in the merged document's failed_cells. Only
-     *  meaningful with a checkpointPath and onError::kQuarantine. */
-    bool journalFailures = false;
 };
 
 /**
@@ -203,9 +196,7 @@ class SweepRunner
     std::size_t pendingJobs() const { return _pending.size(); }
 
     /** Journal identity of the currently queued grid — exactly what
-     *  run() writes as the kPlan record. The fleet coordinator pins
-     *  this into the lease ledger; every worker rebuilds the grid
-     *  from the same arguments and refuses a mismatching ledger. */
+     *  run() writes as the kPlan record. */
     JournalPlan plan() const;
 
     /** Resolved worker count (options.jobs or hw concurrency). */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Little-endian wire encoding shared by the durable on-disk formats
- * (DOLCKPT1 checkpoint journals, DOLLEAS1 lease ledgers).
+ * Little-endian wire encoding of the durable DOLCKPT1 checkpoint
+ * journal.
  *
  * Every integer is serialized little-endian byte by byte, independent
  * of host order, and doubles travel bit-exact through u64 so no text

@@ -220,8 +220,15 @@ TraceReader::open(const std::string &path)
         _error = "truncated trace header";
         return false;
     }
+    if (std::memcmp(header, kInstrTraceMagic, sizeof kInstrTraceMagic) ==
+        0) {
+        _error = path + " is an instruction trace (DOLINS01, written by "
+                        "--record), not an event trace (DOLTRC01); "
+                        "replay it with --replay";
+        return false;
+    }
     if (std::memcmp(header, kTraceMagic, sizeof kTraceMagic) != 0) {
-        _error = "bad trace magic (not a dol trace file)";
+        _error = "bad trace magic (not a dol event trace file)";
         return false;
     }
     if (const std::uint32_t version = getU32(header + 8);

@@ -29,6 +29,12 @@ namespace dol
 {
 
 constexpr char kTraceMagic[8] = {'D', 'O', 'L', 'T', 'R', 'C', '0', '1'};
+/** Magic of the instruction-trace format (--record/--replay and fuzz
+ *  reproducers, workloads/trace_file.hpp). Its header is also 16
+ *  bytes, so each reader checks for the other's magic and names the
+ *  format it was handed instead of misparsing it. */
+constexpr char kInstrTraceMagic[8] = {'D', 'O', 'L', 'I',
+                                      'N', 'S', '0', '1'};
 constexpr std::uint32_t kTraceVersion = 1;
 constexpr std::size_t kTraceHeaderBytes = 16;
 constexpr std::size_t kTraceRecordBytes = 28;

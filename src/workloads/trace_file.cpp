@@ -1,11 +1,36 @@
 #include "workloads/trace_file.hpp"
 
 #include <cstring>
+#include <filesystem>
 
 #include "common/log.hpp"
+#include "trace/trace_io.hpp"
 
 namespace dol
 {
+
+namespace
+{
+
+/** On-disk header: the format magic, then the record count. */
+struct TraceHeader
+{
+    char magic[8];
+    std::uint64_t instructionCount;
+};
+
+static_assert(sizeof(TraceHeader) == 16, "stable on-disk layout");
+
+TraceHeader
+makeHeader(std::uint64_t instruction_count)
+{
+    TraceHeader header{};
+    std::memcpy(header.magic, kInstrTraceMagic, sizeof header.magic);
+    header.instructionCount = instruction_count;
+    return header;
+}
+
+} // namespace
 
 TraceRecord
 TraceRecord::pack(const Instr &instr)
@@ -54,7 +79,7 @@ recordTrace(Kernel &kernel, const std::string &path,
         fatal("cannot open trace file for writing: " + path);
 
     kernel.reset();
-    TraceHeader header;
+    TraceHeader header = makeHeader(0);
     // Header rewritten at the end once the count is known.
     std::fwrite(&header, sizeof header, 1, file);
 
@@ -84,8 +109,7 @@ writeTraceRecords(const std::string &path,
     std::FILE *file = std::fopen(path.c_str(), "wb");
     if (!file)
         return false;
-    TraceHeader header;
-    header.instructionCount = records.size();
+    const TraceHeader header = makeHeader(records.size());
     bool ok = std::fwrite(&header, sizeof header, 1, file) == 1;
     if (ok && !records.empty()) {
         ok = std::fwrite(records.data(), sizeof(TraceRecord),
@@ -99,31 +123,44 @@ readTraceRecords(const std::string &path, std::vector<TraceRecord> &out,
                  std::string *error)
 {
     out.clear();
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file) {
+    const auto fail = [&](const std::string &what) {
         if (error)
-            *error = "cannot open trace file: " + path;
+            *error = what;
         return false;
-    }
-    TraceHeader header;
-    const TraceHeader expected;
-    if (std::fread(&header, sizeof header, 1, file) != 1 ||
-        std::memcmp(header.magic, expected.magic,
-                    sizeof header.magic) != 0) {
+    };
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    std::FILE *file = ec ? nullptr : std::fopen(path.c_str(), "rb");
+    if (!file)
+        return fail("cannot open trace file: " + path);
+
+    TraceHeader header{};
+    const bool whole =
+        std::fread(&header, sizeof header, 1, file) == 1;
+    if (!whole || std::memcmp(header.magic, kInstrTraceMagic,
+                              sizeof header.magic) != 0) {
         std::fclose(file);
-        if (error)
-            *error = "not a dol trace file: " + path;
-        return false;
+        if (whole && std::memcmp(header.magic, kTraceMagic,
+                                 sizeof header.magic) == 0) {
+            return fail(path + " is an event trace (DOLTRC01, written "
+                               "by --trace), not an instruction trace "
+                               "(DOLINS01); print it with --dump-trace");
+        }
+        return fail("not a dol instruction trace (DOLINS01): " + path);
+    }
+    // Check the count against the file before allocating for it.
+    if (header.instructionCount >
+        (size - sizeof header) / sizeof(TraceRecord)) {
+        std::fclose(file);
+        return fail("truncated trace file: " + path);
     }
     out.resize(header.instructionCount);
     const std::size_t read = std::fread(out.data(), sizeof(TraceRecord),
                                         out.size(), file);
     std::fclose(file);
     if (read != out.size()) {
-        if (error)
-            *error = "truncated trace file: " + path;
         out.clear();
-        return false;
+        return fail("truncated trace file: " + path);
     }
     return true;
 }
@@ -132,25 +169,9 @@ TraceKernel::TraceKernel(MemoryImage &memory, const std::string &path,
                          bool loop)
     : Kernel("trace:" + path, memory), _loop(loop)
 {
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        fatal("cannot open trace file: " + path);
-
-    TraceHeader header;
-    const TraceHeader expected;
-    if (std::fread(&header, sizeof header, 1, file) != 1 ||
-        std::memcmp(header.magic, expected.magic,
-                    sizeof header.magic) != 0) {
-        std::fclose(file);
-        fatal("not a dol trace file: " + path);
-    }
-
-    _records.resize(header.instructionCount);
-    const std::size_t read = std::fread(
-        _records.data(), sizeof(TraceRecord), _records.size(), file);
-    std::fclose(file);
-    if (read != _records.size())
-        fatal("truncated trace file: " + path);
+    std::string error;
+    if (!readTraceRecords(path, _records, &error))
+        fatal(error);
 }
 
 void

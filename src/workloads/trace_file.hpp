@@ -1,12 +1,17 @@
 /**
  * @file
- * Binary trace record/replay.
+ * Binary instruction-trace record/replay (the DOLINS01 format).
  *
  * Any kernel's instruction stream can be recorded to a compact binary
  * file and replayed later as a Kernel — useful for sharing workloads,
  * pinning down regressions, and feeding externally captured traces
  * into the simulator (the record layout carries everything the paper's
  * mechanisms need: PCs, registers, values, and branch structure).
+ *
+ * Layout: the 8-byte magic "DOLINS01", a u64 instruction count, then
+ * that many 40-byte TraceRecords, in host byte order. The event
+ * traces of trace/trace_io.hpp ("DOLTRC01") are a different format;
+ * each reader rejects the other's files by name.
  */
 
 #ifndef DOL_WORKLOADS_TRACE_FILE_HPP
@@ -43,13 +48,6 @@ struct TraceRecord
 
 static_assert(sizeof(TraceRecord) == 40, "stable on-disk layout");
 
-/** Magic + version header guarding against format drift. */
-struct TraceHeader
-{
-    char magic[8] = {'D', 'O', 'L', 'T', 'R', 'C', '0', '1'};
-    std::uint64_t instructionCount = 0;
-};
-
 /**
  * Record the first @p max_instrs instructions of @p kernel to
  * @p path. The kernel is reset first and left reset afterwards.
@@ -60,15 +58,17 @@ std::uint64_t recordTrace(Kernel &kernel, const std::string &path,
                           std::uint64_t max_instrs);
 
 /**
- * Write @p records to @p path in the DOLTRC01 trace format (the
+ * Write @p records to @p path in the DOLINS01 trace format (the
  * shrinker's reproducer output). @return false on I/O error.
  */
 bool writeTraceRecords(const std::string &path,
                        const std::vector<TraceRecord> &records);
 
 /**
- * Read every record of a DOLTRC01 trace file.
- * @return false (with @p error set) on I/O or format problems.
+ * Read every record of a DOLINS01 trace file.
+ * @return false (with @p error set) on I/O or format problems: a
+ *         missing file, another format's magic (an event trace is
+ *         named as such), or fewer records than the header claims.
  */
 bool readTraceRecords(const std::string &path,
                       std::vector<TraceRecord> &out,
@@ -79,6 +79,7 @@ class TraceKernel : public Kernel
 {
   public:
     /**
+     * Loads the whole trace; fatal() on any readTraceRecords error.
      * @param loop replay from the start when the trace runs out
      *             (keeps instruction budgets independent of trace
      *             length)

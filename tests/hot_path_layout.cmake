@@ -17,7 +17,6 @@ set(hot_headers
     common/arena.hpp
     common/hotpath.hpp
     common/ring_buffer.hpp
-    common/simd.hpp
     core/t2.hpp
     core/sit.hpp
     core/p1.hpp

@@ -1,10 +1,11 @@
 /**
  * @file
- * Fault-tolerance tests: checkpoint journal round trips and torn-tail
- * recovery, kill-and-resume byte equality (fork + abort fault, so the
- * "crash" is a real process death with no unwinding), per-cell
- * timeout/retry/quarantine supervision, graceful drain, and the
- * golden-trace cells resumed across a crash.
+ * Fault-tolerance tests: checkpoint journal round trips, torn-tail
+ * recovery and fuzzed malformed journals, kill-and-resume byte
+ * equality (fork + abort fault, so the "crash" is a real process
+ * death with no unwinding), per-cell timeout/retry/quarantine
+ * supervision, graceful drain, shard ranges, and the golden-trace
+ * cells resumed across a crash.
  *
  * Every fault point is a deterministic function of a FaultPlan spec
  * and the grid order, so each scenario replays bit-identically.
@@ -13,10 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -46,6 +49,31 @@ fileSize(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     return in.good() ? static_cast<std::uint64_t>(in.tellg()) : 0;
+}
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKib()
+{
+    struct rusage usage;
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -686,8 +714,8 @@ TEST(FaultTolerance, GoldenCellsSurviveKillAndResume)
 }
 
 // ---------------------------------------------------------------------
-// Multi-journal regressions: the fleet reads journals it did not
-// write, so the loader must tolerate records it does not know and
+// Multi-journal regressions: --merge reads journals other processes
+// wrote, so the loader must tolerate records it does not know and
 // must never manufacture progress from records it cannot decode.
 // ---------------------------------------------------------------------
 
@@ -813,7 +841,6 @@ TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
         options.jobs = 1;
         options.checkpointPath = ckpt;
         options.onError = runner::SweepOptions::OnError::kQuarantine;
-        options.journalFailures = true;
         options.faultPlan = &plan;
         auto sweep = makeGridSweep(options);
         const auto report = sweep.run();
@@ -839,6 +866,162 @@ TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
     EXPECT_TRUE(resumed.meta.failedCells.empty());
     EXPECT_EQ(resumed.meta.resumedJobs, 3u);
     EXPECT_EQ(resumed.store.resultsJson(), baseline_results);
+}
+
+TEST(CheckpointJournal, OversizedLengthIsATornTailNotAnAllocation)
+{
+    // A plan plus two case records, with the high byte of the second
+    // case record's u32 length set: the reader must stop there as at
+    // a torn tail, without zero-filling gigabytes for a payload the
+    // file does not hold.
+    const std::string path = tempPath("ckpt_oversized.bin");
+    {
+        runner::CheckpointJournal journal;
+        ASSERT_TRUE(journal.create(path, samplePlan()));
+        ASSERT_TRUE(journal.appendCaseDone(1));
+        ASSERT_TRUE(journal.appendCaseDone(2));
+    }
+    const std::string pristine = readBytes(path);
+    // The last record is envelope + 8-byte payload; its length field
+    // starts one byte (the type) into the envelope.
+    const std::size_t last = pristine.size() -
+                             runner::kFrameEnvelopeBytes - 8;
+    for (const unsigned char high : {0x10, 0x7f, 0xff}) {
+        std::string bytes = pristine;
+        bytes[last + 4] = static_cast<char>(high);
+        writeBytes(path, bytes);
+
+        const long rss_before = peakRssKib();
+        const auto loaded = runner::CheckpointJournal::load(path);
+        EXPECT_TRUE(loaded.valid);
+        EXPECT_FALSE(loaded.cleanTail);
+        EXPECT_EQ(loaded.goodBytes, last);
+        EXPECT_EQ(loaded.cases, (std::vector<std::uint64_t>{1}));
+        // Even the smallest case (0x10) would zero-fill 256 MiB.
+        EXPECT_LT(peakRssKib() - rss_before, 64 * 1024)
+            << "high byte " << unsigned(high);
+
+        runner::CheckpointReader reader;
+        ASSERT_TRUE(reader.open(path));
+        runner::FramedReader::Record rec;
+        int records = 0;
+        while (reader.next(rec))
+            ++records;
+        EXPECT_EQ(records, 2); // plan + first case
+        EXPECT_TRUE(reader.tornTail());
+        EXPECT_EQ(reader.goodBytes(), last);
+    }
+}
+
+TEST(CheckpointJournal, MalformedInputsNeverCrashTheReader)
+{
+    const std::string path = tempPath("ckpt_fuzzed.bin");
+
+    // Seeded mutation fuzz over a healthy journal holding every
+    // record kind: truncations, bit flips, splices, and duplicated
+    // slices must never crash, hang, throw, or over-allocate, through
+    // either read path.
+    {
+        runner::JournalCellFailed failed;
+        failed.jobIndex = 2;
+        failed.cell.label = "TPC/mcf.syn";
+        failed.cell.attempts = 1;
+        failed.cell.kind = "error";
+        failed.cell.error = "injected";
+        runner::CheckpointJournal journal;
+        ASSERT_TRUE(journal.create(path, samplePlan()));
+        ASSERT_TRUE(journal.appendJobDone(sampleJob()));
+        ASSERT_TRUE(journal.appendCellFailed(failed));
+        ASSERT_TRUE(journal.appendCaseDone(7));
+    }
+    const std::string pristine = readBytes(path);
+
+    std::mt19937_64 rng(0xD01F1EE7ull);
+    for (int iteration = 0; iteration < 300; ++iteration) {
+        std::string bytes = pristine;
+        switch (rng() % 4) {
+        case 0: // truncate anywhere, including inside the magic
+            bytes.resize(rng() % (bytes.size() + 1));
+            break;
+        case 1: { // flip a bit
+            const std::size_t at = rng() % bytes.size();
+            bytes[at] = static_cast<char>(bytes[at] ^
+                                          (1u << (rng() % 8)));
+            break;
+        }
+        case 2: { // splice garbage into the middle
+            const std::size_t at = rng() % bytes.size();
+            std::string junk;
+            for (std::size_t i = 0; i < 1 + rng() % 16; ++i)
+                junk.push_back(static_cast<char>(rng()));
+            bytes.insert(at, junk);
+            break;
+        }
+        default: { // duplicate a slice (repeated records)
+            const std::size_t from = rng() % bytes.size();
+            const std::size_t len = 1 + rng() % (bytes.size() - from);
+            bytes.append(bytes, from, len);
+            break;
+        }
+        }
+        writeBytes(path, bytes);
+
+        const auto loaded = runner::CheckpointJournal::load(path);
+        EXPECT_TRUE(loaded.fileExists);
+        EXPECT_LE(loaded.goodBytes, bytes.size());
+        if (!loaded.valid) {
+            EXPECT_FALSE(loaded.error.empty())
+                << "iteration " << iteration;
+        }
+        for (const runner::JournalJobDone &job : loaded.jobs)
+            EXPECT_LE(job.rows.size(), bytes.size());
+
+        runner::CheckpointReader reader;
+        if (!reader.open(path)) {
+            EXPECT_FALSE(loaded.valid) << "iteration " << iteration;
+            continue;
+        }
+        runner::FramedReader::Record rec;
+        std::uint64_t end = runner::kFrameMagicBytes;
+        while (reader.next(rec)) {
+            EXPECT_EQ(rec.offset, end) << "iteration " << iteration;
+            end = rec.offset + runner::kFrameEnvelopeBytes +
+                  rec.payload.size();
+            EXPECT_LE(end, bytes.size()) << "iteration " << iteration;
+        }
+        EXPECT_EQ(reader.goodBytes(), end);
+        // load() may end its clean prefix earlier (at an undecodable
+        // payload), never later than the framing allows.
+        EXPECT_LE(loaded.goodBytes, reader.goodBytes());
+    }
+}
+
+TEST(SweepRunner, ExecutesExactlyItsRange)
+{
+    const std::string ckpt = tempPath("ckpt_range.bin");
+    std::remove(ckpt.c_str());
+    runner::SweepOptions options;
+    options.jobs = 1;
+    options.checkpointPath = ckpt;
+    options.rangeBegin = 1;
+    options.rangeEnd = 3;
+    auto sweep = makeGridSweep(options);
+    const runner::JournalPlan plan = sweep.plan();
+    const auto report = sweep.run();
+    EXPECT_FALSE(report.interrupted)
+        << "cells outside the range are another shard's, not a drain";
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.store.rows().size(), 2u);
+
+    const auto journal = runner::CheckpointJournal::load(ckpt);
+    ASSERT_TRUE(journal.valid) << journal.error;
+    ASSERT_TRUE(journal.plan.has_value());
+    EXPECT_TRUE(*journal.plan == plan)
+        << "a shard journals the full grid's plan";
+    std::vector<std::uint64_t> cells;
+    for (const runner::JournalJobDone &job : journal.jobs)
+        cells.push_back(job.jobIndex);
+    EXPECT_EQ(cells, (std::vector<std::uint64_t>{1, 2}));
 }
 
 } // namespace

@@ -1,20 +1,25 @@
 /**
  * @file
  * Input-hardening tests: the strict CLI parsing helpers behind
- * dolsim's flags (splitCommas, parseUnsigned, per-cell trace paths)
- * and fuzzing of the dol-sweep-v1 JSON reader on truncated and
- * garbage documents — malformed input must produce clean errors,
- * never crashes or silently wrapped values.
+ * dolsim's flags (splitCommas, parseUnsigned, --shard, per-cell trace
+ * paths), fuzzing of the dol-sweep-v1 JSON reader on truncated and
+ * garbage documents, and the trace files dolsim reads (--replay,
+ * --dump-trace) handed the other trace format — malformed input must
+ * produce clean errors, never crashes or silently wrapped values.
  */
 
 #include <climits>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mem/memory_image.hpp"
 #include "runner/cli.hpp"
 #include "runner/json_reader.hpp"
+#include "trace/trace_io.hpp"
+#include "workloads/trace_file.hpp"
 
 namespace
 {
@@ -95,6 +100,28 @@ TEST(ParseCoordinatorMode, RejectsUnknownAndEmptyModes)
     EXPECT_FALSE(parseCoordinatorMode("auto", untouched));
     EXPECT_FALSE(parseCoordinatorMode("hardwire", untouched));
     EXPECT_TRUE(untouched);
+}
+
+TEST(ParseShard, AcceptsIndexBelowCount)
+{
+    std::uint64_t index = 9, count = 9;
+    EXPECT_TRUE(parseShard("0/1", index, count));
+    EXPECT_EQ(index, 0u);
+    EXPECT_EQ(count, 1u);
+    EXPECT_TRUE(parseShard("2/3", index, count));
+    EXPECT_EQ(index, 2u);
+    EXPECT_EQ(count, 3u);
+}
+
+TEST(ParseShard, RejectsMalformedAndOutOfRangeShards)
+{
+    for (const char *bad : {"", "/", "1", "3/3", "0/0", "-1/3", "1/-3",
+                            "1/3x", "a/3", "1//3", " 1/3", "1/65537"}) {
+        std::uint64_t index = 7, count = 7;
+        EXPECT_FALSE(parseShard(bad, index, count)) << bad;
+        EXPECT_EQ(index, 7u) << bad;
+        EXPECT_EQ(count, 7u) << bad;
+    }
 }
 
 TEST(CellTracePath, ComposesPerCellNames)
@@ -208,6 +235,52 @@ TEST(JsonReaderFuzz, MissingFileIsCleanError)
     EXPECT_FALSE(
         parseJsonFile("/nonexistent/dol-sweep.json", out, &error));
     EXPECT_FALSE(error.empty());
+}
+
+// ---------------------------------------------------------------------
+// Trace files handed to the wrong flag
+// ---------------------------------------------------------------------
+
+std::string
+crossFormatPath(const std::string &name)
+{
+    return testing::TempDir() + "dol_cli_" + name;
+}
+
+TEST(TraceFormatCli, ReplayOfAnEventTraceExitsWithAFormatError)
+{
+    const std::string path = crossFormatPath("event.trc");
+    {
+        dol::TraceWriter writer;
+        ASSERT_TRUE(writer.open(path));
+        writer.append(dol::TraceEvent{});
+        ASSERT_TRUE(writer.close());
+    }
+    // --replay builds exactly this kernel.
+    EXPECT_EXIT(
+        {
+            dol::MemoryImage image;
+            dol::TraceKernel kernel(image, path);
+        },
+        testing::ExitedWithCode(1), "is an event trace");
+    std::remove(path.c_str());
+}
+
+TEST(TraceFormatCli, DumpTraceOfAnInstructionTraceIsAFormatError)
+{
+    const std::string path = crossFormatPath("instr.trc");
+    ASSERT_TRUE(dol::writeTraceRecords(
+        path, std::vector<dol::TraceRecord>(1)));
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    std::string error;
+    // --dump-trace prints through exactly this call.
+    EXPECT_FALSE(dol::dumpTraceText(path, sink, &error));
+    EXPECT_NE(error.find("is an instruction trace"), std::string::npos)
+        << error;
+    EXPECT_EQ(std::ftell(sink), 0L) << "no event may be printed";
+    std::fclose(sink);
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -347,56 +347,6 @@ TEST(Shunt, ForwardsEverythingToAllComponents)
     EXPECT_GT(mem.stats().comp[2].issued, 0u);
 }
 
-TEST(AdaptiveCoordinator, SuspendsInaccurateExtras)
-{
-    using namespace dol;
-    MemoryImage image;
-    MemorySystem mem;
-    PrefetchEmitter emitter(mem);
-
-    CompositePrefetcher::Config config;
-    config.adaptiveThrottle = true;
-    config.throttleWindow = 256;
-    config.throttleMinAccuracy = 0.2;
-    config.suspendAccesses = 100000;
-    CompositePrefetcher tpc(&image, config, "TPC-adaptive");
-    tpc.addComponent(std::make_unique<NextLinePrefetcher>(2));
-    ComponentId next = 1;
-    tpc.assignIds([&](const std::string &) { return next++; });
-
-    // Random accesses: next-line prefetches are never used. After a
-    // throttle window the extra must be suspended.
-    Rng rng(23);
-    Cycle now = 0;
-    for (int i = 0; i < 4000; ++i) {
-        AccessInfo info;
-        info.pc = 0x100;
-        info.mPc = 0x100;
-        info.addr = 0x10000000 + lineAddr(rng.below(1ull << 28));
-        info.isLoad = true;
-        info.l1PrimaryMiss = true;
-        info.when = now += 50;
-        emitter.setContext(tpc.id(), info.when);
-        tpc.train(info, emitter);
-    }
-    EXPECT_TRUE(tpc.extraSuspended(0));
-
-    // Suspension stops the junk: issue counts freeze.
-    const auto frozen = mem.stats().comp[4].issued;
-    for (int i = 0; i < 500; ++i) {
-        AccessInfo info;
-        info.pc = 0x100;
-        info.mPc = 0x100;
-        info.addr = 0x10000000 + lineAddr(rng.below(1ull << 28));
-        info.isLoad = true;
-        info.l1PrimaryMiss = true;
-        info.when = now += 50;
-        emitter.setContext(tpc.id(), info.when);
-        tpc.train(info, emitter);
-    }
-    EXPECT_EQ(mem.stats().comp[4].issued, frozen);
-}
-
 TEST(Registry, BuildsEveryNamedConfiguration)
 {
     MemoryImage image;

@@ -2,8 +2,10 @@
  * @file
  * Trace subsystem tests: event encode/decode round-trips, the
  * writer/reader pair on real files, deterministic fuzz over truncated
- * and garbage inputs (clean errors, never crashes), the counter
- * registry, and the TraceContext tally/sink semantics.
+ * and garbage inputs (clean errors, never crashes), cross-format
+ * rejection between event (DOLTRC01) and instruction (DOLINS01)
+ * traces, the counter registry, and the TraceContext tally/sink
+ * semantics.
  */
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include "trace/context.hpp"
 #include "trace/counters.hpp"
 #include "trace/trace_io.hpp"
+#include "workloads/trace_file.hpp"
 
 namespace
 {
@@ -246,6 +249,62 @@ TEST(TraceReaderFuzz, WrongMagicAndVersionRejected)
     EXPECT_FALSE(reader2.open(path));
     EXPECT_NE(reader2.error().find("version"), std::string::npos)
         << reader2.error();
+    std::remove(path.c_str());
+}
+
+TEST(TraceReaderFuzz, InstructionTraceIsRejectedByName)
+{
+    // Same 16-byte header shape, different format: the event reader
+    // must name the instruction trace instead of decoding its header
+    // count and records as events.
+    const std::string path = tempPath("instr_as_event.trc");
+    std::vector<TraceRecord> records(1);
+    records[0].pc = 0x400000;
+    ASSERT_TRUE(writeTraceRecords(path, records));
+
+    TraceReader reader;
+    EXPECT_FALSE(reader.open(path));
+    EXPECT_NE(reader.error().find("instruction trace"),
+              std::string::npos)
+        << reader.error();
+    std::vector<TraceEvent> events;
+    std::string error;
+    EXPECT_FALSE(readTraceFile(path, events, &error));
+    EXPECT_TRUE(events.empty());
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileFormat, EventTraceIsRejectedByName)
+{
+    const std::string path = tempPath("event_as_instr.trc");
+    {
+        TraceWriter writer;
+        ASSERT_TRUE(writer.open(path));
+        for (std::uint64_t i = 0; i < 4; ++i)
+            writer.append(makeEvent(i));
+        ASSERT_TRUE(writer.close());
+    }
+    std::vector<TraceRecord> records;
+    std::string error;
+    EXPECT_FALSE(readTraceRecords(path, records, &error));
+    EXPECT_TRUE(records.empty());
+    EXPECT_NE(error.find("event trace"), std::string::npos) << error;
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileFormat, OverstatedCountIsTruncationNotAnAllocation)
+{
+    // A header claiming 2^60 records over a one-record file must fail
+    // as a truncation before anything is allocated.
+    const std::string path = tempPath("instr_overstated.trc");
+    ASSERT_TRUE(writeTraceRecords(path, std::vector<TraceRecord>(1)));
+    std::string bytes = readBytes(path);
+    bytes[15] = 0x10; // high byte of the u64 count (little-endian)
+    writeBytes(path, bytes);
+    std::vector<TraceRecord> records;
+    std::string error;
+    EXPECT_FALSE(readTraceRecords(path, records, &error));
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 

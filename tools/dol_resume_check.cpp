@@ -15,6 +15,12 @@
  *      graceful-drain exit code (143), then resumes
  *   4. SIGKILL mid-sweep: same setup, no chance to drain, then
  *      resumes across the torn process
+ *   5. sharded sweep: a 60-cell grid (3 workloads x 2 prefetchers x
+ *      10 seed variants) runs as three concurrent `--shard i/3`
+ *      processes; an abort fault kills shard 1 mid-range, the same
+ *      command re-run with --resume finishes it, and `--merge` of the
+ *      three journals must equal plain `--jobs 1` and `--jobs 4`
+ *      runs of the grid
  *
  * "Byte-identical deterministic portion" means every byte up to the
  * documented-nondeterministic "timing" section — schema, config,
@@ -173,6 +179,20 @@ gridArgs(const std::string &json_path,
     return args;
 }
 
+/** The 60-cell sharding grid + per-run flags. */
+std::vector<std::string>
+shardGridArgs(const std::vector<std::string> &extra)
+{
+    std::vector<std::string> args = {
+        "--workload",      "libquantum.syn,mcf.syn,omnetpp.syn",
+        "--prefetcher",    "TPC,SPP",
+        "--instrs",        "5000",
+        "--seed-variants", "10",
+        "--quiet"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return args;
+}
+
 void
 compareAgainstBaseline(const std::string &scenario,
                        const std::string &baseline_prefix,
@@ -193,6 +213,102 @@ compareAgainstBaseline(const std::string &scenario,
                         "uninterrupted baseline (deterministic "
                         "portion)");
     }
+}
+
+/**
+ * Scenario 5: three shards, one killed mid-range and resumed, merged
+ * and compared with single-process references at two worker counts.
+ */
+void
+checkShards(const std::string &dolsim, const std::string &dir,
+            const std::string &log)
+{
+    std::string reference_prefix;
+    for (const std::string jobs : {"1", "4"}) {
+        const std::string json = dir + "/grid" + jobs + ".json";
+        const RunResult result =
+            run(dolsim, shardGridArgs({"--jobs", jobs, "--json", json}),
+                log);
+        std::string document;
+        if (!result.exited || result.code != 0 ||
+            !readFile(json, document)) {
+            fail("shards: --jobs " + jobs + " reference sweep failed");
+            return;
+        }
+        const std::string prefix = deterministicPrefix(document);
+        if (prefix.empty()) {
+            fail("shards: no \"timing\" marker in " + json);
+            return;
+        }
+        if (reference_prefix.empty())
+            reference_prefix = prefix;
+        else if (prefix != reference_prefix)
+            fail("shards: --jobs 1 and --jobs 4 references differ");
+    }
+
+    // Shard 1 owns cells [20, 40); abort@27 kills it after cells
+    // 20..26 journal (serial shard, so the count is exact).
+    const auto journal = [&](int shard) {
+        return dir + "/shard" + std::to_string(shard) + ".ckpt";
+    };
+    const auto shardArgs = [&](int shard,
+                               std::vector<std::string> extra) {
+        extra.insert(extra.begin(),
+                     {"--jobs", "1", "--shard",
+                      std::to_string(shard) + "/3", "--checkpoint",
+                      journal(shard)});
+        return shardGridArgs(extra);
+    };
+    std::vector<pid_t> pids;
+    for (int shard = 0; shard < 3; ++shard) {
+        std::remove(journal(shard).c_str());
+        pids.push_back(spawn(
+            dolsim,
+            shardArgs(shard, shard == 1
+                                 ? std::vector<std::string>{
+                                       "--fault-plan", "abort@27"}
+                                 : std::vector<std::string>{}),
+            log));
+    }
+    for (int shard = 0; shard < 3; ++shard) {
+        const RunResult result = await(pids[shard]);
+        const int want = shard == 1 ? 137 : 0;
+        if (!result.exited || result.code != want)
+            fail("shards: shard " + std::to_string(shard) +
+                 " should exit " + std::to_string(want));
+    }
+    const auto crashed = dol::runner::CheckpointJournal::load(journal(1));
+    if (!crashed.valid || crashed.jobs.size() != 7)
+        fail("shards: the aborted shard should journal exactly 7 "
+             "cells");
+
+    // Merging now must fail: cells 27..39 are in no journal.
+    const std::string merged = dir + "/merged.json";
+    std::remove(merged.c_str());
+    const std::string journals =
+        journal(0) + "," + journal(1) + "," + journal(2);
+    RunResult result =
+        run(dolsim, {"--merge", journals, "--json", merged, "--quiet"},
+            log);
+    if (!result.exited || result.code != 1 || exists(merged))
+        fail("shards: merging an incomplete shard set should fail "
+             "and write nothing");
+
+    result = run(dolsim, shardArgs(1, {"--resume"}), log);
+    if (!result.exited || result.code != 0)
+        fail("shards: resumed shard should exit 0");
+    for (int shard = 0; shard < 3; ++shard) {
+        if (!exists(journal(shard)))
+            fail("shards: shard " + std::to_string(shard) +
+                 "'s journal must survive a clean run");
+    }
+
+    result =
+        run(dolsim, {"--merge", journals, "--json", merged, "--quiet"},
+            log);
+    if (!result.exited || result.code != 0)
+        fail("shards: merge should exit 0");
+    compareAgainstBaseline("shards", reference_prefix, merged);
 }
 
 } // namespace
@@ -317,6 +433,9 @@ main(int argc, char **argv)
         compareAgainstBaseline(tag, baseline_prefix, json);
     }
 
+    // 5. Sharded sweep: kill one shard, resume it, merge all three.
+    checkShards(dolsim, dir, log);
+
     if (g_failures) {
         std::fprintf(stderr,
                      "dol_resume_check: %d scenario check(s) failed "
@@ -324,7 +443,7 @@ main(int argc, char **argv)
                      g_failures, log.c_str());
         return 1;
     }
-    std::printf("dol_resume_check: all kill-and-resume scenarios "
-                "passed\n");
+    std::printf("dol_resume_check: all kill-and-resume and shard "
+                "scenarios passed\n");
     return 0;
 }

@@ -15,26 +15,27 @@
  *   dolsim --workload mcf.syn --prefetcher TPC --trace run.trc
  *   dolsim --dump-trace run.trc
  *   dolsim --workload mcf.syn --counters --json results.json
+ *   dolsim --suite spec --shard 0/2 --checkpoint s0.ckpt
+ *   dolsim --merge s0.ckpt,s1.ckpt --json results.json
  */
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <csignal>
-#include <unistd.h>
 
 #include "check/adaptive_check.hpp"
 #include "check/campaign.hpp"
-#include "fleet/coordinator.hpp"
-#include "fleet/worker.hpp"
 #include "check/multicore_check.hpp"
 #include "common/log.hpp"
 #include "metrics/table.hpp"
 #include "runner/cli.hpp"
 #include "runner/fault.hpp"
+#include "runner/merge.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/contention.hpp"
@@ -94,16 +95,12 @@ struct Options
     std::uint64_t retryBackoffMs = 100;
     std::string faultPlanSpec; ///< deterministic fault injection
 
-    // Fleet execution (README "Fleet execution").
-    bool fleet = false; ///< coordinate a sharded multi-process sweep
-    bool fleetWorker = false; ///< execute one leased cell range
-    std::uint64_t fleetWorkers = 2; ///< concurrent worker processes
-    std::string leaseDir; ///< ledger + per-lease journals
-    std::uint64_t leaseId = 0; ///< lease to execute (--fleet-worker)
-    bool leaseIdSet = false;
-    std::uint64_t leaseTtlMs = 30000; ///< worker liveness budget
+    // Sharded sweeps (README "Sharded sweeps").
+    std::uint64_t shardIndex = 0; ///< --shard i/N: run range i
+    std::uint64_t shardCount = 0; ///< ... of N; 0 = not a shard
+    std::vector<std::string> merge; ///< shard journals to merge
     /** Replicate the grid K times with variants :s0..:sK-1 (distinct
-     *  per-cell seeds) — cheap way to scale a grid to fleet size. */
+     *  per-cell seeds) — cheap way to scale a grid up. */
     std::uint64_t seedVariants = 0;
 };
 
@@ -174,19 +171,12 @@ usage()
         "per retry (default 100)\n"
         "  --fault-plan SPEC          inject faults: "
         "throw|hang|abort|stop@CELL[:TIMES],...\n"
-        "  --fleet                    shard the sweep across worker "
-        "processes (needs --json)\n"
-        "  --fleet-workers N          concurrent worker processes "
-        "(default 2)\n"
-        "  --lease-dir DIR            lease ledger + per-worker "
-        "journals (default JSON.leases)\n"
-        "  --lease-ttl MS             kill+re-lease a worker whose "
-        "journal stalls this long\n"
-        "  --fleet-worker             run one leased range (spawned "
-        "by --fleet; needs\n"
-        "                             --lease-dir and --lease-id)\n"
-        "  --lease-id N               lease to execute "
-        "(--fleet-worker)\n"
+        "  --shard I/N                run cell range I of N into "
+        "--checkpoint FILE\n"
+        "                             (the journal is the output; "
+        "keep it for --merge)\n"
+        "  --merge FILE[,FILE...]     merge shard journals into "
+        "--json FILE and exit\n"
         "  --seed-variants K          replicate the grid K times as "
         "variants :s0..:sK-1\n"
         "  --csv                      machine-readable output\n"
@@ -348,31 +338,17 @@ parse(int argc, char **argv)
             }
         } else if (arg == "--fault-plan") {
             options.faultPlanSpec = next();
-        } else if (arg == "--fleet") {
-            options.fleet = true;
-        } else if (arg == "--fleet-worker") {
-            options.fleetWorker = true;
-        } else if (arg == "--fleet-workers") {
+        } else if (arg == "--shard") {
             const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, 256,
-                                      options.fleetWorkers)) {
-                dol::fatal("bad --fleet-workers value: " + value);
+            if (!dol::runner::parseShard(value, options.shardIndex,
+                                         options.shardCount)) {
+                dol::fatal("bad --shard value: " + value +
+                           " (want I/N with 0 <= I < N)");
             }
-        } else if (arg == "--lease-dir") {
-            options.leaseDir = nextPath();
-        } else if (arg == "--lease-id") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.leaseId)) {
-                dol::fatal("bad --lease-id value: " + value);
-            }
-            options.leaseIdSet = true;
-        } else if (arg == "--lease-ttl") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.leaseTtlMs)) {
-                dol::fatal("bad --lease-ttl value: " + value);
-            }
+        } else if (arg == "--merge") {
+            options.merge = splitCommas(next());
+            if (options.merge.empty())
+                dol::fatal("empty --merge list");
         } else if (arg == "--seed-variants") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, 65536,
@@ -408,23 +384,23 @@ parse(int argc, char **argv)
         !options.trace.empty() || !options.record.empty() ||
         !options.replay.empty() || !options.fuzzReplay.empty() ||
         !options.traceIn.empty();
-    if (options.fleet && options.fleetWorker)
-        dol::fatal("--fleet and --fleet-worker are exclusive");
-    if (options.fleet) {
+    if (options.shardCount) {
+        if (options.checkpoint.empty())
+            dol::fatal("--shard needs --checkpoint FILE (a shard's "
+                       "journal is its output)");
+        if (grid_only_conflict || !options.json.empty() ||
+            options.csv || !options.merge.empty())
+            dol::fatal("--shard supports plain grid sweeps only (no "
+                       "mixes, traces, fuzzing, --json, --csv or "
+                       "--merge; merge the journals afterwards)");
+    }
+    if (!options.merge.empty()) {
         if (options.json.empty())
-            dol::fatal("--fleet needs --json FILE (the merged "
+            dol::fatal("--merge needs --json FILE (the merged "
                        "document)");
         if (grid_only_conflict || !options.checkpoint.empty())
-            dol::fatal("--fleet supports plain grid sweeps only (no "
-                       "mixes, traces, fuzzing, or --checkpoint)");
-    }
-    if (options.fleetWorker) {
-        if (options.leaseDir.empty() || !options.leaseIdSet)
-            dol::fatal(
-                "--fleet-worker needs --lease-dir and --lease-id");
-        if (grid_only_conflict || !options.checkpoint.empty())
-            dol::fatal("--fleet-worker supports plain grid sweeps "
-                       "only");
+            dol::fatal("--merge takes shard journals and --json only "
+                       "(the grid comes from the journals)");
     }
     if (options.seedVariants && grid_only_conflict)
         dol::fatal("--seed-variants applies to plain grid sweeps "
@@ -476,6 +452,33 @@ main(int argc, char **argv)
             return 1;
         }
         return 0;
+    }
+
+    if (!options.merge.empty()) {
+        runner::MergeOptions merge;
+        merge.journals = options.merge;
+        // The shards ran as separate processes: the journals carry
+        // every cell's wall time, but no sweep-wide elapsed time.
+        merge.meta.jobs = static_cast<unsigned>(options.merge.size());
+        const runner::MergeStats stats =
+            runner::mergeJournalsToFile(merge, options.json);
+        if (!stats.ok) {
+            std::error_code ec;
+            std::filesystem::remove(options.json, ec);
+            fatal("--merge: " + stats.error);
+        }
+        if (!options.quiet) {
+            std::fprintf(
+                stderr,
+                "merged %llu cells (%llu failed, %llu duplicates) "
+                "from %zu journal(s) into %s\n",
+                static_cast<unsigned long long>(stats.mergedCells),
+                static_cast<unsigned long long>(stats.failedCells),
+                static_cast<unsigned long long>(
+                    stats.duplicatesDiscarded),
+                options.merge.size(), options.json.c_str());
+        }
+        return stats.failedCells ? 3 : 0;
     }
 
     const auto mutation = check::mutationFromName(options.fuzzMutate);
@@ -603,6 +606,12 @@ main(int argc, char **argv)
                          }});
     } else if (!options.replay.empty()) {
         const std::string path = options.replay;
+        // Check the file here, so a wrong format fails with its
+        // message before any sweep worker starts.
+        std::vector<TraceRecord> records;
+        std::string error;
+        if (!readTraceRecords(path, records, &error))
+            fatal(error);
         specs.push_back(
             {"replay:" + path, "trace", [path](MemoryImage &image) {
                  return std::make_unique<TraceKernel>(image, path);
@@ -700,133 +709,18 @@ main(int argc, char **argv)
         }
     }
 
-    if (options.fleetWorker) {
-        // One leased cell range; the coordinator reads our journal
-        // and exit code. No table/JSON output — the merge does that.
-        sweep_options.progress = false;
-        fleet::WorkerOptions worker;
-        worker.leaseDir = options.leaseDir;
-        worker.leaseId = options.leaseId;
-        std::string error;
-        const int code =
-            fleet::runFleetWorker(sweep, sweep_options, worker,
-                                  &error);
-        if (code == fleet::kWorkerSetupError)
-            std::fprintf(stderr, "dolsim: %s\n", error.c_str());
-        return code;
-    }
-
-    if (options.fleet) {
-        fleet::FleetOptions fleet_options;
-        fleet_options.leaseDir = options.leaseDir.empty()
-                                     ? options.json + ".leases"
-                                     : options.leaseDir;
-        fleet_options.workers =
-            static_cast<unsigned>(options.fleetWorkers);
-        fleet_options.leaseTtlMs = options.leaseTtlMs;
-        fleet_options.outputPath = options.json;
-        fleet_options.verbose = !options.quiet;
-        fleet_options.stopFlag = &runner::signalStopFlag();
-
-        // Workers rebuild the exact same grid from explicit
-        // arguments (suites were already expanded into --workload).
-        const auto join = [](const std::vector<std::string> &parts) {
-            std::string out;
-            for (const std::string &part : parts) {
-                if (!out.empty())
-                    out += ",";
-                out += part;
-            }
-            return out;
-        };
-        std::vector<std::string> base_args{
-            "dolsim",      "--fleet-worker",
-            "--lease-dir", fleet_options.leaseDir,
-            "--workload",  join(options.workloads),
-            "--prefetcher", join(options.prefetchers),
-            "--instrs",    std::to_string(options.instrs),
-            "--jobs",      "1",
-            "--quiet"};
-        const auto push_flag = [&](const char *flag,
-                                   const std::string &value) {
-            base_args.push_back(flag);
-            base_args.push_back(value);
-        };
-        if (!options.dest.empty())
-            push_flag("--dest", options.dest);
-        if (options.adaptiveCoordinator)
-            push_flag("--coordinator", "adaptive");
-        if (options.counters)
-            base_args.push_back("--counters");
-        if (options.seedVariants)
-            push_flag("--seed-variants",
-                      std::to_string(options.seedVariants));
-        if (options.cellTimeoutMs)
-            push_flag("--cell-timeout",
-                      std::to_string(options.cellTimeoutMs));
-        if (options.retries)
-            push_flag("--retries", std::to_string(options.retries));
-        if (options.retryBackoffMs != 100)
-            push_flag("--retry-backoff-ms",
-                      std::to_string(options.retryBackoffMs));
-
-        const auto spawn =
-            [&](const fleet::LeaseGrant &grant) -> pid_t {
-            std::vector<std::string> args = base_args;
-            args.push_back("--lease-id");
-            args.push_back(std::to_string(grant.leaseId));
-            // Fault injection is a generation-0 affair: a re-granted
-            // range must not re-trip the fault it died of.
-            if (grant.generation == 0 &&
-                !options.faultPlanSpec.empty()) {
-                args.push_back("--fault-plan");
-                args.push_back(options.faultPlanSpec);
-            }
-            const pid_t pid = fork();
-            if (pid != 0)
-                return pid;
-            std::vector<char *> argvv;
-            argvv.reserve(args.size() + 1);
-            for (std::string &a : args)
-                argvv.push_back(a.data());
-            argvv.push_back(nullptr);
-            execv("/proc/self/exe", argvv.data());
-            _exit(127);
-        };
-
-        fleet::FleetCoordinator coordinator(sweep.plan(),
-                                            fleet_options, spawn);
-        runner::SweepMeta meta;
-        meta.generator = "dolsim";
-        meta.maxInstrs = options.instrs;
-        const fleet::FleetReport fleet_report =
-            coordinator.run(std::move(meta));
-        if (fleet_report.interrupted) {
-            std::fprintf(stderr, "dolsim: %s\n",
-                         fleet_report.error.c_str());
-            return interruptedExitCode();
-        }
-        if (!fleet_report.ok)
-            fatal(fleet_report.error);
-        if (!options.quiet) {
-            std::fprintf(
-                stderr,
-                "fleet: %u lease(s) granted (%u completed, %u "
-                "expired), %u worker(s) spawned, merged %llu cells "
-                "(%llu failed, %llu duplicates) into %s\n",
-                fleet_report.leasesGranted,
-                fleet_report.leasesCompleted,
-                fleet_report.leasesExpired,
-                fleet_report.workersSpawned,
-                static_cast<unsigned long long>(
-                    fleet_report.merge.mergedCells),
-                static_cast<unsigned long long>(
-                    fleet_report.merge.failedCells),
-                static_cast<unsigned long long>(
-                    fleet_report.merge.duplicatesDiscarded),
-                options.json.c_str());
-        }
-        return fleet_report.merge.failedCells ? 3 : 0;
+    if (options.shardCount) {
+        const std::uint64_t cells = sweep.pendingJobs();
+        const auto ranges = runner::partitionRange(
+            cells, static_cast<unsigned>(options.shardCount));
+        // More shards than cells leave the last shards the empty range
+        // [cells, cells): their journal holds just the plan, which
+        // still merges.
+        sweep_options.rangeBegin = sweep_options.rangeEnd = cells;
+        if (options.shardIndex < ranges.size())
+            std::tie(sweep_options.rangeBegin, sweep_options.rangeEnd) =
+                ranges[options.shardIndex];
+        sweep.setOptions(sweep_options);
     }
 
     runner::SweepRunner::Report report;
@@ -855,6 +749,26 @@ main(int argc, char **argv)
                      cell.label.c_str(), cell.attempts,
                      cell.attempts == 1 ? "" : "s", cell.kind.c_str(),
                      cell.error.c_str());
+    }
+
+    if (options.shardCount) {
+        // A shard's journal is its output: no table, no JSON, and the
+        // journal stays for --merge.
+        if (!options.quiet) {
+            std::fprintf(stderr,
+                         "shard %llu/%llu: cells [%llu, %llu) journaled "
+                         "to %s\n",
+                         static_cast<unsigned long long>(
+                             options.shardIndex),
+                         static_cast<unsigned long long>(
+                             options.shardCount),
+                         static_cast<unsigned long long>(
+                             sweep_options.rangeBegin),
+                         static_cast<unsigned long long>(
+                             sweep_options.rangeEnd),
+                         options.checkpoint.c_str());
+        }
+        return report.meta.failedCells.empty() ? 0 : 3;
     }
 
     if (options.csv) {
