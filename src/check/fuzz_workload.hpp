@@ -75,13 +75,6 @@ class RecordKernel : public Kernel
         : Kernel("fuzz", memory), _records(&records)
     {}
 
-    void
-    reset() override
-    {
-        clearQueue();
-        _position = 0;
-    }
-
   protected:
     bool
     generate() override

@@ -6,8 +6,7 @@
  * queues: both are drained in order and stay small, which a deque
  * punishes with 512-byte chunk allocations and per-push map
  * bookkeeping. The ring grows geometrically on the rare overflow and
- * never allocates otherwise; a high-water mark records the deepest
- * the queue ever got (MSHR/backpressure observability).
+ * never allocates otherwise.
  */
 
 #ifndef DOL_COMMON_RING_BUFFER_HPP
@@ -33,10 +32,6 @@ class RingBuffer
 
     bool empty() const { return _count == 0; }
     std::size_t size() const { return _count; }
-    std::size_t capacity() const { return _slots.size(); }
-
-    /** Deepest size() ever reached (not reset by clear()). */
-    std::size_t highWaterMark() const { return _highWater; }
 
     T &front()
     {
@@ -57,8 +52,6 @@ class RingBuffer
             grow();
         _slots[(_head + _count) & (_slots.size() - 1)] = value;
         ++_count;
-        if (_count > _highWater)
-            _highWater = _count;
     }
 
     void
@@ -73,7 +66,7 @@ class RingBuffer
     /**
      * Pop up to @p max elements into @p out in FIFO order.
      *
-     * Bulk drain for the batched step pipeline (PR 9): two copy_n
+     * Bulk drain for the batched step pipeline: two copy_n
      * spans (head to end of the backing array, then the wrap) replace
      * per-element front()/pop_front() round trips.
      *
@@ -97,14 +90,6 @@ class RingBuffer
         return want;
     }
 
-    void
-    clear()
-    {
-        while (_count > 0)
-            pop_front();
-        _head = 0;
-    }
-
   private:
     void
     grow()
@@ -120,7 +105,6 @@ class RingBuffer
     std::vector<T> _slots;
     std::size_t _head = 0;
     std::size_t _count = 0;
-    std::size_t _highWater = 0;
 };
 
 } // namespace dol

@@ -11,18 +11,17 @@
 namespace dol
 {
 
+ExperimentRunner::ExperimentRunner(const SimConfig &config,
+                                   std::shared_ptr<BaselineCache> baselines)
+    : _config(config),
+      _cache(baselines ? std::move(baselines)
+                       : std::make_shared<BaselineCache>())
+{}
+
 const ExperimentRunner::Baseline &
 ExperimentRunner::baseline(const WorkloadSpec &spec)
 {
-    if (_shared) {
-        return _shared->get(spec.name,
-                            [&] { return computeBaseline(spec); });
-    }
-    auto it = _baselines.find(spec.name);
-    if (it != _baselines.end())
-        return it->second;
-    return _baselines.emplace(spec.name, computeBaseline(spec))
-        .first->second;
+    return _cache->get(spec.name, [&] { return computeBaseline(spec); });
 }
 
 ExperimentRunner::Baseline
@@ -34,17 +33,15 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
     MemoryImage image;
     auto kernel = spec.factory(image);
 
+    // One pass: the run measures the baseline, and its demand stream
+    // feeds the ground-truth classifier as it retires.
     Simulator sim(_config, *kernel, nullptr);
-    Instr instr;
-    // Run the baseline and feed the ground-truth classifier with the
-    // demand stream in the same pass.
-    while (sim.instructions() < _config.maxInstrs) {
-        // Peek by stepping: the stratifier needs pc/addr only, which
-        // step() consumed — so observe through the kernel replay
-        // instead: we re-generate below.
-        if (!sim.step())
-            break;
-    }
+    OfflineStratifier &stratifier = *base.stratifier;
+    sim.setAccessObserver([&stratifier](const AccessInfo &access) {
+        stratifier.observe(access.pc, access.addr);
+    });
+    sim.run();
+
     base.ipc = sim.ipc();
     base.l1Misses = sim.mem().stats().level[kL1].primaryMisses;
     base.mpkiL1 =
@@ -52,16 +49,6 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
             ? 1000.0 * static_cast<double>(base.l1Misses) /
                   static_cast<double>(sim.instructions())
             : 0.0;
-
-    // Second pass (identical trace): classify accesses offline.
-    kernel->reset();
-    std::uint64_t seen = 0;
-    while (seen < _config.maxInstrs && kernel->next(instr)) {
-        if (instr.isMem())
-            base.stratifier->observe(instr.pc, instr.addr);
-        ++seen;
-    }
-
     return base;
 }
 

@@ -126,19 +126,18 @@ class ExperimentRunner
 {
   public:
     /**
-     * @param shared optional cross-runner baseline cache; parallel
-     *               sweeps hand every job the same cache so each
-     *               workload's baseline is simulated exactly once.
-     *               All runners sharing a cache must use the same
-     *               demand-path configuration (budget, cache/DRAM
-     *               geometry) — only prefetch-side knobs like the
-     *               drop-RNG seed may differ.
+     * @param baselines optional cross-runner baseline cache; parallel
+     *                  sweeps hand every job the same cache so each
+     *                  workload's baseline is simulated exactly once.
+     *                  nullptr gives the runner a cache of its own.
+     *                  All runners sharing a cache must use the same
+     *                  demand-path configuration (budget, cache/DRAM
+     *                  geometry) — only prefetch-side knobs like the
+     *                  drop-RNG seed may differ.
      */
-    explicit ExperimentRunner(const SimConfig &config = {},
-                              std::shared_ptr<BaselineCache> shared =
-                                  nullptr)
-        : _config(config), _shared(std::move(shared))
-    {}
+    explicit ExperimentRunner(
+        const SimConfig &config = {},
+        std::shared_ptr<BaselineCache> baselines = nullptr);
 
     struct Baseline
     {
@@ -148,7 +147,11 @@ class ExperimentRunner
         std::shared_ptr<OfflineStratifier> stratifier;
     };
 
-    /** Baseline run (cached per workload): IPC + ground truth. */
+    /**
+     * Baseline run (cached per workload): IPC + ground truth, from one
+     * prefetcher-less pass whose demand stream also feeds the offline
+     * stratifier.
+     */
     const Baseline &baseline(const WorkloadSpec &spec);
 
     /** Measured run with a prefetcher built by the registry. */
@@ -174,17 +177,16 @@ class ExperimentRunner
     Baseline computeBaseline(const WorkloadSpec &spec);
 
     SimConfig _config;
-    std::shared_ptr<BaselineCache> _shared;
-    std::unordered_map<std::string, Baseline> _baselines;
+    std::shared_ptr<BaselineCache> _cache;
     const CancelToken *_cancel = nullptr;
 };
 
 /**
- * Thread-safe baseline cache shared between the per-job
- * ExperimentRunners of a parallel sweep. The first requester of a
- * workload computes its baseline; concurrent requesters block on the
- * same shared future, so the result (and any exception) is computed
- * once and observed by all.
+ * Thread-safe baseline cache: the memo behind every
+ * ExperimentRunner::baseline, shared between the per-job runners of a
+ * parallel sweep. The first requester of a workload computes its
+ * baseline; concurrent requesters block on the same shared future, so
+ * the result (and any exception) is computed once and observed by all.
  */
 class BaselineCache
 {

@@ -56,47 +56,40 @@ Simulator::stepOne(const Instr &instr)
     if (_prefetcher) {
         _emitter.setContext(_prefetcher->id(), retire.issue);
         _prefetcher->onInstr(instr, retire, m_pc, _emitter);
-
-        if (instr.isMem()) {
-            AccessInfo access;
-            access.pc = instr.pc;
-            access.mPc = m_pc;
-            access.addr = instr.addr;
-            access.isLoad = instr.isLoad();
-            access.l1Hit = retire.mem.l1Hit;
-            access.l1PrimaryMiss = retire.mem.l1PrimaryMiss;
-            access.l1HitPrefetched = retire.mem.l1HitPrefetched;
-            access.l1HitComp = retire.mem.l1HitComp;
-            access.l2Hit = retire.mem.l2Hit;
-            access.l3Hit = retire.mem.l3Hit;
-            access.value = instr.value;
-            access.when = retire.issue;
-            access.completion = retire.mem.completion;
-
-            _emitter.setContext(_prefetcher->id(), retire.issue);
-            _prefetcher->train(access, _emitter);
-            if (_accessObserver)
-                _accessObserver(access);
-        }
-        // Fills drain after *every* instruction, batched loop or not:
-        // deferring to a batch boundary would let P1's chained
-        // prefetches observe later training events than the hardware
-        // ordering allows (DESIGN.md, batched pipeline note).
-        if (!_fills.empty())
-            drainFills();
     }
 
-    ++_instrs;
-}
+    if (instr.isMem() && (_prefetcher || _accessObserver)) {
+        AccessInfo access;
+        access.pc = instr.pc;
+        access.mPc = m_pc;
+        access.addr = instr.addr;
+        access.isLoad = instr.isLoad();
+        access.l1Hit = retire.mem.l1Hit;
+        access.l1PrimaryMiss = retire.mem.l1PrimaryMiss;
+        access.l1HitPrefetched = retire.mem.l1HitPrefetched;
+        access.l1HitComp = retire.mem.l1HitComp;
+        access.l2Hit = retire.mem.l2Hit;
+        access.l3Hit = retire.mem.l3Hit;
+        access.value = instr.value;
+        access.when = retire.issue;
+        access.completion = retire.mem.completion;
 
-bool
-Simulator::step()
-{
-    Instr instr;
-    if (!_kernel->next(instr))
-        return false;
-    stepOne(instr);
-    return true;
+        if (_prefetcher) {
+            _emitter.setContext(_prefetcher->id(), retire.issue);
+            _prefetcher->train(access, _emitter);
+        }
+        if (_accessObserver)
+            _accessObserver(access);
+    }
+
+    // Fills drain after *every* instruction, not at a batch boundary:
+    // deferring them would let P1's chained prefetches observe later
+    // training events than the hardware ordering allows (DESIGN.md,
+    // batched pipeline note).
+    if (_prefetcher && !_fills.empty())
+        drainFills();
+
+    ++_instrs;
 }
 
 std::size_t
@@ -112,27 +105,15 @@ Simulator::stepBlock(std::size_t max)
 void
 Simulator::run(const CancelToken *cancel)
 {
-    if (_referenceLoop) {
-        // Legacy one-at-a-time loop, kept for A/B equivalence tests.
-        while (_instrs < _config.maxInstrs && step()) {
-            // Poll coarsely: a deadline check costs a clock read, so
-            // do it once per 4096 instructions, not per step.
-            if (cancel && (_instrs & 0xFFF) == 0 && cancel->cancelled())
-                throw CancelledError("simulation cancelled after " +
-                                     std::to_string(_instrs) +
-                                     " instructions");
-        }
-        return;
-    }
-
     while (_instrs < _config.maxInstrs) {
         const std::uint64_t budget = _config.maxInstrs - _instrs;
         const std::size_t got = stepBlock(static_cast<std::size_t>(
             std::min<std::uint64_t>(budget, kBatchInstrs)));
         if (got == 0)
             break;
-        // Same ~4096-instruction poll coarseness as the reference
-        // loop: poll at the first batch boundary past each multiple.
+        // Poll coarsely: a deadline check costs a clock read, so do it
+        // at the first batch boundary past each multiple of 4096
+        // instructions.
         if (cancel && (_instrs & ~std::uint64_t{0xFFF}) !=
                           ((_instrs - got) & ~std::uint64_t{0xFFF}) &&
             cancel->cancelled()) {
@@ -183,13 +164,6 @@ Simulator::exportCounters(CounterRegistry &registry) const
         registry.set(scope, "dropped_mshr", stats.droppedMshr);
         registry.set(scope, "dropped_queue", stats.droppedQueue);
     }
-}
-
-void
-Simulator::exportPerfCounters(CounterRegistry &registry) const
-{
-    registry.set("sim", "fill_queue_hwm", _fills.highWaterMark());
-    registry.set("sim", "fill_queue_capacity", _fills.capacity());
 }
 
 } // namespace dol

@@ -8,13 +8,12 @@
  * (never delivered re-entrantly), so a component chaining prefetches
  * off fills (P1) observes the same ordering the hardware would.
  *
- * The run loop is batched (PR 9): decode drains the kernel's
+ * The run loop is batched: decode drains the kernel's
  * already-generated queue in blocks of up to kBatchInstrs into a flat
  * buffer, then executes the block instruction by instruction. Kernel
  * generation still happens exactly when the queue is empty — never
  * ahead of execution — and fills still drain after every instruction,
- * so the observable event order is identical to the one-at-a-time
- * loop (setReferenceLoop() keeps that loop alive for A/B tests).
+ * so the observable event order does not depend on the block size.
  */
 
 #ifndef DOL_SIM_SIMULATOR_HPP
@@ -77,23 +76,16 @@ class Simulator
      */
     void run(const CancelToken *cancel = nullptr);
 
-    /** Execute one instruction; false when the kernel is done. */
-    bool step();
-
     /**
      * Execute up to @p max instructions from one decoded batch.
      * The batch never spans a kernel generate() call (see
-     * Kernel::nextBatch), so event ordering matches step() exactly.
+     * Kernel::nextBatch), so any sequence of block sizes produces the
+     * same events as run(). The multicore driver interleaves cores
+     * through this call.
      *
      * @return instructions executed; 0 when the kernel is done.
      */
     std::size_t stepBlock(std::size_t max);
-
-    /**
-     * Test hook: make run() use the legacy one-instruction-at-a-time
-     * loop instead of the batched pipeline (A/B equivalence tests).
-     */
-    void setReferenceLoop(bool reference) { _referenceLoop = reference; }
 
     const Core &core() const { return _core; }
     MemorySystem &mem() { return _mem; }
@@ -123,12 +115,14 @@ class Simulator
     void setTraceContext(TraceContext *trace);
 
     /**
-     * Observe every demand access exactly as the prefetcher saw it,
-     * immediately after the prefetcher trained on it and before the
-     * queued prefetch fills drain. The differential checker
-     * (src/check/) feeds this stream to its reference models and
-     * compares post-train production state per access; the default
-     * (empty) observer costs one branch per memory access.
+     * Observe every demand access (every load and store), with or
+     * without a prefetcher. With one, the observer sees the access
+     * exactly as the prefetcher did, immediately after it trained and
+     * before the queued prefetch fills drain: the differential checker
+     * (src/check/) compares its reference models' post-train state
+     * per access this way. Without one, the baseline run feeds the
+     * offline stratifier from it. The default (empty) observer costs
+     * one branch per memory access.
      */
     using AccessObserver = std::function<void(const AccessInfo &)>;
     void setAccessObserver(AccessObserver observer)
@@ -142,14 +136,6 @@ class Simulator
      * prefetch outcomes (named), and core totals.
      */
     void exportCounters(CounterRegistry &registry) const;
-
-    /**
-     * Harvest perf-observability counters (fill-queue high-water mark,
-     * resident page count). Kept out of exportCounters() because the
-     * golden-trace snapshots freeze that counter set; the throughput
-     * bench harvests these on top.
-     */
-    void exportPerfCounters(CounterRegistry &registry) const;
 
   private:
     struct FillEvent
@@ -185,7 +171,7 @@ class Simulator
 
     void drainFills();
 
-    /** Execute one already-decoded instruction (the step() body). */
+    /** Execute one already-decoded instruction. */
     void stepOne(const Instr &instr);
 
     SimConfig _config;
@@ -204,7 +190,6 @@ class Simulator
     std::vector<std::string> _componentNames;
     AccessObserver _accessObserver;
     std::uint64_t _instrs = 0;
-    bool _referenceLoop = false;
     /** Decode buffer for the batched pipeline. */
     std::array<Instr, kBatchInstrs> _batch;
 };

@@ -27,14 +27,6 @@ RegionKernel::RegionKernel(MemoryImage &memory, const Params &params)
       _pcBase(0x450000 + (params.seed % 97) * 0x1000)
 {}
 
-void
-RegionKernel::reset()
-{
-    clearQueue();
-    _visit = 0;
-    _rng = Rng(_params.seed);
-}
-
 bool
 RegionKernel::generate()
 {
@@ -87,13 +79,6 @@ RandomKernel::RandomKernel(MemoryImage &memory, const Params &params)
       _pcBase(0x460000 + (params.seed % 97) * 0x1000)
 {}
 
-void
-RandomKernel::reset()
-{
-    clearQueue();
-    _rng = Rng(_params.seed);
-}
-
 bool
 RandomKernel::generate()
 {
@@ -131,14 +116,6 @@ BucketKernel::BucketKernel(MemoryImage &memory, const Params &params)
     for (std::uint64_t i = 0; i < elems; ++i)
         memory.write64(_inputBase + i * 8,
                        build_rng.below(_params.buckets));
-}
-
-void
-BucketKernel::reset()
-{
-    clearQueue();
-    _pos = 0;
-    _rng = Rng(_params.seed);
 }
 
 bool
@@ -200,14 +177,6 @@ CsrGraphKernel::CsrGraphKernel(MemoryImage &memory, const Params &params)
     }
     for (std::uint64_t v = 0; v <= _params.vertices; ++v)
         memory.write64(_rowBase + v * 8, _rowPtr[v]);
-}
-
-void
-CsrGraphKernel::reset()
-{
-    clearQueue();
-    _vertex = 0;
-    _rng = Rng(_params.seed);
 }
 
 bool

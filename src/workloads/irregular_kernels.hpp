@@ -38,8 +38,6 @@ class RegionKernel : public Kernel
 
     RegionKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
   protected:
     bool generate() override;
 
@@ -64,8 +62,6 @@ class RandomKernel : public Kernel
     };
 
     RandomKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
   protected:
     bool generate() override;
@@ -93,8 +89,6 @@ class BucketKernel : public Kernel
     };
 
     BucketKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
   protected:
     bool generate() override;
@@ -127,8 +121,6 @@ class CsrGraphKernel : public Kernel
     };
 
     CsrGraphKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
   protected:
     bool generate() override;

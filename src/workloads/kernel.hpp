@@ -9,8 +9,10 @@
  * stable PCs and meaningful register dependences, loop back-branches,
  * and calls/returns — everything T2's loop hardware, P1's taint unit,
  * and C1's region monitor observe in real hardware. Streams are pure
- * functions of the seed, so a reset() replays the identical trace
- * (required by the offline stratifier).
+ * functions of the workload spec: two kernels built from one spec on
+ * fresh MemoryImages emit identical streams. The baseline pass that
+ * feeds the offline stratifier and every measured run of a workload
+ * each build their own kernel and rely on that.
  */
 
 #ifndef DOL_WORKLOADS_KERNEL_HPP
@@ -56,10 +58,10 @@ class Kernel
 
     /**
      * Drain up to @p max already-generated instructions into @p out
-     * (the batched decode of PR 9).
+     * (the simulator's batched decode).
      *
      * Ordering contract: generate() runs only when the queue is
-     * empty — exactly when the legacy next() loop would have run it.
+     * empty — exactly when a next() loop would have run it.
      * This matters because kernels mutate the MemoryImage *during*
      * generation (shuflist relinks nodes as it walks), and P1/PChase
      * read image values at fill time: generating ahead of execution
@@ -77,9 +79,6 @@ class Kernel
         return _queue.popBulk(out, max);
     }
 
-    /** Restart the trace from the beginning, deterministically. */
-    virtual void reset() = 0;
-
     const std::string &name() const { return _name; }
     MemoryImage &memory() { return *_memory; }
     const MemoryImage &memory() const { return *_memory; }
@@ -89,8 +88,6 @@ class Kernel
     virtual bool generate() = 0;
 
     void push(const Instr &instr) { _queue.push_back(instr); }
-
-    void clearQueue() { _queue.clear(); }
 
   private:
     std::string _name;

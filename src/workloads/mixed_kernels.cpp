@@ -11,13 +11,6 @@ AluKernel::AluKernel(MemoryImage &memory, const Params &params)
       _pcBase(0x490000 + (params.seed % 97) * 0x1000)
 {}
 
-void
-AluKernel::reset()
-{
-    clearQueue();
-    _rng = Rng(_params.seed);
-}
-
 bool
 AluKernel::generate()
 {
@@ -39,16 +32,6 @@ AluKernel::generate()
     pc += 4;
     push(makeBranch(pc, loop_start, true, _rng.chance(0.003)));
     return true;
-}
-
-void
-PhasedKernel::reset()
-{
-    clearQueue();
-    for (auto &phase : _phases)
-        phase->reset();
-    _current = 0;
-    _phaseCount = 0;
 }
 
 bool

@@ -36,8 +36,6 @@ class AluKernel : public Kernel
 
     AluKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
   protected:
     bool generate() override;
 
@@ -70,8 +68,6 @@ class PhasedKernel : public Kernel
         _phases.push_back(std::move(kernel));
         _phaseLengths.push_back(instrs ? instrs : _instrsPerPhase);
     }
-
-    void reset() override;
 
   protected:
     bool generate() override;

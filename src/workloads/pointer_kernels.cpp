@@ -49,14 +49,6 @@ PointerArrayKernel::PointerArrayKernel(MemoryImage &memory,
     }
 }
 
-void
-PointerArrayKernel::reset()
-{
-    clearQueue();
-    _pos = 0;
-    _rng = Rng(_params.seed);
-}
-
 bool
 PointerArrayKernel::generate()
 {
@@ -114,13 +106,6 @@ ListChaseKernel::ListChaseKernel(MemoryImage &memory,
         memory.write64(node + _params.nextOffset, next);
     }
     _head = _poolBase + perm[0] * _params.nodeBytes;
-    _current = _head;
-}
-
-void
-ListChaseKernel::reset()
-{
-    clearQueue();
     _current = _head;
 }
 

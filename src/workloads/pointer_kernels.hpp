@@ -39,8 +39,6 @@ class PointerArrayKernel : public Kernel
 
     PointerArrayKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
   protected:
     bool generate() override;
 
@@ -73,8 +71,6 @@ class ListChaseKernel : public Kernel
     };
 
     ListChaseKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
     Addr headNode() const { return _head; }
 

@@ -36,14 +36,6 @@ StreamKernel::StreamKernel(MemoryImage &memory, const Params &params)
     _storeBase = arenaBase(params.seed, _params.streams);
 }
 
-void
-StreamKernel::reset()
-{
-    clearQueue();
-    _pos = 0;
-    _rng = Rng(_params.seed);
-}
-
 bool
 StreamKernel::generate()
 {
@@ -96,14 +88,6 @@ StencilKernel::StencilKernel(MemoryImage &memory, const Params &params)
       _dstBase(arenaBase(params.seed, 1)),
       _pcBase(0x410000 + (params.seed % 97) * 0x1000)
 {}
-
-void
-StencilKernel::reset()
-{
-    clearQueue();
-    _row = 1;
-    _col = 1;
-}
 
 bool
 StencilKernel::generate()
@@ -158,13 +142,6 @@ CallStreamKernel::CallStreamKernel(MemoryImage &memory,
       _baseB(arenaBase(params.seed, 1)),
       _pcBase(0x420000 + (params.seed % 97) * 0x1000)
 {}
-
-void
-CallStreamKernel::reset()
-{
-    clearQueue();
-    _pos = 0;
-}
 
 bool
 CallStreamKernel::generate()

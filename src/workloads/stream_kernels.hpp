@@ -38,8 +38,6 @@ class StreamKernel : public Kernel
 
     StreamKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
   protected:
     bool generate() override;
 
@@ -71,8 +69,6 @@ class StencilKernel : public Kernel
 
     StencilKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
   protected:
     bool generate() override;
 
@@ -103,8 +99,6 @@ class CallStreamKernel : public Kernel
     };
 
     CallStreamKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
   protected:
     bool generate() override;

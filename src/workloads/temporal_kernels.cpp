@@ -57,14 +57,6 @@ TemporalStreamKernel::elementAddr(unsigned stream,
                _params.elementBytes;
 }
 
-void
-TemporalStreamKernel::reset()
-{
-    clearQueue();
-    _pos = 0;
-    _rng = Rng(_params.seed);
-}
-
 bool
 TemporalStreamKernel::generate()
 {
@@ -111,7 +103,6 @@ ShuffledListKernel::ShuffledListKernel(MemoryImage &memory,
     Rng build_rng(params.seed * 104729 + 11);
     for (unsigned c = 0; c < _params.chains; ++c) {
         _orders.push_back(permutation(_params.nodes, build_rng));
-        _initialOrders.push_back(_orders.back());
         relink(c);
         _heads.push_back(_poolBase + c * (1ull << 26) +
                          _orders[c][0] * _params.nodeBytes);
@@ -148,20 +139,6 @@ ShuffledListKernel::shuffle()
         }
         relink(c);
     }
-}
-
-void
-ShuffledListKernel::reset()
-{
-    clearQueue();
-    for (unsigned c = 0; c < _params.chains; ++c) {
-        _orders[c] = _initialOrders[c];
-        relink(c);
-        _currents[c] = _heads[c];
-    }
-    _steps = 0;
-    _traversals = 0;
-    _shuffleRng = Rng(_params.seed * 31 + 5);
 }
 
 bool
@@ -232,14 +209,6 @@ HistoryKernel::nextIndex() const
     const std::uint64_t slot =
         (31 * _index + 17 * _prevIndex + 7) % _params.elements;
     return memory().read64(_tableBase + slot * 8);
-}
-
-void
-HistoryKernel::reset()
-{
-    clearQueue();
-    _index = _params.seed % _params.elements;
-    _prevIndex = (_params.seed / 3) % _params.elements;
 }
 
 bool

@@ -49,8 +49,6 @@ class TemporalStreamKernel : public Kernel
 
     TemporalStreamKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
     /** Address of @p stream's sequence position @p index (test hook). */
     Addr elementAddr(unsigned stream, std::uint64_t index) const;
 
@@ -93,8 +91,6 @@ class ShuffledListKernel : public Kernel
 
     ShuffledListKernel(MemoryImage &memory, const Params &params);
 
-    void reset() override;
-
     Addr headNode(unsigned chain = 0) const { return _heads[chain]; }
     std::uint64_t traversalCount() const { return _traversals; }
 
@@ -111,7 +107,6 @@ class ShuffledListKernel : public Kernel
     std::vector<Addr> _heads;
     std::vector<Addr> _currents;
     std::vector<std::vector<std::uint64_t>> _orders;
-    std::vector<std::vector<std::uint64_t>> _initialOrders;
     std::uint64_t _steps = 0;
     std::uint64_t _traversals = 0;
     Pc _pcBase;
@@ -135,8 +130,6 @@ class HistoryKernel : public Kernel
     };
 
     HistoryKernel(MemoryImage &memory, const Params &params);
-
-    void reset() override;
 
   protected:
     bool generate() override;

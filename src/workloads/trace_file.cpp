@@ -74,32 +74,13 @@ std::uint64_t
 recordTrace(Kernel &kernel, const std::string &path,
             std::uint64_t max_instrs)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (!file)
-        fatal("cannot open trace file for writing: " + path);
-
-    kernel.reset();
-    TraceHeader header = makeHeader(0);
-    // Header rewritten at the end once the count is known.
-    std::fwrite(&header, sizeof header, 1, file);
-
+    std::vector<TraceRecord> records;
     Instr instr;
-    std::uint64_t written = 0;
-    while (written < max_instrs && kernel.next(instr)) {
-        const TraceRecord record = TraceRecord::pack(instr);
-        if (std::fwrite(&record, sizeof record, 1, file) != 1) {
-            std::fclose(file);
-            fatal("short write recording trace: " + path);
-        }
-        ++written;
-    }
-
-    header.instructionCount = written;
-    std::fseek(file, 0, SEEK_SET);
-    std::fwrite(&header, sizeof header, 1, file);
-    std::fclose(file);
-    kernel.reset();
-    return written;
+    while (records.size() < max_instrs && kernel.next(instr))
+        records.push_back(TraceRecord::pack(instr));
+    if (!writeTraceRecords(path, records))
+        fatal("cannot write trace file: " + path);
+    return records.size();
 }
 
 bool
@@ -172,13 +153,6 @@ TraceKernel::TraceKernel(MemoryImage &memory, const std::string &path,
     std::string error;
     if (!readTraceRecords(path, _records, &error))
         fatal(error);
-}
-
-void
-TraceKernel::reset()
-{
-    clearQueue();
-    _position = 0;
 }
 
 bool

@@ -49,8 +49,10 @@ struct TraceRecord
 static_assert(sizeof(TraceRecord) == 40, "stable on-disk layout");
 
 /**
- * Record the first @p max_instrs instructions of @p kernel to
- * @p path. The kernel is reset first and left reset afterwards.
+ * Record the next @p max_instrs instructions of @p kernel (its first
+ * ones, for a freshly built kernel) to @p path through
+ * writeTraceRecords. fatal() with an error naming @p path if the file
+ * cannot be written in full.
  *
  * @return the number of instructions written.
  */
@@ -58,8 +60,9 @@ std::uint64_t recordTrace(Kernel &kernel, const std::string &path,
                           std::uint64_t max_instrs);
 
 /**
- * Write @p records to @p path in the DOLINS01 trace format (the
- * shrinker's reproducer output). @return false on I/O error.
+ * Write @p records to @p path in the DOLINS01 trace format: the one
+ * writer behind recordTrace and the fuzz shrinker's reproducers.
+ * @return false if the open, any write, or the close fails.
  */
 bool writeTraceRecords(const std::string &path,
                        const std::vector<TraceRecord> &records);
@@ -86,8 +89,6 @@ class TraceKernel : public Kernel
      */
     TraceKernel(MemoryImage &memory, const std::string &path,
                 bool loop = true);
-
-    void reset() override;
 
     std::uint64_t traceLength() const { return _records.size(); }
 

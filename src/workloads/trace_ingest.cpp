@@ -325,13 +325,6 @@ TraceIngestKernel::TraceIngestKernel(
     _instrs = expandChampSimTrace(records, memory, &_stats);
 }
 
-void
-TraceIngestKernel::reset()
-{
-    _position = 0;
-    clearQueue();
-}
-
 bool
 TraceIngestKernel::generate()
 {

@@ -27,8 +27,8 @@
  * and the first-touch values are baked into the MemoryImage at
  * construction so P1/PChase pointer dereferences observe the same
  * bytes the trace loads return. The whole stream is decoded once at
- * construction; reset() rewinds to record zero, giving the same
- * deterministic-replay semantics the temporal kernels have.
+ * construction, so two kernels built from one file emit identical
+ * streams, as the synthetic kernels do.
  */
 
 #ifndef DOL_WORKLOADS_TRACE_INGEST_HPP
@@ -121,8 +121,6 @@ class TraceIngestKernel : public Kernel
     TraceIngestKernel(MemoryImage &memory,
                       const std::vector<ChampSimInstr> &records,
                       bool loop = true, std::string name = "ctrace");
-
-    void reset() override;
 
     const TraceIngestStats &stats() const { return _stats; }
     std::size_t instrCount() const { return _instrs.size(); }

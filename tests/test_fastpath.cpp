@@ -1,21 +1,21 @@
 /**
  * @file
  * Equivalence tests for the event-driven fast paths and the batched
- * run loop (PR 9). All three optimisations are designed to be exactly
- * result-preserving:
+ * run loop. All three are designed to be exactly result-preserving:
  *
  *  - the MSHR quiescence short-circuit (Cache): every query answered
  *    without scanning once the clock passes the latest registered
  *    completion must match the full scan;
  *  - the DRAM queue-prune short-circuit: clearing a fully-completed
  *    queue in O(1) must leave the same state as filtering it;
- *  - the batched Simulator::run pipeline: identical counters, cycle
- *    counts, and IPC to the legacy one-instruction-at-a-time loop.
+ *  - the batched Simulator pipeline: identical counters, cycle
+ *    counts, and IPC whatever the block sizes it is stepped in.
  *
  * The micro tests drive randomized op sequences through a fast and a
  * reference instance side by side; the system test runs whole cells
- * (including an idle-heavy one where the short-circuits are hot) both
- * ways and compares the full exported counter registries.
+ * (including an idle-heavy one where the short-circuits are hot) with
+ * the fast paths on and off and compares the full exported counter
+ * registries.
  */
 
 #include <gtest/gtest.h>
@@ -162,16 +162,13 @@ struct CellRun
     std::string counters;
 };
 
-/**
- * Run one cell end to end. @p reference selects the pre-PR-9
- * configuration: fast paths off at component construction and the
- * legacy per-instruction run loop.
- */
+/** Run one cell end to end, with the fast paths on or off at
+ *  component construction. */
 CellRun
 runCell(const std::string &workload, const std::string &prefetcher_name,
-        bool reference)
+        bool fast_path)
 {
-    hotpath::overrideFastPath(!reference);
+    hotpath::overrideFastPath(fast_path);
     MemoryImage image;
     const WorkloadSpec &spec = findWorkload(workload);
     auto kernel = spec.factory(image);
@@ -182,8 +179,6 @@ runCell(const std::string &workload, const std::string &prefetcher_name,
     SimConfig config;
     config.maxInstrs = 60000;
     Simulator sim(config, *kernel, prefetcher.get());
-    if (reference)
-        sim.setReferenceLoop(true);
     sim.run();
 
     CellRun out;
@@ -202,8 +197,8 @@ TEST(FastPath, SimulatorEquivalenceAcrossCells)
     // no prefetcher leaves the MSHR file and DRAM queues quiescent
     // between miss bursts, so the short-circuits fire constantly.
     // The composite cell is the busy extreme (chained prefetch fills
-    // keep the queues live), and shuflist generates mid-stream, which
-    // is exactly what the batched decode must never run ahead of.
+    // keep the queues live), and shuflist relinks its image as it
+    // generates.
     const std::pair<const char *, const char *> cells[] = {
         {"libquantum.syn", "none"},
         {"libquantum.syn", "TPC"},
@@ -211,8 +206,8 @@ TEST(FastPath, SimulatorEquivalenceAcrossCells)
         {"shuflist.syn", "TPC+SPP+Triangel+PChase"},
     };
     for (const auto &[workload, prefetcher] : cells) {
-        const CellRun optimised = runCell(workload, prefetcher, false);
-        const CellRun ref = runCell(workload, prefetcher, true);
+        const CellRun optimised = runCell(workload, prefetcher, true);
+        const CellRun ref = runCell(workload, prefetcher, false);
         EXPECT_EQ(optimised.instructions, ref.instructions)
             << workload << "/" << prefetcher;
         EXPECT_EQ(optimised.ipc, ref.ipc)
@@ -222,12 +217,13 @@ TEST(FastPath, SimulatorEquivalenceAcrossCells)
     }
 }
 
-TEST(FastPath, StepBlockMatchesStepSequence)
+TEST(FastPath, RandomStepBlocksMatchRun)
 {
     FastPathGuard guard;
     hotpath::overrideFastPath(true);
-    // Same kernel stepped two ways: per-instruction and in blocks of
-    // varying size (including sizes that straddle generate() calls).
+    // Same kernel executed two ways: by run()'s fixed-size blocks and
+    // by stepBlock calls of random size (including sizes that straddle
+    // generate() calls), as the multicore driver interleaves cores.
     MemoryImage image_a, image_b;
     const WorkloadSpec &spec = findWorkload("omnetpp.syn");
     auto kernel_a = spec.factory(image_a);
@@ -240,9 +236,8 @@ TEST(FastPath, StepBlockMatchesStepSequence)
     Simulator a(config, *kernel_a, pf_a.get());
     Simulator b(config, *kernel_b, pf_b.get());
 
+    a.run();
     Rng rng(0xFA57003);
-    while (a.instructions() < config.maxInstrs && a.step()) {
-    }
     while (b.instructions() < config.maxInstrs) {
         const std::size_t max = 1 + rng.below(300);
         if (b.stepBlock(static_cast<std::size_t>(std::min<std::uint64_t>(

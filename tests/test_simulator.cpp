@@ -1,16 +1,21 @@
 /**
  * @file
- * End-to-end simulator tests: baseline sanity, prefetcher speedups on
- * targeted kernels, and metric plumbing.
+ * End-to-end simulator tests: baseline sanity, the single-pass
+ * baseline against an offline oracle, prefetcher speedups on targeted
+ * kernels, and metric plumbing.
  */
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 #include "core/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/pointer_kernels.hpp"
 #include "workloads/stream_kernels.hpp"
+#include "workloads/temporal_kernels.hpp"
+#include "workloads/trace_ingest.hpp"
 
 namespace dol
 {
@@ -59,6 +64,81 @@ TEST(Simulator, ShadowHierarchyMatchesRealWithoutPrefetcher)
                   stats.level[lv].primaryMisses)
             << "level " << lv;
         EXPECT_EQ(stats.level[lv].inducedMisses, 0u) << "level " << lv;
+    }
+}
+
+/**
+ * The baseline is one prefetcher-less run() whose access observer
+ * feeds the offline stratifier. Oracle: a second stratifier fed
+ * straight from Kernel::next on a separately built kernel, over the
+ * same budget. The workloads cover strided and pointer-chasing
+ * streams, a kernel that relinks its image as it generates, a phased
+ * mix, and a ChampSim trace.
+ */
+TEST(Simulator, SinglePassBaselineMatchesStratifierOracle)
+{
+    constexpr std::uint64_t kInstrs = 200000;
+    const std::string fixture =
+        std::string(DOL_TRACE_FIXTURE_DIR) + "/stream_gups.champsim";
+    std::vector<WorkloadSpec> specs;
+    for (const char *name :
+         {"mcf.syn", "libquantum.syn", "shuflist.syn", "markovmix.syn"}) {
+        specs.push_back(findWorkload(name));
+    }
+    specs.push_back({"trace:stream_gups", "trace",
+                     [fixture](MemoryImage &image) {
+                         return std::make_unique<TraceIngestKernel>(
+                             image, fixture);
+                     }});
+
+    ExperimentRunner runner(testConfig(kInstrs));
+    for (const WorkloadSpec &spec : specs) {
+        SCOPED_TRACE(spec.name);
+        const OfflineStratifier &single_pass =
+            *runner.baseline(spec).stratifier;
+
+        OfflineStratifier oracle;
+        std::unordered_set<Addr> lines;
+        MemoryImage image;
+        auto kernel = spec.factory(image);
+        Instr instr;
+        for (std::uint64_t i = 0; i < kInstrs && kernel->next(instr);
+             ++i) {
+            if (instr.isMem()) {
+                oracle.observe(instr.pc, instr.addr);
+                lines.insert(lineAddr(instr.addr));
+            }
+        }
+        if (const auto *shuffled =
+                dynamic_cast<const ShuffledListKernel *>(kernel.get())) {
+            EXPECT_GT(shuffled->traversalCount(), 4u)
+                << "the budget must cross shuflist's first reshuffle";
+        }
+
+        EXPECT_EQ(single_pass.lhfLineCount(), oracle.lhfLineCount());
+        EXPECT_EQ(single_pass.regionCount(), oracle.regionCount());
+        std::size_t mismatches = 0;
+        for (const Addr line : lines) {
+            for (const Addr probe :
+                 {line - kLineBytes, line, line + kLineBytes}) {
+                mismatches +=
+                    single_pass.classify(probe) != oracle.classify(probe);
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "of " << lines.size() << " lines";
+
+        // Without a prefetcher, every load and store still reaches
+        // the observer.
+        MemoryImage count_image;
+        auto count_kernel = spec.factory(count_image);
+        Simulator sim(testConfig(kInstrs), *count_kernel, nullptr);
+        std::uint64_t observed = 0;
+        sim.setAccessObserver(
+            [&observed](const AccessInfo &) { ++observed; });
+        sim.run();
+        const CoreStats &core = sim.core().stats();
+        EXPECT_GT(observed, 0u);
+        EXPECT_EQ(observed, core.loads + core.stores);
     }
 }
 

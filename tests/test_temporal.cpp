@@ -204,22 +204,21 @@ sameInstr(const Instr &a, const Instr &b)
            a.target == b.target && a.taken == b.taken;
 }
 
-TEST(TemporalKernels, EveryTemporalWorkloadReplaysAfterReset)
+TEST(TemporalKernels, EveryTemporalWorkloadIsIdenticalAcrossInstances)
 {
-    // The stratifier contract: reset() replays bit-identically.
+    // The stratifier contract: the baseline pass and every measured
+    // cell build their own kernel, so fresh instances built from one
+    // spec must emit bit-identical streams.
     for (const WorkloadSpec &spec : temporalSuite()) {
-        MemoryImage image;
-        auto kernel = spec.factory(image);
+        MemoryImage image_a, image_b;
+        auto kernel_a = spec.factory(image_a);
+        auto kernel_b = spec.factory(image_b);
 
-        std::vector<Instr> first;
-        Instr instr;
-        for (int i = 0; i < 30000 && kernel->next(instr); ++i)
-            first.push_back(instr);
-
-        kernel->reset();
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            ASSERT_TRUE(kernel->next(instr)) << spec.name << " @" << i;
-            ASSERT_TRUE(sameInstr(first[i], instr))
+        Instr a, b;
+        for (int i = 0; i < 30000; ++i) {
+            ASSERT_TRUE(kernel_a->next(a)) << spec.name << " @" << i;
+            ASSERT_TRUE(kernel_b->next(b)) << spec.name << " @" << i;
+            ASSERT_TRUE(sameInstr(a, b))
                 << spec.name << " diverged at " << i;
         }
     }
@@ -227,26 +226,24 @@ TEST(TemporalKernels, EveryTemporalWorkloadReplaysAfterReset)
 
 TEST(TemporalKernels, ShuffledListReplaysIdenticallyAcrossShuffles)
 {
-    // Reshuffling rewrites links in the memory image; reset() must
-    // restore the initial orders (and the shuffle rng) so a replay is
-    // bit-identical even across several shuffle boundaries.
-    MemoryImage image;
-    ShuffledListKernel kernel(
-        image, {.chains = 1, .nodes = 32, .traversalsPerShuffle = 2,
-                .swapsPerShuffle = 4, .seed = 17});
+    // Reshuffling rewrites links in the memory image as the kernel
+    // generates; two instances on fresh images must still agree
+    // bit for bit across several shuffle boundaries.
+    const ShuffledListKernel::Params params{
+        .chains = 1, .nodes = 32, .traversalsPerShuffle = 2,
+        .swapsPerShuffle = 4, .seed = 17};
+    MemoryImage image_a, image_b;
+    ShuffledListKernel kernel_a(image_a, params);
+    ShuffledListKernel kernel_b(image_b, params);
 
-    std::vector<Instr> first;
-    Instr instr;
-    for (int i = 0; i < 4000 && kernel.next(instr); ++i)
-        first.push_back(instr);
-    ASSERT_GT(kernel.traversalCount(), 6u)
-        << "must cross multiple shuffle boundaries";
-
-    kernel.reset();
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        ASSERT_TRUE(kernel.next(instr)) << i;
-        ASSERT_TRUE(sameInstr(first[i], instr)) << "diverged at " << i;
+    Instr a, b;
+    for (int i = 0; i < 4000; ++i) {
+        ASSERT_TRUE(kernel_a.next(a)) << i;
+        ASSERT_TRUE(kernel_b.next(b)) << i;
+        ASSERT_TRUE(sameInstr(a, b)) << "diverged at " << i;
     }
+    ASSERT_GT(kernel_a.traversalCount(), 6u)
+        << "must cross multiple shuffle boundaries";
 }
 
 TEST(TemporalKernels, ShuffledListLinkLoadsFormValueChains)

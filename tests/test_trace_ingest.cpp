@@ -178,19 +178,19 @@ TEST(TraceIngest, DecodeAndExpansionAreDeterministic)
     }
 }
 
-TEST(TraceIngest, KernelResetReplaysIdentically)
+TEST(TraceIngest, FreshKernelsReplayIdentically)
 {
-    MemoryImage image;
-    TraceIngestKernel kernel(image, kPlainFixture, /*loop=*/false);
+    MemoryImage image_a, image_b;
+    TraceIngestKernel kernel_a(image_a, kPlainFixture, /*loop=*/false);
+    TraceIngestKernel kernel_b(image_b, kPlainFixture, /*loop=*/false);
     std::vector<Instr> first;
     Instr instr;
-    while (kernel.next(instr))
+    while (kernel_a.next(instr))
         first.push_back(instr);
-    ASSERT_EQ(first.size(), kernel.instrCount());
+    ASSERT_EQ(first.size(), kernel_a.instrCount());
 
-    kernel.reset();
     std::vector<Instr> second;
-    while (kernel.next(instr))
+    while (kernel_b.next(instr))
         second.push_back(instr);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
