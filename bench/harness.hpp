@@ -25,6 +25,7 @@
 
 #include "common/stats.hpp"
 #include "metrics/table.hpp"
+#include "runner/cli.hpp"
 #include "runner/sweep.hpp"
 #include "sim/experiment.hpp"
 #include "workloads/suite.hpp"
@@ -156,16 +157,29 @@ benchMain(int argc, char **argv, Collector *collector,
     runner::SweepOptions sweep_options;
     std::string json_path;
 
+    // Strict, like dolsim: "-1" must not wrap to four billion
+    // workers, nor "abc" silently mean "all cores".
+    const auto parseJobs = [&](const std::string &value,
+                               const char *source) {
+        std::uint64_t jobs = 0;
+        if (!runner::parseUnsignedInRange(value, 0, 4096, jobs)) {
+            std::fprintf(stderr, "%s: bad %s value: '%s' (0-4096)\n",
+                         argv[0], source, value.c_str());
+            return false;
+        }
+        sweep_options.jobs = static_cast<unsigned>(jobs);
+        return true;
+    };
     if (const char *env = std::getenv("DOL_JOBS")) {
-        sweep_options.jobs = static_cast<unsigned>(
-            std::strtoul(env, nullptr, 10));
+        if (!parseJobs(env, "DOL_JOBS"))
+            return 1;
     }
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            sweep_options.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseJobs(argv[++i], "--jobs"))
+                return 1;
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--quiet") {

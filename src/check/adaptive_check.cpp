@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "check/reference_adaptive.hpp"
-#include "check/shrink.hpp"
 #include "core/composite.hpp"
 #include "mem/memory_image.hpp"
 #include "prefetch/next_line.hpp"
@@ -392,90 +391,6 @@ checkAdaptiveTrace(const std::vector<TraceRecord> &records,
     }
 
     return result;
-}
-
-DiffResult
-checkAdaptiveCase(std::uint64_t case_seed, Mutation mutation)
-{
-    const FuzzParams params = makeFuzzParams(case_seed);
-    const std::vector<TraceRecord> records =
-        makeFuzzTrace(case_seed, params);
-    const AdaptiveParams adapt = makeAdaptiveParams(case_seed);
-    return checkAdaptiveTrace(records, params, adapt, mutation);
-}
-
-AdaptiveCampaignReport
-runAdaptiveCampaign(const AdaptiveCampaignOptions &options)
-{
-    AdaptiveCampaignReport report;
-    report.cases = options.cases;
-    report.seed = options.seed;
-    for (std::uint64_t i = 0; i < options.cases; ++i) {
-        const std::uint64_t seed = caseSeed(options.seed, i);
-        DiffResult diff = checkAdaptiveCase(seed, options.mutation);
-        if (!diff.ok)
-            report.failures.push_back({i, seed, std::move(diff)});
-    }
-    return report;
-}
-
-std::string
-AdaptiveCampaignReport::summaryText() const
-{
-    std::string text = "adaptive fuzz: " + std::to_string(cases) +
-                       " cases, seed " + std::to_string(seed) + ", " +
-                       std::to_string(failures.size()) + " failure" +
-                       (failures.size() == 1 ? "" : "s") + "\n";
-    for (const Failure &failure : failures) {
-        text += "  case " + std::to_string(failure.index) + " (seed " +
-                std::to_string(failure.caseSeed) + "): " +
-                failure.diff.summary() + "\n";
-    }
-    return text;
-}
-
-AdaptiveProbe
-probeAdaptiveMutation(std::uint64_t campaign_seed,
-                      std::uint64_t max_cases, Mutation mutation,
-                      std::size_t max_shrink_evaluations)
-{
-    AdaptiveProbe probe;
-    for (std::uint64_t i = 0; i < max_cases; ++i) {
-        const std::uint64_t seed = caseSeed(campaign_seed, i);
-        const FuzzParams params = makeFuzzParams(seed);
-        const AdaptiveParams adapt = makeAdaptiveParams(seed);
-        const std::vector<TraceRecord> records =
-            makeFuzzTrace(seed, params);
-        DiffResult diff =
-            checkAdaptiveTrace(records, params, adapt, mutation);
-        if (diff.ok)
-            continue;
-
-        probe.found = true;
-        probe.caseIndex = i;
-        probe.caseSeed = seed;
-        probe.diff = std::move(diff);
-        probe.originalRecords = records.size();
-
-        // Params stay fixed while the trace shrinks, matching the
-        // main campaign's contract: the reproducer replays with the
-        // exact configuration that failed. The predicate pins the
-        // check name so the shrinker can never "succeed" by reducing
-        // to a trace that merely trips the empty-trace precondition.
-        const std::string check = probe.diff.check;
-        const ShrinkResult shrunk = shrinkTrace(
-            records,
-            [&](const std::vector<TraceRecord> &candidate) {
-                const DiffResult d = checkAdaptiveTrace(
-                    candidate, params, adapt, mutation);
-                return !d.ok && d.check == check;
-            },
-            max_shrink_evaluations);
-        probe.shrunk = shrunk.records;
-        probe.shrunkRecords = shrunk.records.size();
-        return probe;
-    }
-    return probe;
 }
 
 } // namespace dol::check

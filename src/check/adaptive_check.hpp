@@ -1,6 +1,7 @@
 /**
  * @file
- * Differential checks for the adaptive coordinator (`--fuzz-adaptive`).
+ * Differential checks for the adaptive coordinator (`--fuzz-adaptive`,
+ * run by check/campaign.hpp).
  *
  * An adaptive fuzz case is a pure function of one 64-bit seed: the
  * seed fixes the composite configuration and trace (the same
@@ -51,60 +52,6 @@ DiffResult checkAdaptiveTrace(const std::vector<TraceRecord> &records,
                               const FuzzParams &params,
                               const AdaptiveParams &adapt,
                               Mutation mutation = Mutation::kNone);
-
-/** Generate and check one adaptive fuzz case. */
-DiffResult checkAdaptiveCase(std::uint64_t case_seed,
-                             Mutation mutation = Mutation::kNone);
-
-struct AdaptiveCampaignOptions
-{
-    std::uint64_t cases = 500;
-    std::uint64_t seed = 1;
-    Mutation mutation = Mutation::kNone;
-};
-
-struct AdaptiveCampaignReport
-{
-    std::uint64_t cases = 0;
-    std::uint64_t seed = 0;
-    struct Failure
-    {
-        std::uint64_t index = 0;
-        std::uint64_t caseSeed = 0;
-        DiffResult diff;
-    };
-    std::vector<Failure> failures;
-
-    bool ok() const { return failures.empty(); }
-
-    /** Deterministic human-readable summary (diffed in CI). */
-    std::string summaryText() const;
-};
-
-/** Run @p options.cases adaptive cases sequentially. */
-AdaptiveCampaignReport
-runAdaptiveCampaign(const AdaptiveCampaignOptions &options);
-
-/**
- * Scan cases until one fails under @p mutation, then shrink the
- * failing trace with the case's parameters held fixed (self-test
- * helper; no reproducer is written).
- */
-struct AdaptiveProbe
-{
-    bool found = false;
-    std::uint64_t caseIndex = 0;
-    std::uint64_t caseSeed = 0;
-    DiffResult diff;
-    std::size_t originalRecords = 0;
-    std::size_t shrunkRecords = 0;
-    std::vector<TraceRecord> shrunk;
-};
-
-AdaptiveProbe
-probeAdaptiveMutation(std::uint64_t campaign_seed,
-                      std::uint64_t max_cases, Mutation mutation,
-                      std::size_t max_shrink_evaluations = 2000);
 
 } // namespace dol::check
 

@@ -1,14 +1,16 @@
 #include "check/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 
+#include "check/adaptive_check.hpp"
+#include "check/multicore_check.hpp"
 #include "check/shrink.hpp"
-#include "runner/checkpoint.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace dol::check
 {
@@ -16,44 +18,118 @@ namespace dol::check
 namespace
 {
 
-/** Run one case; returns the failure record, shrunk, or nullopt. */
-std::optional<CaseFailure>
-runCase(std::uint64_t index, const CampaignOptions &options,
-        std::vector<TraceRecord> *shrunk_out)
+/** Per-kind constants: the summary heading, the job label prefix
+ *  (part of the journal identity) and the plantable mutations. */
+struct KindInfo
 {
-    const std::uint64_t seed = caseSeed(options.seed, index);
+    const char *title;
+    const char *label;
+    std::vector<Mutation> mutations;
+};
+
+const KindInfo &
+kindInfo(CampaignKind kind)
+{
+    static const KindInfo kKinds[] = {
+        {"fuzz campaign",
+         "fuzz",
+         {Mutation::kLruVictimOffByOne, Mutation::kDropRebinding,
+          Mutation::kT2ConfirmThreshold, Mutation::kRebindWrongExtra}},
+        {"adaptive fuzz", "fuzz-adaptive", {Mutation::kDegreeRampStuck}},
+        {"multicore fuzz",
+         "fuzz-multicore",
+         {Mutation::kArbitrationDrift}},
+    };
+    return kKinds[static_cast<int>(kind)];
+}
+
+/** Only differential failures get reproducer files: `--fuzz-replay`
+ *  re-checks differential traces only. */
+bool
+writesReproducers(CampaignKind kind)
+{
+    return kind == CampaignKind::kDifferential;
+}
+
+std::string
+caseLabel(CampaignKind kind, std::uint64_t index)
+{
+    return std::string(kindInfo(kind).label) + "/case" +
+           std::to_string(index);
+}
+
+using TraceCheck =
+    std::function<DiffResult(const std::vector<TraceRecord> &)>;
+
+/** The check a trace case runs over any candidate trace: the case's
+ *  parameters stay fixed while the shrinker minimises the trace. */
+TraceCheck
+traceCheck(CampaignKind kind, const FuzzParams &params,
+           std::uint64_t case_seed, Mutation mutation)
+{
+    if (kind == CampaignKind::kAdaptive) {
+        return [params, adapt = makeAdaptiveParams(case_seed),
+                mutation](const std::vector<TraceRecord> &records) {
+            return checkAdaptiveTrace(records, params, adapt, mutation);
+        };
+    }
     CheckConfig config;
-    config.params = makeFuzzParams(seed);
-    config.mutation = options.mutation;
-    std::vector<TraceRecord> trace =
-        makeFuzzTrace(seed, config.params);
+    config.params = params;
+    config.mutation = mutation;
+    return [config](const std::vector<TraceRecord> &records) {
+        return checkTrace(records, config);
+    };
+}
 
-    const DiffResult diff = checkTrace(trace, config);
-    if (diff.ok)
-        return std::nullopt;
-
+/**
+ * Run case @p index; nullopt when it passes. A failing trace case
+ * leaves its trace in @p trace_out, shrunk first when @p shrink.
+ */
+std::optional<CaseFailure>
+runCase(const CampaignOptions &options, std::uint64_t index,
+        bool shrink, std::vector<TraceRecord> &trace_out)
+{
     CaseFailure failure;
     failure.index = index;
-    failure.caseSeed = seed;
-    failure.diff = diff;
-    failure.originalRecords = trace.size();
+    failure.caseSeed = caseSeed(options.seed, index);
+    if (options.kind == CampaignKind::kMulticore) {
+        failure.diff =
+            checkMulticoreCase(failure.caseSeed, options.mutation);
+        if (failure.diff.ok)
+            return std::nullopt;
+        return failure;
+    }
 
-    std::vector<TraceRecord> minimal = trace;
-    if (options.shrink) {
-        const ShrinkResult shrunk = shrinkTrace(
-            std::move(trace),
-            [&](const std::vector<TraceRecord> &candidate) {
-                return !checkTrace(candidate, config).ok;
-            },
-            options.maxShrinkEvaluations);
-        minimal = shrunk.records;
+    const FuzzParams params = makeFuzzParams(failure.caseSeed);
+    const TraceCheck check = traceCheck(options.kind, params,
+                                        failure.caseSeed,
+                                        options.mutation);
+    std::vector<TraceRecord> trace =
+        makeFuzzTrace(failure.caseSeed, params);
+    failure.diff = check(trace);
+    if (failure.diff.ok)
+        return std::nullopt;
+
+    failure.originalRecords = trace.size();
+    if (shrink) {
+        // Pin the check name, so the shrinker cannot "succeed" by
+        // reducing to a trace that merely trips another check, such
+        // as the empty-trace precondition.
+        const std::string name = failure.diff.check;
+        trace = shrinkTrace(
+                    std::move(trace),
+                    [&](const std::vector<TraceRecord> &candidate) {
+                        const DiffResult diff = check(candidate);
+                        return !diff.ok && diff.check == name;
+                    },
+                    options.maxShrinkEvaluations)
+                    .records;
         // Report the diff of the minimal trace, not the original: the
         // shrinker may have walked the failure to an earlier access.
-        failure.diff = checkTrace(minimal, config);
+        failure.diff = check(trace);
     }
-    failure.shrunkRecords = minimal.size();
-    if (shrunk_out)
-        *shrunk_out = std::move(minimal);
+    failure.shrunkRecords = trace.size();
+    trace_out = std::move(trace);
     return failure;
 }
 
@@ -89,159 +165,143 @@ writeReproducer(const CampaignOptions &options, CaseFailure &failure,
 } // namespace
 
 std::string
+plantableMutations(CampaignKind kind)
+{
+    std::string names;
+    for (const Mutation mutation : kindInfo(kind).mutations) {
+        if (!names.empty())
+            names += '|';
+        names += mutationName(mutation);
+    }
+    return names;
+}
+
+bool
+canPlant(CampaignKind kind, Mutation mutation)
+{
+    const std::vector<Mutation> &plantable = kindInfo(kind).mutations;
+    return mutation == Mutation::kNone ||
+           std::find(plantable.begin(), plantable.end(), mutation) !=
+               plantable.end();
+}
+
+std::string
 CampaignReport::summaryText() const
 {
-    std::string text = "fuzz campaign: " + std::to_string(cases) +
-                       " cases, seed " + std::to_string(seed) + ", " +
+    std::string text = std::string(kindInfo(kind).title) + ": " +
+                       std::to_string(cases) + " cases, seed " +
+                       std::to_string(seed) + ", " +
                        std::to_string(failures.size()) + " failure" +
                        (failures.size() == 1 ? "" : "s") + "\n";
     for (const CaseFailure &failure : failures) {
         text += "  case " + std::to_string(failure.index) + " (seed " +
-                std::to_string(failure.caseSeed) + "): " +
-                failure.diff.summary() + " [" +
-                std::to_string(failure.originalRecords) + " -> " +
-                std::to_string(failure.shrunkRecords) + " records";
-        if (!failure.reproPath.empty())
-            text += ", " + failure.reproPath;
-        text += "]\n";
+                std::to_string(failure.caseSeed) + "): ";
+        if (!failure.error.empty()) {
+            text += failure.error + "\n";
+            continue;
+        }
+        text += failure.diff.summary();
+        if (writesReproducers(kind)) {
+            text += " [" + std::to_string(failure.originalRecords) +
+                    " -> " + std::to_string(failure.shrunkRecords) +
+                    " records";
+            if (!failure.reproPath.empty())
+                text += ", " + failure.reproPath;
+            text += "]";
+        }
+        text += "\n";
     }
     return text;
 }
 
-namespace
-{
-
-/** Journal identity of a campaign: seed + mutation (cases are in the
- *  plan's itemCount). */
-std::uint64_t
-campaignHash(const CampaignOptions &options)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto mixByte = [&hash](unsigned char byte) {
-        hash ^= byte;
-        hash *= 0x100000001b3ull;
-    };
-    for (unsigned shift = 0; shift < 64; shift += 8)
-        mixByte(static_cast<unsigned char>(options.seed >> shift));
-    mixByte(static_cast<unsigned char>(options.mutation));
-    return hash;
-}
-
-} // namespace
-
 CampaignReport
 runCampaign(const CampaignOptions &options)
 {
+    if (!canPlant(options.kind, options.mutation)) {
+        throw std::invalid_argument(
+            std::string("--") + kindInfo(options.kind).label +
+            " cannot plant mutation " + mutationName(options.mutation) +
+            " (it plants " + plantableMutations(options.kind) + ")");
+    }
+
+    // One job per case. The variant names the campaign, so the
+    // journal plan pins kind, seed, mutation and case count alike.
+    runner::SweepOptions sweep_options = options.sweep;
+    sweep_options.onError = runner::SweepOptions::OnError::kQuarantine;
+    runner::SweepRunner sweep(SimConfig{}, sweep_options);
+    const std::string variant = ":seed=" + std::to_string(options.seed) +
+                                ":mutate=" +
+                                mutationName(options.mutation);
+    const bool reproduce = writesReproducers(options.kind);
+    // One slot per case: workers never contend and the report order is
+    // independent of scheduling.
+    std::vector<std::optional<CaseFailure>> found(options.cases);
+    std::atomic<std::uint64_t> passed{0};
+    for (std::uint64_t i = 0; i < options.cases; ++i) {
+        sweep.addJob(
+            caseLabel(options.kind, i),
+            [&, i](ExperimentRunner &) {
+                std::vector<TraceRecord> trace;
+                std::optional<CaseFailure> failure = runCase(
+                    options, i, reproduce && options.shrink, trace);
+                if (!failure) {
+                    passed.fetch_add(1, std::memory_order_relaxed);
+                    return std::vector<RunOutput>{};
+                }
+                if (reproduce)
+                    writeReproducer(options, *failure, trace);
+                const std::string diff = failure->diff.summary();
+                found[i] = std::move(failure);
+                // Quarantine, not a pass: --resume re-runs the case.
+                throw std::runtime_error(diff);
+            },
+            variant);
+    }
+    const runner::SweepRunner::Report run = sweep.run();
+
     CampaignReport report;
+    report.kind = options.kind;
     report.cases = options.cases;
     report.seed = options.seed;
-
-    std::atomic<bool> private_stop{false};
-    std::atomic<bool> &stop =
-        options.stopFlag ? *options.stopFlag : private_stop;
-
-    runner::JournalPlan plan;
-    plan.itemCount = options.cases;
-    plan.gridHash = campaignHash(options);
-
-    std::vector<char> resumed(options.cases, 0);
-    runner::CheckpointJournal journal;
-    if (!options.checkpointPath.empty()) {
-        std::string error;
-        bool append = false;
-        if (options.resume) {
-            const auto loaded =
-                runner::CheckpointJournal::load(options.checkpointPath);
-            if (loaded.fileExists) {
-                if (!loaded.valid)
-                    throw std::runtime_error(
-                        "checkpoint " + options.checkpointPath + ": " +
-                        loaded.error);
-                if (!loaded.plan || !(*loaded.plan == plan))
-                    throw std::runtime_error(
-                        "checkpoint " + options.checkpointPath +
-                        " was written for a different campaign (seed, "
-                        "mutation, or case count mismatch)");
-                for (const std::uint64_t index : loaded.cases) {
-                    if (index < options.cases)
-                        resumed[index] = 1;
-                }
-                if (!journal.openAppend(options.checkpointPath,
-                                        loaded.goodBytes, &error))
-                    throw std::runtime_error(
-                        "checkpoint " + options.checkpointPath + ": " +
-                        error);
-                append = true;
-            }
+    report.interrupted = run.interrupted;
+    report.casesResumed = run.meta.resumedJobs;
+    // Quarantined cells arrive in submission order, as cases do. A
+    // cell without a diff ended without a verdict (an injected fault,
+    // a timeout, or a checker that threw).
+    auto cell = run.meta.failedCells.begin();
+    for (std::uint64_t i = 0;
+         i < options.cases && cell != run.meta.failedCells.end(); ++i) {
+        if (cell->label != caseLabel(options.kind, i))
+            continue;
+        if (found[i]) {
+            report.failures.push_back(std::move(*found[i]));
+        } else {
+            CaseFailure failure;
+            failure.index = i;
+            failure.caseSeed = caseSeed(options.seed, i);
+            failure.error = cell->kind + ": " + cell->error;
+            report.failures.push_back(std::move(failure));
         }
-        if (!append &&
-            !journal.create(options.checkpointPath, plan, &error))
-            throw std::runtime_error("checkpoint " +
-                                     options.checkpointPath + ": " +
-                                     error);
+        ++cell;
     }
-
-    // One pre-sized slot per case: workers never contend and the
-    // report order is independent of scheduling.
-    std::vector<std::optional<CaseFailure>> slots(options.cases);
-    std::vector<char> ran(options.cases, 0);
-    std::atomic<std::uint64_t> completed{0};
-    {
-        const unsigned jobs = options.jobs ? options.jobs
-                                           : runner::hardwareJobs();
-        runner::ThreadPool pool(jobs);
-        for (std::uint64_t i = 0; i < options.cases; ++i) {
-            if (resumed[i]) {
-                ++report.casesResumed;
-                continue;
-            }
-            pool.submit([i, &options, &slots, &ran, &journal, &stop,
-                         &completed] {
-                if (stop.load(std::memory_order_relaxed))
-                    return; // drained: re-runs on resume
-                std::vector<TraceRecord> shrunk;
-                auto failure = runCase(i, options, &shrunk);
-                if (failure) {
-                    writeReproducer(options, *failure, shrunk);
-                    slots[i] = std::move(*failure);
-                } else if (journal.isOpen()) {
-                    // Only passes are journaled: failures re-run on
-                    // resume so diffs and reproducers regenerate.
-                    journal.appendCaseDone(i);
-                }
-                ran[i] = 1;
-                const std::uint64_t done =
-                    completed.fetch_add(1, std::memory_order_relaxed) +
-                    1;
-                if (options.stopAfterCases &&
-                    done >= options.stopAfterCases)
-                    stop.store(true, std::memory_order_relaxed);
-            });
-        }
-        pool.wait();
-    }
-
-    report.casesRun = completed.load(std::memory_order_relaxed);
-    for (std::uint64_t i = 0; i < options.cases; ++i) {
-        if (!resumed[i] && !ran[i])
-            report.interrupted = true;
-        if (slots[i])
-            report.failures.push_back(std::move(*slots[i]));
-    }
+    report.casesRun = passed.load() + report.failures.size();
     return report;
 }
 
 MutationProbe
-probeMutation(std::uint64_t campaign_seed, std::uint64_t max_cases,
-              Mutation mutation, std::size_t max_shrink_evaluations)
+probeMutation(CampaignKind kind, std::uint64_t campaign_seed,
+              std::uint64_t max_cases, Mutation mutation,
+              std::size_t max_shrink_evaluations)
 {
-    MutationProbe probe;
     CampaignOptions options;
+    options.kind = kind;
     options.seed = campaign_seed;
     options.mutation = mutation;
     options.maxShrinkEvaluations = max_shrink_evaluations;
+    MutationProbe probe;
     for (std::uint64_t i = 0; i < max_cases; ++i) {
-        auto failure = runCase(i, options, &probe.shrunk);
+        std::optional<CaseFailure> failure =
+            runCase(options, i, true, probe.shrunk);
         if (failure) {
             probe.found = true;
             probe.failure = std::move(*failure);

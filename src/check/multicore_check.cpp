@@ -161,47 +161,4 @@ checkMulticoreCase(std::uint64_t case_seed, Mutation mutation)
     return diff;
 }
 
-MulticoreCampaignReport
-runMulticoreCampaign(const MulticoreCampaignOptions &options)
-{
-    MulticoreCampaignReport report;
-    report.cases = options.cases;
-    report.seed = options.seed;
-    for (std::uint64_t i = 0; i < options.cases; ++i) {
-        const std::uint64_t seed = caseSeed(options.seed, i);
-        DiffResult diff = checkMulticoreCase(seed, options.mutation);
-        if (!diff.ok)
-            report.failures.push_back({i, seed, std::move(diff)});
-    }
-    return report;
-}
-
-std::string
-MulticoreCampaignReport::summaryText() const
-{
-    std::string text = "multicore fuzz: " + std::to_string(cases) +
-                       " cases, seed " + std::to_string(seed) + ", " +
-                       std::to_string(failures.size()) + " failure" +
-                       (failures.size() == 1 ? "" : "s") + "\n";
-    for (const Failure &failure : failures) {
-        text += "  case " + std::to_string(failure.index) + " (seed " +
-                std::to_string(failure.caseSeed) + "): " +
-                failure.diff.summary() + "\n";
-    }
-    return text;
-}
-
-std::uint64_t
-probeMulticoreMutation(std::uint64_t campaign_seed,
-                       std::uint64_t max_cases, Mutation mutation)
-{
-    for (std::uint64_t i = 0; i < max_cases; ++i) {
-        const DiffResult diff =
-            checkMulticoreCase(caseSeed(campaign_seed, i), mutation);
-        if (!diff.ok)
-            return i;
-    }
-    return UINT64_MAX;
-}
-
 } // namespace dol::check

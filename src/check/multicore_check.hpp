@@ -2,7 +2,8 @@
  * @file
  * Differential checks for the multicore contention subsystem.
  *
- * A multicore fuzz case is a pure function of one 64-bit seed: the
+ * A multicore fuzz case (`--fuzz-multicore`, run by check/campaign.hpp)
+ * is a pure function of one 64-bit seed: the
  * seed fixes the core count (2–4), each core's workload and
  * prefetcher (heterogeneous by construction), the arbitration
  * policy, the bandwidth window and the instruction budget. Each case
@@ -24,8 +25,6 @@
 #define DOL_CHECK_MULTICORE_CHECK_HPP
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "check/differential.hpp"
 
@@ -35,44 +34,6 @@ namespace dol::check
 /** One multicore fuzz case; ok() == false carries the first diff. */
 DiffResult checkMulticoreCase(std::uint64_t case_seed,
                               Mutation mutation = Mutation::kNone);
-
-struct MulticoreCampaignOptions
-{
-    std::uint64_t cases = 50;
-    std::uint64_t seed = 1;
-    Mutation mutation = Mutation::kNone;
-};
-
-struct MulticoreCampaignReport
-{
-    std::uint64_t cases = 0;
-    std::uint64_t seed = 0;
-    struct Failure
-    {
-        std::uint64_t index = 0;
-        std::uint64_t caseSeed = 0;
-        DiffResult diff;
-    };
-    std::vector<Failure> failures;
-
-    bool ok() const { return failures.empty(); }
-
-    /** Deterministic human-readable summary (diffed in CI). */
-    std::string summaryText() const;
-};
-
-/** Run @p options.cases multicore cases sequentially. */
-MulticoreCampaignReport
-runMulticoreCampaign(const MulticoreCampaignOptions &options);
-
-/**
- * Scan cases until one fails under @p mutation (self-test helper).
- * Returns the failing case index, or UINT64_MAX when none failed
- * within @p max_cases.
- */
-std::uint64_t probeMulticoreMutation(std::uint64_t campaign_seed,
-                                     std::uint64_t max_cases,
-                                     Mutation mutation);
 
 } // namespace dol::check
 

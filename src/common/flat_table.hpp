@@ -13,7 +13,7 @@
  * hit-probe touches one or two cache lines and inserts never allocate
  * per node.
  *
- * Three variants:
+ * Two variants:
  *  - FlatHashMap / FlatHashSet: unbounded semantics (grow by
  *    rehashing at 7/8 load, erase by backward shift). Drop-in for the
  *    unordered containers they replace — same find/insert/erase
@@ -22,9 +22,6 @@
  *  - BoundedLruTable: fixed capacity, linear probe window,
  *    LRU-stamp eviction inside the window — the shape of a hardware
  *    set-indexed table (SPP's signature table, BOP's RR table).
- *  - DirectMapTable: one slot per set, insert overwrites on
- *    conflict — the cheapest possible lookup for caches of derived
- *    values where collisions only cost recomputation.
  *
  * All variants are deterministic: layout depends only on the key
  * sequence, never on pointers or global state.
@@ -459,77 +456,6 @@ class BoundedLruTable
 
     std::vector<Slot> _slots;
     std::uint64_t _stamp = 0;
-};
-
-/**
- * Direct-mapped table: one slot per set, overwrite on conflict. The
- * cheapest lookup that exists; correct only for state that may be
- * silently forgotten (memoized derivations, last-seen hints).
- */
-template <typename Key, typename Value>
-class DirectMapTable
-{
-    struct Slot
-    {
-        Key key{};
-        Value value{};
-        bool valid = false;
-    };
-
-  public:
-    explicit DirectMapTable(std::size_t capacity = 64)
-        : _slots(std::bit_ceil(capacity))
-    {}
-
-    std::size_t capacity() const { return _slots.size(); }
-
-    void
-    clear()
-    {
-        for (Slot &slot : _slots)
-            slot = Slot{};
-    }
-
-    Value *
-    find(const Key &key)
-    {
-        Slot &slot = _slots[indexOf(key)];
-        return slot.valid && slot.key == key ? &slot.value : nullptr;
-    }
-
-    const Value *
-    find(const Key &key) const
-    {
-        const Slot &slot = _slots[indexOf(key)];
-        return slot.valid && slot.key == key ? &slot.value : nullptr;
-    }
-
-    bool contains(const Key &key) const { return find(key) != nullptr; }
-
-    /** Find-or-overwrite the slot; @return (value, overwrote other?) */
-    std::pair<Value *, bool>
-    insert(const Key &key)
-    {
-        Slot &slot = _slots[indexOf(key)];
-        const bool conflict = slot.valid && slot.key != key;
-        if (!slot.valid || conflict) {
-            slot.value = Value{};
-            slot.key = key;
-            slot.valid = true;
-        }
-        return {&slot.value, conflict};
-    }
-
-  private:
-    std::size_t
-    indexOf(const Key &key) const
-    {
-        return static_cast<std::size_t>(
-            flatHashMix(static_cast<std::uint64_t>(key)) &
-            (_slots.size() - 1));
-    }
-
-    std::vector<Slot> _slots;
 };
 
 } // namespace dol

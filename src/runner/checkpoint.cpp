@@ -108,7 +108,7 @@ encodeCellFailedPayload(const JournalCellFailed &failed)
     wire::putString(payload, failed.cell.label);
     wire::putString(payload, failed.cell.variant);
     wire::putU64(payload, failed.cell.seed);
-    wire::putU64(payload, failed.cell.attempts);
+    wire::putU64(payload, 1); // retired attempts slot
     wire::putString(payload, failed.cell.kind);
     wire::putString(payload, failed.cell.error);
     return payload;
@@ -149,7 +149,7 @@ decodeCellFailedPayload(const std::string &payload,
     out.cell.label = in.str();
     out.cell.variant = in.str();
     out.cell.seed = in.u64();
-    out.cell.attempts = static_cast<unsigned>(in.u64());
+    (void)in.u64(); // retired attempts slot
     out.cell.kind = in.str();
     out.cell.error = in.str();
     return in.ok;
@@ -193,15 +193,6 @@ CheckpointJournal::appendJobDone(const JournalJobDone &record)
     return _file.appendRecord(
         static_cast<std::uint8_t>(JournalRecord::kJobDone),
         encodeJobDonePayload(record));
-}
-
-bool
-CheckpointJournal::appendCaseDone(std::uint64_t case_index)
-{
-    std::string payload;
-    wire::putU64(payload, case_index);
-    return _file.appendRecord(
-        static_cast<std::uint8_t>(JournalRecord::kCaseDone), payload);
 }
 
 bool
@@ -251,13 +242,6 @@ CheckpointJournal::load(const std::string &path)
             parsed = decodeJobDonePayload(rec.payload, job);
             if (parsed)
                 out.jobs.push_back(std::move(job));
-            break;
-        }
-        case JournalRecord::kCaseDone: {
-            std::uint64_t index = 0;
-            parsed = decodeJobIndex(rec.payload, index);
-            if (parsed)
-                out.cases.push_back(index);
             break;
         }
         case JournalRecord::kCellFailed: {

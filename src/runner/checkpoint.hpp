@@ -1,6 +1,7 @@
 /**
  * @file
- * Crash-safe checkpoint journal for sweeps and fuzz campaigns.
+ * Crash-safe checkpoint journal for sweeps and fuzz campaigns (a
+ * campaign is a sweep of one job per case).
  *
  * The journal is an append-only binary file ("DOLCKPT1" magic) of
  * length-prefixed, FNV-1a-checksummed records (the framing lives in
@@ -12,7 +13,7 @@
  * truncates the tail away before appending.
  *
  * Record kinds:
- *   kPlan       sweep identity: item count, grid hash, instr budget.
+ *   kPlan       sweep identity: job count, grid hash, instr budget.
  *               Written first; resume refuses a journal whose plan
  *               does not match the sweep being resumed.
  *   kJobDone    one completed sweep job: index, label, variant, seed,
@@ -22,15 +23,17 @@
  *               Doubles are stored bit-exact and counters as raw
  *               (scope, name, u64) triples, so no text round trip can
  *               perturb the resumed output.
- *   kCaseDone   one passing fuzz-campaign case (index only). Failing
- *               cases are deliberately not journaled: a resumed
- *               campaign re-runs them, regenerating the identical
- *               diff and reproducer files.
- *   kCellFailed one quarantined cell. A resuming sweep re-runs these
- *               cells; the record exists so `dolsim --merge` can
- *               surface a shard's losses in the merged document's
- *               failed_cells section, exactly as a single-process
- *               run reports them.
+ *   kCellFailed one quarantined cell (a fuzz case that found a diff
+ *               is one). A resuming sweep re-runs these cells; the
+ *               record exists so `dolsim --merge` can surface a
+ *               shard's losses in the merged document's failed_cells
+ *               section, exactly as a single-process run reports
+ *               them. Its payload keeps a retired u64 attempts slot,
+ *               written as 1 and skipped on read.
+ *
+ * Type 3 once journaled passing campaign cases by index; loaders skip
+ * it like any unknown type, so such a journal still loads, and its
+ * plan makes resume refuse it.
  *
  * In-flight work is never journaled and re-runs on resume; the
  * journal never has to encode an exception mid-flight.
@@ -65,17 +68,15 @@ enum class JournalRecord : std::uint8_t
 {
     kPlan = 1,
     kJobDone = 2,
-    kCaseDone = 3,
     kCellFailed = 4,
 };
 
-/** Identity of the sweep/campaign a journal belongs to. */
+/** Identity of the sweep a journal belongs to. */
 struct JournalPlan
 {
-    /** Total jobs (sweep) or cases (campaign). */
+    /** Total jobs. */
     std::uint64_t itemCount = 0;
-    /** FNV-1a over every job's (label, variant, seed) — or, for a
-     *  campaign, over (seed, mutation). */
+    /** FNV-1a over every job's (label, variant, seed). */
     std::uint64_t gridHash = 0;
     std::uint64_t maxInstrs = 0;
 
@@ -144,9 +145,6 @@ class CheckpointJournal
     /** Append + fsync one completed job. Thread-safe. */
     bool appendJobDone(const JournalJobDone &record);
 
-    /** Append + fsync one passing campaign case. Thread-safe. */
-    bool appendCaseDone(std::uint64_t case_index);
-
     /** Append + fsync one quarantined cell. Thread-safe. */
     bool appendCellFailed(const JournalCellFailed &record);
 
@@ -164,7 +162,6 @@ class CheckpointJournal
         std::uint64_t goodBytes = 0;
         std::optional<JournalPlan> plan;
         std::vector<JournalJobDone> jobs;
-        std::vector<std::uint64_t> cases;
         std::vector<JournalCellFailed> failedCells;
         std::string error;
     };

@@ -63,19 +63,8 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
         else
             return fail("unknown fault kind \"" + kind + "\"");
 
-        std::string where = token.substr(at + 1);
-        const std::size_t colon = where.find(':');
-        if (colon != std::string::npos) {
-            std::uint64_t times = 0;
-            if (!parseUnsignedInRange(where.substr(colon + 1), 1,
-                                      1u << 20, times)) {
-                return fail("bad attempt count in \"" + token + "\"");
-            }
-            site.times = static_cast<unsigned>(times);
-            where = where.substr(0, colon);
-        }
         std::uint64_t index = 0;
-        if (!parseUnsigned(where, index))
+        if (!parseUnsigned(token.substr(at + 1), index))
             return fail("bad cell index in \"" + token + "\"");
         site.jobIndex = static_cast<std::size_t>(index);
         plan.sites.push_back(site);

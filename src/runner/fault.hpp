@@ -5,10 +5,8 @@
  * A FaultPlan is parsed from a compact spec string and names, per job
  * index, a fault to inject into the worker executing that job:
  *
- *   throw@K        throw from cell K on every attempt
- *   throw@K:N      throw from cell K on the first N attempts only
- *                  (attempt N and later succeed — exercises retry)
- *   hang@K[:N]     spin at cell K until the cancel token fires
+ *   throw@K        throw from cell K (exercises quarantine)
+ *   hang@K         spin at cell K until the cancel token fires
  *                  (exercises --cell-timeout and signal drain)
  *   abort@K        die with std::_Exit at cell K — no unwinding, no
  *                  buffered-file flushing, exactly like SIGKILL
@@ -16,9 +14,11 @@
  *   stop@K         raise the sweep's stop flag as cell K starts
  *                  (deterministic, in-process stand-in for SIGTERM)
  *
- * Sites combine with commas ("throw@1:1,hang@3"). Everything is a
+ * Sites combine with commas ("throw@1,hang@3"). Everything is a
  * pure function of the spec + the deterministic job order, so fault
- * tests replay bit-identically from a seed.
+ * tests replay bit-identically from a seed. A fault fires every time
+ * its cell runs: there is no in-process retry, and a `--resume` run
+ * without the plan is what re-runs a quarantined cell.
  *
  * The same header hosts the process-wide stop flag that dolsim's
  * SIGINT/SIGTERM handlers set: installStopHandlers() is idempotent,
@@ -53,8 +53,6 @@ struct FaultPlan
     {
         Kind kind = Kind::kThrow;
         std::size_t jobIndex = 0;
-        /** Inject on attempts [0, times); 0 means every attempt. */
-        unsigned times = 0;
     };
 
     std::vector<Site> sites;
@@ -64,15 +62,8 @@ struct FaultPlan
     /** First site for @p job_index, or nullptr. */
     const Site *siteFor(std::size_t job_index) const;
 
-    /** True when @p site fires on @p attempt (0-based). */
-    static bool
-    firesOn(const Site &site, unsigned attempt)
-    {
-        return site.times == 0 || attempt < site.times;
-    }
-
     /**
-     * Parse a spec string ("throw@2", "hang@1:2,abort@4").
+     * Parse a spec string ("throw@2", "hang@1,abort@4").
      * @return false + error message on a malformed spec.
      */
     static bool parse(const std::string &spec, FaultPlan &out,
@@ -83,8 +74,7 @@ const char *faultKindName(FaultPlan::Kind kind);
 
 /**
  * Process-wide stop flag for graceful drain. Signal handlers set it;
- * sweeps and campaigns observe it through SweepOptions::stopFlag /
- * CampaignOptions::stopFlag.
+ * sweeps and fuzz campaigns observe it through SweepOptions::stopFlag.
  */
 std::atomic<bool> &signalStopFlag();
 

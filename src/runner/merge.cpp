@@ -116,23 +116,20 @@ mergeJournals(const MergeOptions &options, const MergeSink &sink)
     }
 
     // Pass 2: emit in grid order, one winning record decoded at a
-    // time. This mirrors ResultStore::toJson() call for call — that
-    // is what makes the deterministic prefix byte-identical.
+    // time, inside the envelope ResultStore::toJson() writes — that
+    // is what makes the deterministic prefix byte-identical. Wall
+    // times and quarantined cells come from the journals.
     const auto flush = [&](JsonWriter &json) {
         return sink(json.take());
     };
-    std::vector<FailedCell> failedCells;
-    std::vector<double> wallMs;
+    SweepMeta meta = options.meta;
+    meta.maxInstrs = plan->maxInstrs;
+    meta.wallMs.clear();
+    meta.failedCells.clear();
     std::size_t rowsHeld = 0;
 
     JsonWriter json;
-    json.beginObject();
-    json.field("schema", "dol-sweep-v1");
-    json.field("generator", options.meta.generator);
-    json.key("config").beginObject();
-    json.field("max_instrs", plan->maxInstrs);
-    json.endObject();
-    json.key("results").beginArray();
+    writeSweepHead(json, meta);
     if (!flush(json))
         return fail(std::move(stats), "merge sink rejected output");
 
@@ -151,7 +148,7 @@ mergeJournals(const MergeOptions &options, const MergeSink &sink)
                 return fail(std::move(stats),
                             "corrupt kCellFailed record for cell " +
                                 std::to_string(cell));
-            failedCells.push_back(std::move(failed.cell));
+            meta.failedCells.push_back(std::move(failed.cell));
             ++stats.failedCells;
             continue;
         }
@@ -165,7 +162,7 @@ mergeJournals(const MergeOptions &options, const MergeSink &sink)
             stats.peakRowsHeld = rowsHeld;
         for (const MetricsRow &row : job.rows) {
             writeMetricsRowJson(json, row);
-            wallMs.push_back(job.wallMs);
+            meta.wallMs.push_back(job.wallMs);
         }
         ++stats.mergedCells;
         if (!flush(json))
@@ -173,31 +170,7 @@ mergeJournals(const MergeOptions &options, const MergeSink &sink)
                         "merge sink rejected output");
         rowsHeld -= job.rows.size();
     }
-    json.endArray();
-
-    if (!failedCells.empty()) {
-        json.key("failed_cells").beginArray();
-        for (const FailedCell &cell : failedCells)
-            writeFailedCellJson(json, cell);
-        json.endArray();
-    }
-
-    // Timing: wall-clock dependent, outside the determinism contract
-    // (same as ResultStore::toJson()).
-    json.key("timing").beginObject();
-    json.field("jobs", options.meta.jobs);
-    json.field("elapsed_seconds", options.meta.elapsedSeconds);
-    json.field("resumed_jobs", options.meta.resumedJobs);
-    json.key("wall_ms").beginArray();
-    for (const double ms : wallMs)
-        json.value(ms);
-    json.endArray();
-    json.endObject();
-
-    json.endObject();
-    std::string tail = json.take();
-    tail.push_back('\n');
-    if (!sink(tail))
+    if (!sink(finishSweepDocument(json, meta)))
         return fail(std::move(stats), "merge sink rejected output");
 
     stats.ok = true;

@@ -17,13 +17,14 @@
  *     the cells it quarantined), the first-committed record wins:
  *     earliest journal argument, earliest append order. The one
  *     exception is that a successful record beats an earlier
- *     kCellFailed for the same cell — a re-run that succeeded where
- *     the first attempt quarantined is strictly better data. Losing
+ *     kCellFailed for the same cell — a resumed run that succeeded
+ *     where the first one quarantined is strictly better data. Losing
  *     records are discarded and counted.
  *
  *  2. Emit: walk cells 0..N-1 in grid order, seek each winner's
  *     offset, decode that one record, serialize its rows through the
- *     exact writeMetricsRowJson used by ResultStore::toJson(), and
+ *     exact writeMetricsRowJson and envelope (writeSweepHead,
+ *     finishSweepDocument) that ResultStore::toJson() uses, and
  *     flush. At most one job's rows are ever materialized (the
  *     peakRowsHeld probe in MergeStats proves it), so a 10k-cell
  *     merge holds one cell of data plus O(cells) of bare offsets.

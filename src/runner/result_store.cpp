@@ -163,6 +163,10 @@ writeMetricsRowJson(JsonWriter &json, const MetricsRow &row)
     json.endObject();
 }
 
+namespace
+{
+
+/** One "failed_cells" array element. */
 void
 writeFailedCellJson(JsonWriter &json, const FailedCell &cell)
 {
@@ -170,11 +174,12 @@ writeFailedCellJson(JsonWriter &json, const FailedCell &cell)
     json.field("label", cell.label);
     json.field("variant", cell.variant);
     json.field("seed", cell.seed);
-    json.field("attempts", cell.attempts);
     json.field("kind", cell.kind);
     json.field("error", cell.error);
     json.endObject();
 }
+
+} // namespace
 
 std::string
 ResultStore::resultsJson() const
@@ -187,25 +192,26 @@ ResultStore::resultsJson() const
     return json.take();
 }
 
-std::string
-ResultStore::toJson(const SweepMeta &meta) const
+void
+writeSweepHead(JsonWriter &json, const SweepMeta &meta)
 {
-    JsonWriter json;
     json.beginObject();
     json.field("schema", "dol-sweep-v1");
     json.field("generator", meta.generator);
     json.key("config").beginObject();
     json.field("max_instrs", meta.maxInstrs);
     json.endObject();
-
     json.key("results").beginArray();
-    for (const MetricsRow &row : rows())
-        writeMetricsRowJson(json, row);
+}
+
+std::string
+finishSweepDocument(JsonWriter &json, const SweepMeta &meta)
+{
     json.endArray();
 
-    // Quarantined cells (retry budget exhausted). Emitted only when
-    // present: a clean sweep's document is byte-identical to one
-    // produced before fault tolerance existed.
+    // Quarantined cells. Emitted only when present: a clean sweep's
+    // document is byte-identical to one produced before fault
+    // tolerance existed.
     if (!meta.failedCells.empty()) {
         json.key("failed_cells").beginArray();
         for (const FailedCell &cell : meta.failedCells)
@@ -229,6 +235,16 @@ ResultStore::toJson(const SweepMeta &meta) const
     std::string out = json.take();
     out.push_back('\n');
     return out;
+}
+
+std::string
+ResultStore::toJson(const SweepMeta &meta) const
+{
+    JsonWriter json;
+    writeSweepHead(json, meta);
+    for (const MetricsRow &row : rows())
+        writeMetricsRowJson(json, row);
+    return finishSweepDocument(json, meta);
 }
 
 bool

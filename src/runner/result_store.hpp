@@ -69,28 +69,22 @@ MetricsRow makeMetricsRow(const RunOutput &out,
 void writeMetricsRowJson(JsonWriter &json, const MetricsRow &row);
 
 /**
- * A cell that exhausted its retry budget. The sweep completes around
- * it; the document records the loss explicitly instead of aborting.
+ * A quarantined cell: it threw or timed out. The sweep completes
+ * around it; the document records the loss explicitly instead of
+ * aborting, and `--resume` re-runs it.
  */
 struct FailedCell
 {
     std::string label;
     std::string variant;
     std::uint64_t seed = 0;
-    /** Attempts made (first run + retries). */
-    unsigned attempts = 0;
     /** "error" (threw) or "timeout" (cell deadline expired). */
     std::string kind;
-    /** what() of the last attempt's exception. */
+    /** what() of the cell's exception. */
     std::string error;
 };
 
-/** Serialize one cell as its "failed_cells" array element (shared
- *  with the journal merge for the same byte-identity reason as
- *  writeMetricsRowJson). */
-void writeFailedCellJson(JsonWriter &json, const FailedCell &cell);
-
-/** Sweep-level metadata serialized into the JSON header. */
+/** Sweep-level metadata serialized into the JSON header and tail. */
 struct SweepMeta
 {
     std::string generator = "dolsim";
@@ -108,6 +102,18 @@ struct SweepMeta
      *  clean sweeps keep their exact historical bytes. */
     std::vector<FailedCell> failedCells;
 };
+
+/**
+ * The dol-sweep-v1 envelope around the "results" rows. A document is
+ * writeSweepHead(), one writeMetricsRowJson() per row, then
+ * finishSweepDocument(), which closes "results", writes
+ * "failed_cells" (only when non-empty) and "timing", and returns the
+ * writer's remaining text, newline-terminated. ResultStore::toJson()
+ * and the streaming journal merge both write through this pair, so a
+ * merged document is byte-identical to a single-process one.
+ */
+void writeSweepHead(JsonWriter &json, const SweepMeta &meta);
+std::string finishSweepDocument(JsonWriter &json, const SweepMeta &meta);
 
 class ResultStore
 {

@@ -131,20 +131,6 @@ SweepRunner::gridHash(const std::vector<PendingJob> &jobs) const
 namespace
 {
 
-/** Sleep roughly @p ms, returning early once @p stop is raised. */
-void
-backoffSleep(double ms, const std::atomic<bool> &stop)
-{
-    using clock = std::chrono::steady_clock;
-    const auto until =
-        clock::now() + std::chrono::duration<double, std::milli>(ms);
-    while (clock::now() < until) {
-        if (stop.load(std::memory_order_relaxed))
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-}
-
 /**
  * Act out one fault site on the worker thread. kThrow and kHang leave
  * via exceptions, kAbort leaves via the process exiting, kStop
@@ -208,7 +194,7 @@ SweepRunner::run()
         kPending, ///< not run (skipped by a drain if the sweep ends)
         kDone,    ///< executed this run
         kResumed, ///< merged from the checkpoint journal
-        kFailed,  ///< retry budget exhausted (quarantined)
+        kFailed,  ///< threw or timed out (quarantined or rethrown)
         kForeign, ///< outside [rangeBegin, rangeEnd): another
                   ///< shard's cells, skipped without "interrupted"
     };
@@ -231,8 +217,9 @@ SweepRunner::run()
                 if (!loaded.plan || !(*loaded.plan == plan))
                     throw std::runtime_error(
                         "checkpoint " + _options.checkpointPath +
-                        " was written for a different sweep (grid or "
-                        "instruction budget mismatch)");
+                        " was written for a different sweep or campaign "
+                        "(grid, campaign or instruction budget "
+                        "mismatch)");
                 for (const JournalJobDone &rec : loaded.jobs) {
                     if (rec.jobIndex < jobs.size() &&
                         !resumed[rec.jobIndex]) {
@@ -276,108 +263,84 @@ SweepRunner::run()
     }
 
     const auto supervise = [&](std::size_t i) {
+        // Drain check: once stop is raised, jobs that have not started
+        // stay kPending and re-run on resume.
+        if (stop.load(std::memory_order_relaxed))
+            return;
         const PendingJob &job = jobs[i];
         const FaultPlan::Site *site =
             _options.faultPlan ? _options.faultPlan->siteFor(i)
                                : nullptr;
-        const unsigned max_attempts = _options.retries + 1;
-        std::string last_kind;
-        std::string last_error;
-        std::exception_ptr last_exception;
-        unsigned attempts = 0;
-        for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-            if (attempt > 0) {
-                const unsigned doubling =
-                    attempt - 1 < 20u ? attempt - 1 : 20u;
-                backoffSleep(_options.retryBackoffMs *
-                                 static_cast<double>(1u << doubling),
-                             stop);
-            }
-            // Drain check: once stop is raised, jobs that have not
-            // started an attempt stay kPending and re-run on resume.
-            if (stop.load(std::memory_order_relaxed))
-                return;
-            ++attempts;
-            CancelToken sim_token;
-            if (_options.cellTimeoutMs > 0.0) {
-                sim_token.deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            _options.cellTimeoutMs));
-            }
-            try {
-                if (site && FaultPlan::firesOn(*site, attempt))
-                    injectFault(site->kind, i, stop, sim_token);
-                // Job-private config: only the seed differs between
-                // cells, so shared baselines stay valid.
-                SimConfig config = _base;
-                config.mem.dram.rngSeed = job.seed;
-                ExperimentRunner runner(config, cache);
-                if (sim_token.hasDeadline())
-                    runner.setCancelToken(&sim_token);
-                const auto start = std::chrono::steady_clock::now();
-                std::vector<RunOutput> outs = job.body(runner);
-                per_job_ms[i] =
+        CancelToken sim_token;
+        if (_options.cellTimeoutMs > 0.0) {
+            sim_token.deadline =
+                std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<
+                    std::chrono::steady_clock::duration>(
                     std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                if (journal.isOpen()) {
-                    JournalJobDone rec;
-                    rec.jobIndex = i;
-                    rec.label = job.label;
-                    rec.variant = job.variant;
-                    rec.seed = job.seed;
-                    rec.wallMs = per_job_ms[i];
-                    rec.rows.reserve(outs.size());
-                    for (const RunOutput &out : outs)
-                        rec.rows.push_back(makeMetricsRow(
-                            out, job.variant, job.seed));
-                    journal.appendJobDone(rec);
-                }
-                per_job[i] = std::move(outs);
-                state[i] = kDone;
-                meter.onJobDone(job.label, per_job_ms[i]);
-                return;
-            } catch (const CancelledError &e) {
-                if (stop.load(std::memory_order_relaxed)) {
-                    // Drained, not failed: re-runs on resume.
-                    return;
-                }
-                last_kind = "timeout";
-                last_error = e.what();
-                last_exception = std::current_exception();
-            } catch (const std::exception &e) {
-                last_kind = "error";
-                last_error = e.what();
-                last_exception = std::current_exception();
-            } catch (...) {
-                last_kind = "error";
-                last_error = "unknown exception";
-                last_exception = std::current_exception();
+                        _options.cellTimeoutMs));
+        }
+        FailedCell cell;
+        std::exception_ptr exception;
+        try {
+            if (site)
+                injectFault(site->kind, i, stop, sim_token);
+            // Job-private config: only the seed differs between
+            // cells, so shared baselines stay valid.
+            SimConfig config = _base;
+            config.mem.dram.rngSeed = job.seed;
+            ExperimentRunner runner(config, cache);
+            if (sim_token.hasDeadline())
+                runner.setCancelToken(&sim_token);
+            const auto start = std::chrono::steady_clock::now();
+            std::vector<RunOutput> outs = job.body(runner);
+            per_job_ms[i] = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+            if (journal.isOpen()) {
+                JournalJobDone rec;
+                rec.jobIndex = i;
+                rec.label = job.label;
+                rec.variant = job.variant;
+                rec.seed = job.seed;
+                rec.wallMs = per_job_ms[i];
+                rec.rows.reserve(outs.size());
+                for (const RunOutput &out : outs)
+                    rec.rows.push_back(
+                        makeMetricsRow(out, job.variant, job.seed));
+                journal.appendJobDone(rec);
             }
+            per_job[i] = std::move(outs);
+            state[i] = kDone;
+            meter.onJobDone(job.label, per_job_ms[i]);
+            return;
+        } catch (const CancelledError &e) {
+            if (stop.load(std::memory_order_relaxed))
+                return; // drained, not failed: re-runs on resume
+            cell.kind = "timeout";
+            cell.error = e.what();
+            exception = std::current_exception();
+        } catch (const std::exception &e) {
+            cell.kind = "error";
+            cell.error = e.what();
+            exception = std::current_exception();
+        } catch (...) {
+            cell.kind = "error";
+            cell.error = "unknown exception";
+            exception = std::current_exception();
         }
         state[i] = kFailed;
-        if (_options.onError == SweepOptions::OnError::kQuarantine) {
-            FailedCell cell;
-            cell.label = job.label;
-            cell.variant = job.variant;
-            cell.seed = job.seed;
-            cell.attempts = attempts;
-            cell.kind = last_kind;
-            cell.error = last_error;
-            if (journal.isOpen()) {
-                JournalCellFailed rec;
-                rec.jobIndex = i;
-                rec.cell = cell;
-                journal.appendCellFailed(rec);
-            }
-            failed[i] = std::move(cell);
-            meter.onJobDone(job.label + " [failed]", per_job_ms[i]);
-        } else {
-            errors[i] = last_exception;
+        if (_options.onError == SweepOptions::OnError::kPropagate) {
+            errors[i] = exception;
+            return;
         }
+        cell.label = job.label;
+        cell.variant = job.variant;
+        cell.seed = job.seed;
+        if (journal.isOpen())
+            journal.appendCellFailed({i, cell});
+        meter.onJobDone(job.label + " [failed]", per_job_ms[i]);
+        failed[i] = std::move(cell);
     };
 
     std::vector<std::future<void>> futures;

@@ -18,13 +18,13 @@
  *    resume=true skips the completed jobs, re-runs the quarantined
  *    ones, and merges the journaled rows back so the final document
  *    is byte-identical to an uninterrupted run's deterministic parts.
- *  - cellTimeoutMs arms a per-attempt cooperative deadline (the
- *    simulator polls it every few thousand instructions), retries
- *    re-run throwing/timing-out cells with exponential backoff, and
- *    cells that exhaust the budget are quarantined into
- *    Report::meta.failedCells instead of aborting the sweep
- *    (onError = kQuarantine; the default kPropagate keeps the legacy
- *    rethrow-after-drain behavior).
+ *  - cellTimeoutMs arms a per-cell cooperative deadline (the
+ *    simulator polls it every few thousand instructions). A cell that
+ *    throws or times out runs once: with onError = kQuarantine it is
+ *    recorded in Report::meta.failedCells and the sweep completes
+ *    around it; the default kPropagate rethrows after the drain. A
+ *    cell's result is a pure function of its key, so there is no
+ *    in-process retry — `--resume` is how a quarantined cell re-runs.
  *  - stopFlag is polled before each job starts and at simulator
  *    cancellation points: once raised (signal handler, fault plan, or
  *    test), in-flight jobs finish — or unwind at the next poll — and
@@ -32,6 +32,10 @@
  *    interrupted, resumable report.
  *  - faultPlan deterministically injects throw/hang/abort/stop faults
  *    into worker jobs for the crash-safety tests.
+ *
+ * The same executor runs the fuzz campaigns (check/campaign.hpp): one
+ * addJob per case, so every campaign kind shares this journal, drain
+ * and fault injection.
  */
 
 #ifndef DOL_RUNNER_SWEEP_HPP
@@ -83,14 +87,9 @@ struct SweepOptions
      *  different grid is an error. */
     bool resume = false;
 
-    /** Per-attempt wall-clock budget in ms; 0 = none. Cooperative:
+    /** Per-cell wall-clock budget in ms; 0 = none. Cooperative:
      *  enforced at simulator cancellation points. */
     double cellTimeoutMs = 0.0;
-    /** Extra attempts after the first for cells that throw or time
-     *  out. */
-    unsigned retries = 0;
-    /** Backoff before retry r is retryBackoffMs * 2^r. */
-    double retryBackoffMs = 100.0;
 
     enum class OnError
     {
@@ -187,7 +186,7 @@ class SweepRunner
     /**
      * Execute all queued jobs. Blocks until the sweep completes or
      * drains. In kPropagate mode an exception thrown by a job body
-     * (after retries) is rethrown here once every other job drained;
+     * is rethrown here once every other job drained;
      * in kQuarantine mode failures land in meta.failedCells instead.
      * The queue is consumed: a second run() starts empty.
      */

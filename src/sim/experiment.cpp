@@ -72,18 +72,13 @@ BaselineCache::get(
         }
     }
     if (owner) {
+        // A failure is memoized like a value: a baseline is a pure
+        // function of its workload, so every cell that needs it
+        // observes the same exception, and `--resume` recomputes it
+        // in a fresh process.
         try {
             promise.set_value(compute());
         } catch (...) {
-            // Don't memoize the failure: evict the entry (it is ours —
-            // only the owner inserts, nothing else erases) so a retry
-            // of the job recomputes instead of replaying the cached
-            // exception forever. Waiters already holding copies of
-            // the shared future still observe this exception once.
-            {
-                std::lock_guard lock(_mutex);
-                _futures.erase(key);
-            }
             promise.set_exception(std::current_exception());
         }
     }

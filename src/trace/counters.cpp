@@ -3,27 +3,26 @@
 namespace dol
 {
 
-CounterRegistry::Handle
-CounterRegistry::handle(std::string_view scope, std::string_view name)
+std::uint64_t &
+CounterRegistry::counter(std::string_view scope, std::string_view name)
 {
     const auto probe = std::make_pair(scope, name);
-    auto it = _index.lower_bound(probe);
-    if (it != _index.end() && !_index.key_comp()(probe, it->first))
-        return it->second;
-    const Handle h = static_cast<Handle>(_values.size());
-    _values.push_back(0);
-    _index.emplace_hint(
-        it, std::make_pair(std::string(scope), std::string(name)), h);
-    return h;
+    auto it = _values.lower_bound(probe);
+    if (it == _values.end() || _values.key_comp()(probe, it->first)) {
+        it = _values.emplace_hint(
+            it, std::make_pair(std::string(scope), std::string(name)),
+            0);
+    }
+    return it->second;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
 CounterRegistry::sorted() const
 {
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(_index.size());
-    for (const auto &[key, h] : _index)
-        out.emplace_back(key.first + "." + key.second, _values[h]);
+    out.reserve(_values.size());
+    for (const auto &[key, value] : _values)
+        out.emplace_back(key.first + "." + key.second, value);
     return out;
 }
 
@@ -32,9 +31,9 @@ CounterRegistry::entries() const
 {
     std::vector<std::tuple<std::string, std::string, std::uint64_t>>
         out;
-    out.reserve(_index.size());
-    for (const auto &[key, h] : _index)
-        out.emplace_back(key.first, key.second, _values[h]);
+    out.reserve(_values.size());
+    for (const auto &[key, value] : _values)
+        out.emplace_back(key.first, key.second, value);
     return out;
 }
 

@@ -10,18 +10,14 @@
  * runs pay nothing. Serialization is sorted by (scope, name), making
  * two runs of the same cell produce byte-identical counter text.
  *
- * Call sites that do touch a counter repeatedly resolve the name to an
- * integer Handle once (handle()) and bump through it; the string pair
- * is only hashed-against (well, compared-against) at registration.
- * The values live in a deque so handles and references both stay
- * valid for the registry's lifetime.
+ * Values live in the ordered map's nodes, so the reference counter()
+ * returns stays valid for the registry's lifetime.
  */
 
 #ifndef DOL_TRACE_COUNTERS_HPP
 #define DOL_TRACE_COUNTERS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
@@ -35,36 +31,21 @@ namespace dol
 class CounterRegistry
 {
   public:
-    /** Stable integer name for one counter (index into the values). */
-    using Handle = std::uint32_t;
-
-    /** Find-or-create; the handle stays valid for the registry's
-     *  lifetime. No allocation when the counter already exists. */
-    Handle handle(std::string_view scope, std::string_view name);
-
-    std::uint64_t &operator[](Handle h) { return _values[h]; }
-    std::uint64_t at(Handle h) const { return _values[h]; }
-    void bump(Handle h, std::uint64_t by = 1) { _values[h] += by; }
-
     /** Find-or-create; the reference stays valid for the registry's
-     *  lifetime (deque blocks are stable). Legacy string-keyed entry
-     *  point — a thin wrapper over handle(). */
-    std::uint64_t &
-    counter(std::string_view scope, std::string_view name)
-    {
-        return _values[handle(scope, name)];
-    }
+     *  lifetime. No allocation when the counter already exists. */
+    std::uint64_t &counter(std::string_view scope,
+                           std::string_view name);
 
     /** Shorthand for harvest sites: overwrite with @p value. */
     void
     set(std::string_view scope, std::string_view name,
         std::uint64_t value)
     {
-        _values[handle(scope, name)] = value;
+        counter(scope, name) = value;
     }
 
-    bool empty() const { return _index.empty(); }
-    std::size_t size() const { return _index.size(); }
+    bool empty() const { return _values.empty(); }
+    std::size_t size() const { return _values.size(); }
 
     /** All counters, sorted by (scope, name), flattened "scope.name". */
     std::vector<std::pair<std::string, std::uint64_t>> sorted() const;
@@ -78,16 +59,11 @@ class CounterRegistry
     /** One "scope.name value\n" line per counter, sorted. */
     std::string toText() const;
 
-    void
-    clear()
-    {
-        _index.clear();
-        _values.clear();
-    }
+    void clear() { _values.clear(); }
 
   private:
     /** Heterogeneous comparator: lets lookups probe with string_views
-     *  so the legacy string API copies nothing on the hit path. */
+     *  so counter() copies nothing on the hit path. */
     struct KeyLess
     {
         using is_transparent = void;
@@ -107,9 +83,9 @@ class CounterRegistry
         }
     };
 
-    std::map<std::pair<std::string, std::string>, Handle, KeyLess>
-        _index;
-    std::deque<std::uint64_t> _values;
+    std::map<std::pair<std::string, std::string>, std::uint64_t,
+             KeyLess>
+        _values;
 };
 
 } // namespace dol

@@ -3,9 +3,10 @@
  * Fault-tolerance tests: checkpoint journal round trips, torn-tail
  * recovery and fuzzed malformed journals, kill-and-resume byte
  * equality (fork + abort fault, so the "crash" is a real process
- * death with no unwinding), per-cell timeout/retry/quarantine
- * supervision, graceful drain, shard ranges, and the golden-trace
- * cells resumed across a crash.
+ * death with no unwinding), per-cell timeout/quarantine supervision,
+ * graceful drain, shard ranges, the golden-trace cells resumed across
+ * a crash, and fuzz campaigns on the same executor (a faulted case is
+ * reported as its failure; resume refuses a foreign journal).
  *
  * Every fault point is a deterministic function of a FaultPlan spec
  * and the grid order, so each scenario replays bit-identically.
@@ -25,11 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include "check/campaign.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/fault.hpp"
 #include "runner/framed_file.hpp"
 #include "runner/progress.hpp"
 #include "runner/sweep.hpp"
+#include "runner/wire.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/suite.hpp"
 
@@ -126,6 +129,27 @@ sampleJob()
     return rec;
 }
 
+runner::JournalCellFailed
+sampleFailed(std::uint64_t job_index)
+{
+    runner::JournalCellFailed failed;
+    failed.jobIndex = job_index;
+    failed.cell.label = "TPC/mcf.syn";
+    failed.cell.kind = "error";
+    failed.cell.error = "injected";
+    return failed;
+}
+
+/** Job indices of a load's quarantined cells, in journal order. */
+std::vector<std::uint64_t>
+failedIndices(const runner::CheckpointJournal::Load &loaded)
+{
+    std::vector<std::uint64_t> indices;
+    for (const runner::JournalCellFailed &failed : loaded.failedCells)
+        indices.push_back(failed.jobIndex);
+    return indices;
+}
+
 void
 expectJobEqual(const runner::JournalJobDone &actual,
                const runner::JournalJobDone &expected)
@@ -172,8 +196,8 @@ TEST(CheckpointJournal, RoundTripsPlanJobsAndCases)
         std::string error;
         ASSERT_TRUE(journal.create(path, plan, &error)) << error;
         ASSERT_TRUE(journal.appendJobDone(rec));
-        ASSERT_TRUE(journal.appendCaseDone(7));
-        ASSERT_TRUE(journal.appendCaseDone(0));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(7)));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(0)));
     }
 
     const auto loaded = runner::CheckpointJournal::load(path);
@@ -185,9 +209,9 @@ TEST(CheckpointJournal, RoundTripsPlanJobsAndCases)
     EXPECT_TRUE(*loaded.plan == plan);
     ASSERT_EQ(loaded.jobs.size(), 1u);
     expectJobEqual(loaded.jobs[0], rec);
-    ASSERT_EQ(loaded.cases.size(), 2u);
-    EXPECT_EQ(loaded.cases[0], 7u);
-    EXPECT_EQ(loaded.cases[1], 0u);
+    ASSERT_EQ(loaded.failedCells.size(), 2u);
+    EXPECT_EQ(loaded.failedCells[0].jobIndex, 7u);
+    EXPECT_EQ(loaded.failedCells[1].jobIndex, 0u);
 }
 
 TEST(CheckpointJournal, MissingFileAndGarbageFile)
@@ -242,14 +266,14 @@ TEST(CheckpointJournal, TornTailIsDroppedAndTruncatedOnResume)
         ASSERT_TRUE(
             journal.openAppend(path, loaded.goodBytes, &error))
             << error;
-        ASSERT_TRUE(journal.appendCaseDone(5));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(5)));
     }
     loaded = runner::CheckpointJournal::load(path);
     EXPECT_TRUE(loaded.valid);
     EXPECT_TRUE(loaded.cleanTail);
     ASSERT_EQ(loaded.jobs.size(), 1u);
-    ASSERT_EQ(loaded.cases.size(), 1u);
-    EXPECT_EQ(loaded.cases[0], 5u);
+    ASSERT_EQ(loaded.failedCells.size(), 1u);
+    EXPECT_EQ(loaded.failedCells[0].jobIndex, 5u);
 }
 
 TEST(CheckpointJournal, TruncatedMidRecordKeepsPriorRecords)
@@ -259,11 +283,11 @@ TEST(CheckpointJournal, TruncatedMidRecordKeepsPriorRecords)
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
-        ASSERT_TRUE(journal.appendCaseDone(1));
-        ASSERT_TRUE(journal.appendCaseDone(2));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(1)));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(2)));
     }
     const std::uint64_t full = fileSize(path);
-    // Chop into the last record (its 8-byte payload sits at the end).
+    // Chop into the last record (its payload sits at the end).
     std::string bytes;
     {
         std::ifstream in(path, std::ios::binary);
@@ -282,12 +306,12 @@ TEST(CheckpointJournal, TruncatedMidRecordKeepsPriorRecords)
     const auto loaded = runner::CheckpointJournal::load(path);
     EXPECT_TRUE(loaded.valid);
     EXPECT_FALSE(loaded.cleanTail);
-    ASSERT_EQ(loaded.cases.size(), 1u);
-    EXPECT_EQ(loaded.cases[0], 1u);
+    ASSERT_EQ(loaded.failedCells.size(), 1u);
+    EXPECT_EQ(loaded.failedCells[0].jobIndex, 1u);
 }
 
 // ---------------------------------------------------------------------
-// Sweep supervision: crash, resume, retry, timeout, quarantine, drain
+// Sweep supervision: crash, resume, timeout, quarantine, drain
 // ---------------------------------------------------------------------
 
 /** 4-cell grid (2 workloads x 2 prefetchers), small budget. */
@@ -441,30 +465,13 @@ TEST(FaultTolerance, ResumeRefusesMismatchedGrid)
     EXPECT_THROW((void)sweep.run(), std::runtime_error);
 }
 
-TEST(FaultTolerance, RetrySucceedsAfterTransientFault)
+TEST(FaultTolerance, ThrowingCellIsQuarantinedInFailedCells)
 {
-    // throw@1:1 fails the first attempt of cell 1 only; with one
-    // retry the sweep completes with no failed cells.
-    runner::FaultPlan plan;
-    ASSERT_TRUE(runner::FaultPlan::parse("throw@1:1", plan));
-    runner::SweepOptions options;
-    options.retries = 1;
-    options.retryBackoffMs = 1.0;
-    options.faultPlan = &plan;
-    auto sweep = makeGridSweep(options);
-    const auto report = sweep.run();
-    EXPECT_FALSE(report.interrupted);
-    EXPECT_TRUE(report.meta.failedCells.empty());
-    EXPECT_EQ(report.store.rows().size(), 4u);
-}
-
-TEST(FaultTolerance, ExhaustedRetriesQuarantineTheCell)
-{
+    // throw@1 fires every time cell 1 runs: the cell runs once and is
+    // quarantined (a --resume without the fault is what re-runs it).
     runner::FaultPlan plan;
     ASSERT_TRUE(runner::FaultPlan::parse("throw@1", plan));
     runner::SweepOptions options;
-    options.retries = 2;
-    options.retryBackoffMs = 1.0;
     options.onError = runner::SweepOptions::OnError::kQuarantine;
     options.faultPlan = &plan;
     auto sweep = makeGridSweep(options);
@@ -475,7 +482,6 @@ TEST(FaultTolerance, ExhaustedRetriesQuarantineTheCell)
     ASSERT_EQ(report.meta.failedCells.size(), 1u);
     const runner::FailedCell &cell = report.meta.failedCells[0];
     EXPECT_EQ(cell.label, "SPP/libquantum.syn");
-    EXPECT_EQ(cell.attempts, 3u); // first run + 2 retries
     EXPECT_EQ(cell.kind, "error");
     EXPECT_NE(cell.error.find("injected fault"), std::string::npos);
 
@@ -509,7 +515,6 @@ TEST(FaultTolerance, HangingCellTimesOutAndIsQuarantined)
     EXPECT_EQ(report.store.rows().size(), 3u);
     ASSERT_EQ(report.meta.failedCells.size(), 1u);
     EXPECT_EQ(report.meta.failedCells[0].kind, "timeout");
-    EXPECT_EQ(report.meta.failedCells[0].attempts, 1u);
 }
 
 TEST(FaultTolerance, PropagateModeRethrowsInjectedFault)
@@ -726,7 +731,7 @@ TEST(CheckpointJournal, UnknownRecordTypesAreSkippedNotTruncated)
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
-        ASSERT_TRUE(journal.appendCaseDone(1));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(1)));
     }
     // A record type from a future tool version, checksum intact.
     {
@@ -743,18 +748,18 @@ TEST(CheckpointJournal, UnknownRecordTypesAreSkippedNotTruncated)
     EXPECT_EQ(loaded.goodBytes, fileSize(path))
         << "the clean prefix must span the unknown record, or a "
            "resuming writer would truncate it mid-file";
-    ASSERT_EQ(loaded.cases.size(), 1u);
+    ASSERT_EQ(loaded.failedCells.size(), 1u);
 
     // Appending through the journal keeps the unknown record whole.
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.openAppend(path, loaded.goodBytes));
-        ASSERT_TRUE(journal.appendCaseDone(2));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(2)));
     }
     loaded = runner::CheckpointJournal::load(path);
     ASSERT_TRUE(loaded.valid);
     EXPECT_TRUE(loaded.cleanTail);
-    EXPECT_EQ(loaded.cases,
+    EXPECT_EQ(failedIndices(loaded),
               (std::vector<std::uint64_t>{1, 2}));
 }
 
@@ -765,17 +770,17 @@ TEST(CheckpointJournal, UndecodablePayloadEndsCleanPrefixNotACase)
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
-        ASSERT_TRUE(journal.appendCaseDone(1));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(1)));
     }
     const std::uint64_t before = fileSize(path);
-    // A kCaseDone whose checksum verifies but whose payload is 3
+    // A kCellFailed whose checksum verifies but whose payload is 3
     // bytes (an index needs 8): as suspect as a torn tail.
     {
         runner::FramedWriter writer;
         ASSERT_TRUE(writer.openAppend(path, before, nullptr));
         ASSERT_TRUE(writer.appendRecord(
             static_cast<std::uint8_t>(
-                runner::JournalRecord::kCaseDone),
+                runner::JournalRecord::kCellFailed),
             "abc"));
     }
 
@@ -784,9 +789,9 @@ TEST(CheckpointJournal, UndecodablePayloadEndsCleanPrefixNotACase)
     EXPECT_FALSE(loaded.cleanTail);
     EXPECT_EQ(loaded.goodBytes, before)
         << "a resuming writer must truncate the undecodable record";
-    ASSERT_EQ(loaded.cases.size(), 1u)
-        << "no phantom case may be manufactured from the payload";
-    EXPECT_EQ(loaded.cases[0], 1u);
+    ASSERT_EQ(loaded.failedCells.size(), 1u)
+        << "no phantom cell may be manufactured from the payload";
+    EXPECT_EQ(loaded.failedCells[0].jobIndex, 1u);
 }
 
 TEST(CheckpointJournal, CellFailedRecordsRoundTrip)
@@ -799,7 +804,6 @@ TEST(CheckpointJournal, CellFailedRecordsRoundTrip)
     failed.cell.label = "TPC/mcf.syn";
     failed.cell.variant = ":v1";
     failed.cell.seed = 0xfeedfacefeedfaceull;
-    failed.cell.attempts = 3;
     failed.cell.kind = "timeout";
     failed.cell.error = "cell deadline expired";
     {
@@ -819,9 +823,32 @@ TEST(CheckpointJournal, CellFailedRecordsRoundTrip)
     EXPECT_EQ(got.cell.label, failed.cell.label);
     EXPECT_EQ(got.cell.variant, failed.cell.variant);
     EXPECT_EQ(got.cell.seed, failed.cell.seed);
-    EXPECT_EQ(got.cell.attempts, failed.cell.attempts);
     EXPECT_EQ(got.cell.kind, failed.cell.kind);
     EXPECT_EQ(got.cell.error, failed.cell.error);
+
+    // The payload keeps the retired attempts slot: written as 1, and
+    // skipped on read, so a journal written while cells were retried
+    // (here: 3 attempts) still decodes to the same cell.
+    const auto payloadWithAttempts = [&](std::uint64_t attempts) {
+        std::string payload;
+        runner::wire::putU64(payload, failed.jobIndex);
+        runner::wire::putString(payload, failed.cell.label);
+        runner::wire::putString(payload, failed.cell.variant);
+        runner::wire::putU64(payload, failed.cell.seed);
+        runner::wire::putU64(payload, attempts);
+        runner::wire::putString(payload, failed.cell.kind);
+        runner::wire::putString(payload, failed.cell.error);
+        return payload;
+    };
+    EXPECT_EQ(runner::encodeCellFailedPayload(failed),
+              payloadWithAttempts(1));
+    const std::string legacy = payloadWithAttempts(3);
+    runner::JournalCellFailed decoded;
+    ASSERT_TRUE(runner::decodeCellFailedPayload(legacy, decoded));
+    EXPECT_EQ(decoded.jobIndex, failed.jobIndex);
+    EXPECT_EQ(decoded.cell.label, failed.cell.label);
+    EXPECT_EQ(decoded.cell.kind, failed.cell.kind);
+    EXPECT_EQ(decoded.cell.error, failed.cell.error);
 }
 
 TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
@@ -870,22 +897,23 @@ TEST(FaultTolerance, ResumeReRunsJournaledFailedCells)
 
 TEST(CheckpointJournal, OversizedLengthIsATornTailNotAnAllocation)
 {
-    // A plan plus two case records, with the high byte of the second
-    // case record's u32 length set: the reader must stop there as at
-    // a torn tail, without zero-filling gigabytes for a payload the
+    // A plan plus two failed-cell records, with the high byte of the
+    // second record's u32 length set: the reader must stop there as
+    // at a torn tail, without zero-filling gigabytes for a payload the
     // file does not hold.
     const std::string path = tempPath("ckpt_oversized.bin");
     {
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
-        ASSERT_TRUE(journal.appendCaseDone(1));
-        ASSERT_TRUE(journal.appendCaseDone(2));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(1)));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(2)));
     }
     const std::string pristine = readBytes(path);
-    // The last record is envelope + 8-byte payload; its length field
-    // starts one byte (the type) into the envelope.
-    const std::size_t last = pristine.size() -
-                             runner::kFrameEnvelopeBytes - 8;
+    // The last record is envelope + payload; its length field starts
+    // one byte (the type) into the envelope.
+    const std::size_t last =
+        pristine.size() - runner::kFrameEnvelopeBytes -
+        runner::encodeCellFailedPayload(sampleFailed(2)).size();
     for (const unsigned char high : {0x10, 0x7f, 0xff}) {
         std::string bytes = pristine;
         bytes[last + 4] = static_cast<char>(high);
@@ -896,7 +924,7 @@ TEST(CheckpointJournal, OversizedLengthIsATornTailNotAnAllocation)
         EXPECT_TRUE(loaded.valid);
         EXPECT_FALSE(loaded.cleanTail);
         EXPECT_EQ(loaded.goodBytes, last);
-        EXPECT_EQ(loaded.cases, (std::vector<std::uint64_t>{1}));
+        EXPECT_EQ(failedIndices(loaded), (std::vector<std::uint64_t>{1}));
         // Even the smallest case (0x10) would zero-fill 256 MiB.
         EXPECT_LT(peakRssKib() - rss_before, 64 * 1024)
             << "high byte " << unsigned(high);
@@ -907,7 +935,7 @@ TEST(CheckpointJournal, OversizedLengthIsATornTailNotAnAllocation)
         int records = 0;
         while (reader.next(rec))
             ++records;
-        EXPECT_EQ(records, 2); // plan + first case
+        EXPECT_EQ(records, 2); // plan + first failed cell
         EXPECT_TRUE(reader.tornTail());
         EXPECT_EQ(reader.goodBytes(), last);
     }
@@ -922,17 +950,10 @@ TEST(CheckpointJournal, MalformedInputsNeverCrashTheReader)
     // slices must never crash, hang, throw, or over-allocate, through
     // either read path.
     {
-        runner::JournalCellFailed failed;
-        failed.jobIndex = 2;
-        failed.cell.label = "TPC/mcf.syn";
-        failed.cell.attempts = 1;
-        failed.cell.kind = "error";
-        failed.cell.error = "injected";
         runner::CheckpointJournal journal;
         ASSERT_TRUE(journal.create(path, samplePlan()));
         ASSERT_TRUE(journal.appendJobDone(sampleJob()));
-        ASSERT_TRUE(journal.appendCellFailed(failed));
-        ASSERT_TRUE(journal.appendCaseDone(7));
+        ASSERT_TRUE(journal.appendCellFailed(sampleFailed(2)));
     }
     const std::string pristine = readBytes(path);
 
@@ -1022,6 +1043,102 @@ TEST(SweepRunner, ExecutesExactlyItsRange)
     for (const runner::JournalJobDone &job : journal.jobs)
         cells.push_back(job.jobIndex);
     EXPECT_EQ(cells, (std::vector<std::uint64_t>{1, 2}));
+}
+
+// ---------------------------------------------------------------------
+// Fuzz campaigns: one sweep job per case, on the same executor
+// ---------------------------------------------------------------------
+
+check::CampaignOptions
+smallCampaign(std::uint64_t cases)
+{
+    check::CampaignOptions options;
+    options.cases = cases;
+    options.sweep.jobs = 1;
+    options.sweep.progress = false;
+    return options;
+}
+
+TEST(FaultTolerance, CampaignReportsAThrowingCaseAsItsFailure)
+{
+    // A case that ends without a verdict is quarantined like any cell
+    // and named in the summary; the campaign completes around it.
+    runner::FaultPlan plan;
+    ASSERT_TRUE(runner::FaultPlan::parse("throw@3", plan));
+    check::CampaignOptions options = smallCampaign(8);
+    options.sweep.faultPlan = &plan;
+    const check::CampaignReport report = check::runCampaign(options);
+    EXPECT_FALSE(report.interrupted);
+    EXPECT_EQ(report.casesRun, 8u);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].index, 3u);
+    EXPECT_EQ(report.summaryText(),
+              "fuzz campaign: 8 cases, seed 1, 1 failure\n  case 3 (seed " +
+                  std::to_string(check::caseSeed(1, 3)) +
+                  "): error: injected fault: throw at job 3\n");
+}
+
+TEST(FaultTolerance, CampaignResumeRefusesAForeignJournal)
+{
+    const std::string ckpt = tempPath("ckpt_campaign.bin");
+    const check::CampaignOptions base = smallCampaign(2);
+    const auto resumeFrom = [&](check::CampaignOptions options) {
+        options.sweep.checkpointPath = ckpt;
+        options.sweep.resume = true;
+        return check::runCampaign(options);
+    };
+
+    // A sweep's journal.
+    std::remove(ckpt.c_str());
+    {
+        runner::SweepOptions options;
+        options.checkpointPath = ckpt;
+        auto sweep = makeGridSweep(options);
+        (void)sweep.run();
+    }
+    EXPECT_THROW((void)resumeFrom(base), std::runtime_error);
+
+    // A journal as the retired campaign code wrote it: its own plan (no
+    // instruction budget) and one type-3 record per passing case.
+    {
+        runner::JournalPlan plan;
+        plan.itemCount = base.cases;
+        plan.gridHash = 0xcbf29ce484222325ull;
+        runner::CheckpointJournal journal;
+        ASSERT_TRUE(journal.create(ckpt, plan));
+    }
+    {
+        std::string index;
+        runner::wire::putU64(index, 0);
+        runner::FramedWriter writer;
+        ASSERT_TRUE(writer.openAppend(ckpt, fileSize(ckpt), nullptr));
+        ASSERT_TRUE(writer.appendRecord(3, index));
+    }
+    EXPECT_THROW((void)resumeFrom(base), std::runtime_error);
+
+    // A campaign's own journal resumes; one with another kind, seed,
+    // mutation or case count is refused.
+    std::remove(ckpt.c_str());
+    {
+        check::CampaignOptions options = base;
+        options.sweep.checkpointPath = ckpt;
+        ASSERT_TRUE(check::runCampaign(options).ok());
+    }
+    check::CampaignOptions other = base;
+    other.kind = check::CampaignKind::kAdaptive;
+    EXPECT_THROW((void)resumeFrom(other), std::runtime_error);
+    other = base;
+    other.seed = 2;
+    EXPECT_THROW((void)resumeFrom(other), std::runtime_error);
+    other = base;
+    other.mutation = check::Mutation::kLruVictimOffByOne;
+    EXPECT_THROW((void)resumeFrom(other), std::runtime_error);
+    other = base;
+    other.cases = 3;
+    EXPECT_THROW((void)resumeFrom(other), std::runtime_error);
+    const check::CampaignReport resumed = resumeFrom(base);
+    EXPECT_TRUE(resumed.ok()) << resumed.summaryText();
+    EXPECT_EQ(resumed.casesResumed, 2u);
 }
 
 } // namespace

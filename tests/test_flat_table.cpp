@@ -265,36 +265,6 @@ TEST(BoundedLruTable, PrefersInvalidSlotOverEviction)
     EXPECT_NE(table.find(2), nullptr);
 }
 
-TEST(DirectMapTable, OverwritesOnConflictOnly)
-{
-    DirectMapTable<std::uint64_t, int> table(16);
-    const std::size_t cap = table.capacity();
-    // Find two keys mapping to the same slot.
-    std::uint64_t a = 1, b = 0;
-    const auto slot_of = [cap](std::uint64_t k) {
-        return flatHashMix(k) & (cap - 1);
-    };
-    for (std::uint64_t k = 2;; ++k) {
-        if (slot_of(k) == slot_of(a)) {
-            b = k;
-            break;
-        }
-    }
-
-    *table.insert(a).first = 100;
-    EXPECT_EQ(*table.find(a), 100);
-    auto [value, conflict] = table.insert(b);
-    EXPECT_TRUE(conflict);
-    *value = 200;
-    EXPECT_EQ(table.find(a), nullptr) << "conflicting key survived";
-    EXPECT_EQ(*table.find(b), 200);
-
-    // Re-inserting the resident key is not a conflict and keeps data.
-    auto [same, reconflict] = table.insert(b);
-    EXPECT_FALSE(reconflict);
-    EXPECT_EQ(*same, 200);
-}
-
 TEST(RingBuffer, FifoOrderAcrossGrowth)
 {
     RingBuffer<int> ring(4);

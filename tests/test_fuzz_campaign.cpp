@@ -1,10 +1,11 @@
 /**
  * @file
- * Tier-2 tests for the fuzz campaign driver: clean parallel runs,
- * byte-identical summaries across job counts, reproducer files that
- * replay, and the mutation self-tests backing the checker's
- * bug-finding guarantee — each planted bug must be caught within 200
- * cases and shrink to at most 100 records.
+ * Tier-2 tests for the fuzz campaigns: clean parallel runs of every
+ * kind, byte-identical summaries across job counts, reproducer files
+ * that replay, drained-and-resumed campaigns, and the mutation
+ * self-tests backing the checkers' bug-finding guarantee — each
+ * planted bug must be caught within 200 cases, and each trace kind's
+ * reproducer must shrink to at most 100 records.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "check/adaptive_check.hpp"
 #include "check/campaign.hpp"
 #include "check/fuzz_workload.hpp"
-#include "check/multicore_check.hpp"
 #include "workloads/trace_file.hpp"
 
 namespace dol::check
@@ -34,12 +33,22 @@ scratchDir(const std::string &leaf)
     return dir.string();
 }
 
-TEST(FuzzCampaign, CleanRunReportsZeroFailures)
+/** A campaign of @p kind with no progress line. */
+CampaignOptions
+quietCampaign(CampaignKind kind = CampaignKind::kDifferential)
 {
     CampaignOptions options;
+    options.kind = kind;
+    options.sweep.progress = false;
+    return options;
+}
+
+TEST(FuzzCampaign, CleanRunReportsZeroFailures)
+{
+    CampaignOptions options = quietCampaign();
     options.cases = 40;
     options.seed = 1;
-    options.jobs = 2;
+    options.sweep.jobs = 2;
     options.reproDir = scratchDir("clean");
 
     const CampaignReport report = runCampaign(options);
@@ -52,24 +61,24 @@ TEST(FuzzCampaign, CleanRunReportsZeroFailures)
 
 TEST(FuzzCampaign, SummaryIsIdenticalAcrossJobCounts)
 {
-    CampaignOptions options;
+    CampaignOptions options = quietCampaign();
     options.cases = 16;
     options.seed = 3;
     options.reproDir = scratchDir("jobs");
 
-    options.jobs = 1;
+    options.sweep.jobs = 1;
     const std::string serial = runCampaign(options).summaryText();
-    options.jobs = 4;
+    options.sweep.jobs = 4;
     const std::string parallel = runCampaign(options).summaryText();
     EXPECT_EQ(serial, parallel);
 }
 
 TEST(FuzzCampaign, ReproducerFileReplaysTheFailure)
 {
-    CampaignOptions options;
+    CampaignOptions options = quietCampaign();
     options.cases = 1;
     options.seed = 7; // case 0 of seed 7 catches every mutation
-    options.jobs = 1;
+    options.sweep.jobs = 1;
     options.mutation = Mutation::kLruVictimOffByOne;
     options.reproDir = scratchDir("repro");
 
@@ -118,16 +127,18 @@ TEST(FuzzCampaign, CleanCampaignInterruptAndResumeMatchesBaseline)
     const std::string work = scratchDir("resume-clean");
     std::filesystem::create_directories(work);
 
-    CampaignOptions options;
+    CampaignOptions options = quietCampaign();
     options.cases = 200;
     options.seed = 1; // clean: every case passes, so all journal
-    options.jobs = 2;
+    options.sweep.jobs = 2;
     options.reproDir = work + "/repro";
-    options.checkpointPath = work + "/campaign.ckpt";
+    options.sweep.checkpointPath = work + "/campaign.ckpt";
 
-    // Drain after ~60 completions (the test hook stands in for
-    // SIGINT): the run must report interrupted, not complete.
-    options.stopAfterCases = 60;
+    // Drain as case 60 starts (the stop fault stands in for SIGINT):
+    // the run must report interrupted, not complete.
+    runner::FaultPlan stop;
+    ASSERT_TRUE(runner::FaultPlan::parse("stop@60", stop));
+    options.sweep.faultPlan = &stop;
     const CampaignReport cut = runCampaign(options);
     EXPECT_TRUE(cut.interrupted);
     EXPECT_FALSE(cut.ok());
@@ -136,8 +147,8 @@ TEST(FuzzCampaign, CleanCampaignInterruptAndResumeMatchesBaseline)
 
     // Resume: journaled passes are skipped, the rest execute, and the
     // final report is byte-identical to an uninterrupted campaign.
-    options.stopAfterCases = 0;
-    options.resume = true;
+    options.sweep.faultPlan = nullptr;
+    options.sweep.resume = true;
     const CampaignReport resumed = runCampaign(options);
     EXPECT_TRUE(resumed.ok()) << resumed.summaryText();
     EXPECT_EQ(resumed.casesResumed, cut.casesRun);
@@ -149,10 +160,10 @@ TEST(FuzzCampaign, CleanCampaignInterruptAndResumeMatchesBaseline)
 TEST(FuzzCampaign, InterruptedMutationCampaignResumesToBaseline)
 {
     // Uninterrupted baseline, including shrunk reproducer files.
-    CampaignOptions base;
+    CampaignOptions base = quietCampaign();
     base.cases = 6;
     base.seed = 7;
-    base.jobs = 1;
+    base.sweep.jobs = 1;
     base.mutation = Mutation::kLruVictimOffByOne;
     base.maxShrinkEvaluations = 300;
     base.reproDir = scratchDir("resume-mut-base");
@@ -160,21 +171,24 @@ TEST(FuzzCampaign, InterruptedMutationCampaignResumesToBaseline)
     EXPECT_FALSE(baseline.interrupted);
     ASSERT_FALSE(baseline.failures.empty());
 
-    // The same campaign drained after 3 cases, then resumed. Failures
-    // are never journaled, so the resumed run re-executes them and
-    // regenerates identical diffs and reproducers.
+    // The same campaign drained as case 3 starts, then resumed.
+    // Failures are journaled as quarantined cells, never as passes, so
+    // the resumed run re-executes them and regenerates identical diffs
+    // and reproducers.
     const std::string work = scratchDir("resume-mut-cut");
     std::filesystem::create_directories(work);
     CampaignOptions options = base;
     options.reproDir = work + "/repro";
-    options.checkpointPath = work + "/campaign.ckpt";
-    options.stopAfterCases = 3;
+    options.sweep.checkpointPath = work + "/campaign.ckpt";
+    runner::FaultPlan stop;
+    ASSERT_TRUE(runner::FaultPlan::parse("stop@3", stop));
+    options.sweep.faultPlan = &stop;
     const CampaignReport cut = runCampaign(options);
     EXPECT_TRUE(cut.interrupted);
     EXPECT_LT(cut.casesRun, options.cases);
 
-    options.stopAfterCases = 0;
-    options.resume = true;
+    options.sweep.faultPlan = nullptr;
+    options.sweep.resume = true;
     const CampaignReport resumed = runCampaign(options);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(normalizeDirs(resumed.summaryText(), options.reproDir),
@@ -210,7 +224,8 @@ class MutationSelfTest : public ::testing::TestWithParam<Mutation>
 
 TEST_P(MutationSelfTest, CaughtWithinBudgetAndShrinksSmall)
 {
-    const MutationProbe probe = probeMutation(7, 200, GetParam());
+    const MutationProbe probe =
+        probeMutation(CampaignKind::kDifferential, 7, 200, GetParam());
     ASSERT_TRUE(probe.found)
         << mutationName(GetParam())
         << " survived 200 fuzz cases undetected";
@@ -228,11 +243,10 @@ TEST_P(MutationSelfTest, CaughtWithinBudgetAndShrinksSmall)
  */
 TEST(MulticoreFuzz, CleanCampaignReportsZeroFailures)
 {
-    MulticoreCampaignOptions options;
+    CampaignOptions options = quietCampaign(CampaignKind::kMulticore);
     options.cases = 40;
     options.seed = 1;
-    const MulticoreCampaignReport report =
-        runMulticoreCampaign(options);
+    const CampaignReport report = runCampaign(options);
     EXPECT_TRUE(report.ok()) << report.summaryText();
     EXPECT_EQ(report.summaryText(),
               "multicore fuzz: 40 cases, seed 1, 0 failures\n");
@@ -247,11 +261,11 @@ TEST(MulticoreFuzz, CleanCampaignReportsZeroFailures)
  */
 TEST(MulticoreFuzz, ArbitrationDriftMutationIsCaught)
 {
-    const std::uint64_t index =
-        probeMulticoreMutation(7, 200, Mutation::kArbitrationDrift);
-    ASSERT_NE(index, UINT64_MAX)
+    const MutationProbe probe = probeMutation(
+        CampaignKind::kMulticore, 7, 200, Mutation::kArbitrationDrift);
+    ASSERT_TRUE(probe.found)
         << "arbdrift survived 200 multicore fuzz cases undetected";
-    EXPECT_LT(index, 200u);
+    EXPECT_LT(probe.failure.index, 200u);
 }
 
 /**
@@ -264,11 +278,10 @@ TEST(MulticoreFuzz, ArbitrationDriftMutationIsCaught)
  */
 TEST(AdaptiveFuzz, CleanCampaignReportsZeroFailures)
 {
-    AdaptiveCampaignOptions options;
+    CampaignOptions options = quietCampaign(CampaignKind::kAdaptive);
     options.cases = 40;
     options.seed = 1;
-    const AdaptiveCampaignReport report =
-        runAdaptiveCampaign(options);
+    const CampaignReport report = runCampaign(options);
     EXPECT_TRUE(report.ok()) << report.summaryText();
     EXPECT_EQ(report.summaryText(),
               "adaptive fuzz: 40 cases, seed 1, 0 failures\n");
@@ -283,12 +296,12 @@ TEST(AdaptiveFuzz, CleanCampaignReportsZeroFailures)
  */
 TEST(AdaptiveFuzz, DegreeRampStuckMutationIsCaughtAndShrinksSmall)
 {
-    const AdaptiveProbe probe =
-        probeAdaptiveMutation(7, 200, Mutation::kDegreeRampStuck);
+    const MutationProbe probe = probeMutation(
+        CampaignKind::kAdaptive, 7, 200, Mutation::kDegreeRampStuck);
     ASSERT_TRUE(probe.found)
         << "degstick survived 200 adaptive fuzz cases undetected";
-    EXPECT_LT(probe.caseIndex, 200u);
-    EXPECT_EQ(probe.diff.check, "adaptive-policy");
+    EXPECT_LT(probe.failure.index, 200u);
+    EXPECT_EQ(probe.failure.diff.check, "adaptive-policy");
     EXPECT_FALSE(probe.shrunk.empty());
     EXPECT_LE(probe.shrunk.size(), 100u)
         << "shrunk degstick reproducer too large";

@@ -84,7 +84,6 @@ failureFor(std::uint64_t cell)
     out.label = rowFor(cell).prefetcher + "/" + rowFor(cell).workload;
     out.variant = ":v" + std::to_string(cell);
     out.seed = rowFor(cell).seed;
-    out.attempts = 1;
     out.kind = "error";
     out.error = "synthetic failure in cell " + std::to_string(cell);
     return out;

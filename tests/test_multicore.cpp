@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/multicore_check.hpp"
+#include "check/campaign.hpp"
 #include "sim/contention.hpp"
 #include "sim/multicore.hpp"
 #include "trace/counters.hpp"
@@ -168,11 +168,12 @@ TEST(MulticoreDeterminism, FuzzPrefixIsClean)
 {
     // A short prefix of the multicore differential campaign must be
     // failure-free (the nightly workflow runs the full campaign).
-    check::MulticoreCampaignOptions options;
+    check::CampaignOptions options;
+    options.kind = check::CampaignKind::kMulticore;
     options.cases = 6;
     options.seed = 1;
-    const check::MulticoreCampaignReport report =
-        check::runMulticoreCampaign(options);
+    options.sweep.progress = false;
+    const check::CampaignReport report = check::runCampaign(options);
     EXPECT_TRUE(report.ok()) << report.summaryText();
 }
 

@@ -1,0 +1,52 @@
+# Usage-error smoke, run as a ctest via `cmake -P`.
+#
+# Each command below is malformed and must exit 1 with an error that
+# names the bad value, before any simulation starts:
+#  - a bench binary given a negative or non-numeric --jobs, or a
+#    non-numeric DOL_JOBS (it must not wrap "-1" to four billion
+#    workers or read "abc" as "all cores");
+#  - a fuzz campaign given a mutation its checker cannot plant (it
+#    must not report "0 failures" for a self-test that never ran).
+#
+# Usage:
+#   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-a-bench-binary>
+#         -P usage_errors.cmake
+
+foreach(required DOLSIM BENCH)
+    if(NOT DEFINED ${required})
+        message(FATAL_ERROR "usage_errors: -D${required}= not set")
+    endif()
+endforeach()
+
+# A bench binary that wrongly accepts a value runs its quick sweep.
+set(ENV{DOL_QUICK} 1)
+
+# expect_usage_error(<expected stderr substring> <command...>)
+function(expect_usage_error expected)
+    execute_process(
+        COMMAND ${ARGN}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET
+        ERROR_VARIABLE err)
+    string(FIND "${err}" "${expected}" at)
+    if(NOT rc EQUAL 1 OR at EQUAL -1)
+        string(JOIN " " command ${ARGN})
+        message(FATAL_ERROR
+                "usage_errors: `${command}` exited ${rc}, want 1 with "
+                "\"${expected}\" on stderr; stderr was:\n${err}")
+    endif()
+endfunction()
+
+expect_usage_error("bad --jobs value: '-1'" "${BENCH}" --jobs -1)
+expect_usage_error("bad --jobs value: 'abc'" "${BENCH}" --jobs abc)
+set(ENV{DOL_JOBS} abc)
+expect_usage_error("bad DOL_JOBS value: 'abc'" "${BENCH}")
+unset(ENV{DOL_JOBS})
+expect_usage_error("--fuzz cannot plant mutation arbdrift"
+                   "${DOLSIM}" --fuzz 5 --fuzz-mutate arbdrift)
+expect_usage_error("--fuzz-multicore cannot plant mutation lru"
+                   "${DOLSIM}" --fuzz-multicore 5 --fuzz-mutate lru)
+expect_usage_error("--fuzz-adaptive cannot plant mutation rebind"
+                   "${DOLSIM}" --fuzz-adaptive 5 --fuzz-mutate rebind)
+
+message(STATUS "usage_errors: every malformed command exited 1")

@@ -21,6 +21,11 @@
  *      command re-run with --resume finishes it, and `--merge` of the
  *      three journals must equal plain `--jobs 1` and `--jobs 4`
  *      runs of the grid
+ *   6. fuzz campaigns on the same executor: 24-case multicore and
+ *      adaptive campaigns at --jobs 4 killed by abort@12 exit 137,
+ *      and their --resume runs print the uninterrupted summary; a
+ *      throw@3 fault in a differential campaign exits 1 with case 3
+ *      and the injected error in the summary
  *
  * "Byte-identical deterministic portion" means every byte up to the
  * documented-nondeterministic "timing" section — schema, config,
@@ -67,9 +72,11 @@ struct RunResult
     int signal = 0;      ///< terminating signal otherwise
 };
 
+/** Run @p exe with stdout and stderr appended to @p log_path, or
+ *  stdout written to @p stdout_path when one is given. */
 pid_t
 spawn(const std::string &exe, const std::vector<std::string> &args,
-      const std::string &log_path)
+      const std::string &log_path, const std::string &stdout_path = "")
 {
     const pid_t pid = fork();
     if (pid != 0)
@@ -80,6 +87,14 @@ spawn(const std::string &exe, const std::vector<std::string> &args,
         dup2(fd, 1);
         dup2(fd, 2);
         close(fd);
+    }
+    if (!stdout_path.empty()) {
+        const int out =
+            open(stdout_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+        if (out >= 0) {
+            dup2(out, 1);
+            close(out);
+        }
     }
     std::vector<char *> argv;
     argv.push_back(const_cast<char *>(exe.c_str()));
@@ -109,9 +124,9 @@ await(pid_t pid)
 
 RunResult
 run(const std::string &exe, const std::vector<std::string> &args,
-    const std::string &log_path)
+    const std::string &log_path, const std::string &stdout_path = "")
 {
-    return await(spawn(exe, args, log_path));
+    return await(spawn(exe, args, log_path, stdout_path));
 }
 
 /** Poll until @p path journals at least @p want completed jobs. */
@@ -311,6 +326,68 @@ checkShards(const std::string &dolsim, const std::string &dir,
     compareAgainstBaseline("shards", reference_prefix, merged);
 }
 
+/**
+ * Scenario 6: fuzz campaigns run as sweep jobs, so a killed campaign
+ * resumes like a killed sweep, and a faulted case is a failure.
+ */
+void
+checkCampaigns(const std::string &dolsim, const std::string &dir,
+               const std::string &log)
+{
+    for (const std::string kind : {"multicore", "adaptive"}) {
+        const std::string tag = "campaign[" + kind + "]";
+        const std::string ckpt = dir + "/" + kind + ".ckpt";
+        const std::string base_txt = dir + "/" + kind + "_base.txt";
+        const std::string out_txt = dir + "/" + kind + "_resumed.txt";
+        const auto campaignArgs = [&](std::vector<std::string> extra) {
+            extra.insert(extra.begin(), {"--fuzz-" + kind, "24", "--jobs",
+                                         "4", "--quiet"});
+            return extra;
+        };
+        std::string baseline;
+        RunResult result = run(dolsim, campaignArgs({}), log, base_txt);
+        if (!result.exited || result.code != 0 ||
+            !readFile(base_txt, baseline) || baseline.empty()) {
+            fail(tag + ": uninterrupted campaign should exit 0");
+            continue;
+        }
+        std::remove(ckpt.c_str());
+        result = run(dolsim,
+                     campaignArgs({"--checkpoint", ckpt, "--fault-plan",
+                                   "abort@12"}),
+                     log, out_txt);
+        if (!result.exited || result.code != 137)
+            fail(tag + ": crashing campaign should exit 137");
+        const auto loaded = dol::runner::CheckpointJournal::load(ckpt);
+        if (!loaded.valid)
+            fail(tag + ": no readable journal after the crash");
+        result = run(dolsim, campaignArgs({"--checkpoint", ckpt, "--resume"}),
+                     log, out_txt);
+        std::string resumed;
+        if (!result.exited || result.code != 0 ||
+            !readFile(out_txt, resumed) || resumed != baseline)
+            fail(tag + ": resumed campaign should print the "
+                       "uninterrupted summary");
+        if (exists(ckpt))
+            fail(tag + ": journal should be removed after a clean "
+                       "completed resume");
+    }
+
+    const std::string out_txt = dir + "/throw.txt";
+    const RunResult result =
+        run(dolsim,
+            {"--fuzz", "8", "--fuzz-seed", "1", "--fault-plan", "throw@3",
+             "--quiet"},
+            log, out_txt);
+    std::string summary;
+    if (!result.exited || result.code != 1 || !readFile(out_txt, summary) ||
+        summary.find("1 failure\n  case 3 (seed ") == std::string::npos ||
+        summary.find("error: injected fault: throw at job 3") ==
+            std::string::npos)
+        fail("campaign[throw@3]: should exit 1 naming case 3 and the "
+             "injected error");
+}
+
 } // namespace
 
 int
@@ -436,6 +513,9 @@ main(int argc, char **argv)
     // 5. Sharded sweep: kill one shard, resume it, merge all three.
     checkShards(dolsim, dir, log);
 
+    // 6. Fuzz campaigns: kill and resume, and a faulted case.
+    checkCampaigns(dolsim, dir, log);
+
     if (g_failures) {
         std::fprintf(stderr,
                      "dol_resume_check: %d scenario check(s) failed "
@@ -443,7 +523,7 @@ main(int argc, char **argv)
                      g_failures, log.c_str());
         return 1;
     }
-    std::printf("dol_resume_check: all kill-and-resume and shard "
-                "scenarios passed\n");
+    std::printf("dol_resume_check: all kill-and-resume, shard and "
+                "campaign scenarios passed\n");
     return 0;
 }

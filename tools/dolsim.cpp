@@ -28,9 +28,7 @@
 
 #include <csignal>
 
-#include "check/adaptive_check.hpp"
 #include "check/campaign.hpp"
-#include "check/multicore_check.hpp"
 #include "common/log.hpp"
 #include "metrics/table.hpp"
 #include "runner/cli.hpp"
@@ -78,8 +76,9 @@ struct Options
 
     // Differential fuzzing (src/check/).
     std::uint64_t fuzz = 0; ///< campaign size; 0 = no campaign
-    std::uint64_t fuzzMulticore = 0; ///< multicore campaign size
-    std::uint64_t fuzzAdaptive = 0; ///< adaptive-coordinator campaign
+    /** --fuzz, --fuzz-adaptive or --fuzz-multicore (the last given). */
+    dol::check::CampaignKind fuzzKind =
+        dol::check::CampaignKind::kDifferential;
     std::uint64_t fuzzSeed = 1;
     std::string fuzzDir = "fuzz-repro";
     std::string fuzzMutate; ///< reference-model mutation (self-test)
@@ -90,9 +89,7 @@ struct Options
     // Fault tolerance (README "Fault tolerance").
     std::string checkpoint; ///< journal completed cells here
     bool resume = false; ///< skip cells the journal records
-    std::uint64_t cellTimeoutMs = 0; ///< per-attempt budget; 0 = none
-    std::uint64_t retries = 0; ///< extra attempts per failing cell
-    std::uint64_t retryBackoffMs = 100;
+    std::uint64_t cellTimeoutMs = 0; ///< per-cell budget; 0 = none
     std::string faultPlanSpec; ///< deterministic fault injection
 
     // Sharded sweeps (README "Sharded sweeps").
@@ -149,12 +146,17 @@ usage()
         "determinism/attribution campaign\n"
         "  --fuzz-adaptive N          run an N-case adaptive-vs-"
         "hardwired differential campaign\n"
+        "                             (campaigns take --jobs, "
+        "--checkpoint/--resume, --fault-plan)\n"
         "  --fuzz-seed S              campaign master seed "
         "(default 1)\n"
         "  --fuzz-dir DIR             shrunk-reproducer directory "
         "(default fuzz-repro)\n"
-        "  --fuzz-mutate NAME         plant a reference-model bug "
-        "(lru|rebind|t2confirm|rebind3|arbdrift|degstick)\n"
+        "  --fuzz-mutate NAME         plant a reference-model bug: "
+        "lru|rebind|t2confirm|rebind3\n"
+        "                             (--fuzz), degstick "
+        "(--fuzz-adaptive), arbdrift\n"
+        "                             (--fuzz-multicore)\n"
         "  --fuzz-replay FILE         re-check a shrunk reproducer "
         "(with --fuzz-case-seed)\n"
         "  --fuzz-case-seed S         case seed from the "
@@ -163,14 +165,9 @@ usage()
         "(crash-safe)\n"
         "  --resume                   skip cells FILE already "
         "journaled\n"
-        "  --cell-timeout MS          per-attempt wall-clock budget "
-        "per cell\n"
-        "  --retries N                re-run failing/timed-out cells "
-        "up to N times\n"
-        "  --retry-backoff-ms MS      first-retry backoff, doubled "
-        "per retry (default 100)\n"
+        "  --cell-timeout MS          wall-clock budget per cell\n"
         "  --fault-plan SPEC          inject faults: "
-        "throw|hang|abort|stop@CELL[:TIMES],...\n"
+        "throw|hang|abort|stop@CELL,...\n"
         "  --shard I/N                run cell range I of N into "
         "--checkpoint FILE\n"
         "                             (the journal is the output; "
@@ -277,24 +274,18 @@ parse(int argc, char **argv)
             options.arbitrations = splitCommas(next());
             if (options.arbitrations.empty())
                 dol::fatal("empty --arbitration list");
-        } else if (arg == "--fuzz") {
+        } else if (arg == "--fuzz" || arg == "--fuzz-adaptive" ||
+                   arg == "--fuzz-multicore") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
                                       options.fuzz)) {
-                dol::fatal("bad --fuzz value: " + value);
+                dol::fatal("bad " + arg + " value: " + value);
             }
-        } else if (arg == "--fuzz-multicore") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.fuzzMulticore)) {
-                dol::fatal("bad --fuzz-multicore value: " + value);
-            }
-        } else if (arg == "--fuzz-adaptive") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 1, UINT64_MAX,
-                                      options.fuzzAdaptive)) {
-                dol::fatal("bad --fuzz-adaptive value: " + value);
-            }
+            using dol::check::CampaignKind;
+            options.fuzzKind = arg == "--fuzz" ? CampaignKind::kDifferential
+                               : arg == "--fuzz-adaptive"
+                                   ? CampaignKind::kAdaptive
+                                   : CampaignKind::kMulticore;
         } else if (arg == "--fuzz-seed") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 0, UINT64_MAX,
@@ -323,18 +314,6 @@ parse(int argc, char **argv)
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
                                       options.cellTimeoutMs)) {
                 dol::fatal("bad --cell-timeout value: " + value);
-            }
-        } else if (arg == "--retries") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 0, 1000,
-                                      options.retries)) {
-                dol::fatal("bad --retries value: " + value);
-            }
-        } else if (arg == "--retry-backoff-ms") {
-            const std::string value = next();
-            if (!parseUnsignedInRange(value, 0, UINT64_MAX,
-                                      options.retryBackoffMs)) {
-                dol::fatal("bad --retry-backoff-ms value: " + value);
             }
         } else if (arg == "--fault-plan") {
             options.faultPlanSpec = next();
@@ -379,8 +358,7 @@ parse(int argc, char **argv)
                    "three define the workload source)");
     }
     const bool grid_only_conflict =
-        options.fuzz || options.fuzzMulticore || options.fuzzAdaptive ||
-        !options.mixes.empty() ||
+        options.fuzz || !options.mixes.empty() ||
         !options.trace.empty() || !options.record.empty() ||
         !options.replay.empty() || !options.fuzzReplay.empty() ||
         !options.traceIn.empty();
@@ -490,6 +468,14 @@ main(int argc, char **argv)
             fatal("--fuzz-replay needs --fuzz-case-seed (see the "
                   "reproducer's .txt sidecar)");
         }
+        if (!check::canPlant(check::CampaignKind::kDifferential,
+                             *mutation)) {
+            fatal("--fuzz-replay cannot plant mutation " +
+                  options.fuzzMutate + " (it plants " +
+                  check::plantableMutations(
+                      check::CampaignKind::kDifferential) +
+                  ")");
+        }
         std::vector<TraceRecord> records;
         std::string error;
         if (!readTraceRecords(options.fuzzReplay, records, &error))
@@ -505,17 +491,38 @@ main(int argc, char **argv)
         return diff.ok ? 0 : 1;
     }
 
+    runner::FaultPlan fault_plan;
+    if (!options.faultPlanSpec.empty()) {
+        std::string error;
+        if (!runner::FaultPlan::parse(options.faultPlanSpec,
+                                      fault_plan, &error))
+            fatal("bad --fault-plan: " + error);
+    }
+    // Execution options shared by sweeps and fuzz campaigns.
+    runner::SweepOptions sweep_options;
+    sweep_options.jobs = options.jobs;
+    sweep_options.progress = !options.quiet;
+    sweep_options.checkpointPath = options.checkpoint;
+    sweep_options.resume = options.resume;
+    sweep_options.cellTimeoutMs =
+        static_cast<double>(options.cellTimeoutMs);
+    // Cells that throw or time out land in the document's
+    // failed_cells section instead of aborting the whole sweep.
+    sweep_options.onError =
+        runner::SweepOptions::OnError::kQuarantine;
+    sweep_options.stopFlag = &runner::signalStopFlag();
+    if (!fault_plan.empty())
+        sweep_options.faultPlan = &fault_plan;
+
     if (options.fuzz > 0) {
         runner::installStopHandlers();
         check::CampaignOptions campaign;
+        campaign.kind = options.fuzzKind;
         campaign.cases = options.fuzz;
         campaign.seed = options.fuzzSeed;
-        campaign.jobs = options.jobs;
-        campaign.reproDir = options.fuzzDir;
         campaign.mutation = *mutation;
-        campaign.checkpointPath = options.checkpoint;
-        campaign.resume = options.resume;
-        campaign.stopFlag = &runner::signalStopFlag();
+        campaign.reproDir = options.fuzzDir;
+        campaign.sweep = sweep_options;
         check::CampaignReport report;
         try {
             report = check::runCampaign(campaign);
@@ -539,33 +546,6 @@ main(int argc, char **argv)
             std::error_code ec;
             std::filesystem::remove(options.checkpoint, ec);
         }
-        return report.ok() ? 0 : 1;
-    }
-
-    if (options.fuzzMulticore > 0) {
-        check::MulticoreCampaignOptions campaign;
-        campaign.cases = options.fuzzMulticore;
-        campaign.seed = options.fuzzSeed;
-        campaign.mutation = *mutation;
-        const check::MulticoreCampaignReport report =
-            check::runMulticoreCampaign(campaign);
-        std::fputs(report.summaryText().c_str(), stdout);
-        return report.ok() ? 0 : 1;
-    }
-
-    if (options.fuzzAdaptive > 0) {
-        if (*mutation != check::Mutation::kNone &&
-            *mutation != check::Mutation::kDegreeRampStuck) {
-            fatal("--fuzz-adaptive self-tests support --fuzz-mutate "
-                  "degstick only");
-        }
-        check::AdaptiveCampaignOptions campaign;
-        campaign.cases = options.fuzzAdaptive;
-        campaign.seed = options.fuzzSeed;
-        campaign.mutation = *mutation;
-        const check::AdaptiveCampaignReport report =
-            check::runAdaptiveCampaign(campaign);
-        std::fputs(report.summaryText().c_str(), stdout);
         return report.ok() ? 0 : 1;
     }
 
@@ -624,31 +604,6 @@ main(int argc, char **argv)
     run_options.collectCounters = options.counters;
 
     runner::installStopHandlers();
-    runner::FaultPlan fault_plan;
-    if (!options.faultPlanSpec.empty()) {
-        std::string error;
-        if (!runner::FaultPlan::parse(options.faultPlanSpec,
-                                      fault_plan, &error))
-            fatal("bad --fault-plan: " + error);
-    }
-
-    runner::SweepOptions sweep_options;
-    sweep_options.jobs = options.jobs;
-    sweep_options.progress = !options.quiet;
-    sweep_options.checkpointPath = options.checkpoint;
-    sweep_options.resume = options.resume;
-    sweep_options.cellTimeoutMs =
-        static_cast<double>(options.cellTimeoutMs);
-    sweep_options.retries = static_cast<unsigned>(options.retries);
-    sweep_options.retryBackoffMs =
-        static_cast<double>(options.retryBackoffMs);
-    // Cells that exhaust their retry budget land in the document's
-    // failed_cells section instead of aborting the whole sweep.
-    sweep_options.onError =
-        runner::SweepOptions::OnError::kQuarantine;
-    sweep_options.stopFlag = &runner::signalStopFlag();
-    if (!fault_plan.empty())
-        sweep_options.faultPlan = &fault_plan;
     runner::SweepRunner sweep(config, sweep_options);
     const std::string variant =
         options.dest.empty() ? "" : ":" + options.dest;
@@ -743,11 +698,8 @@ main(int argc, char **argv)
     }
 
     for (const runner::FailedCell &cell : report.meta.failedCells) {
-        std::fprintf(stderr,
-                     "dolsim: cell %s failed after %u attempt%s "
-                     "(%s): %s\n",
-                     cell.label.c_str(), cell.attempts,
-                     cell.attempts == 1 ? "" : "s", cell.kind.c_str(),
+        std::fprintf(stderr, "dolsim: cell %s failed (%s): %s\n",
+                     cell.label.c_str(), cell.kind.c_str(),
                      cell.error.c_str());
     }
 
