@@ -53,19 +53,17 @@ registerMix(dol::bench::Collector &collector, unsigned mix_index)
     const std::string label = "drop_policy/mix" +
                               std::to_string(mix_index);
     collector.addJob(label, [mix_index](ExperimentRunner &) {
-        const auto mixes = makeMixes(kNumMixes, 4242);
+        const auto mix = makeMixes(kNumMixes, 4242)[mix_index];
+        const auto tpc_mix = makeMixes(kNumMixes, 4242, "TPC")[mix_index];
 
         MulticoreSimulator base(
-            stressedConfig(DropPolicy::kRandomPrefetch),
-            mixes[mix_index], "");
+            stressedConfig(DropPolicy::kRandomPrefetch), mix);
         const MulticoreResult baseline = base.run();
 
         MulticoreSimulator random_policy(
-            stressedConfig(DropPolicy::kRandomPrefetch),
-            mixes[mix_index], "TPC");
+            stressedConfig(DropPolicy::kRandomPrefetch), tpc_mix);
         MulticoreSimulator smart_policy(
-            stressedConfig(DropPolicy::kLowPriorityPrefetch),
-            mixes[mix_index], "TPC");
+            stressedConfig(DropPolicy::kLowPriorityPrefetch), tpc_mix);
 
         Row row;
         row.randomWs = random_policy.run().weightedSpeedup(baseline);

@@ -54,8 +54,8 @@ mixBaseline(unsigned mix_index)
     auto it = cache.find(mix_index);
     if (it == cache.end()) {
         SimConfig config = makeBenchConfig(40000);
-        const auto mixes = makeMixes(kNumMixes, 2018);
-        MulticoreSimulator sim(config, mixes[mix_index], "");
+        MulticoreSimulator sim(config,
+                               makeMixes(kNumMixes, 2018)[mix_index]);
         it = cache.emplace(mix_index, sim.run()).first;
     }
     return it->second;
@@ -77,9 +77,8 @@ registerMix(unsigned mix_index, const std::string &prefetcher,
     collector().addJob(
         label, [mix_index, prefetcher, slot](ExperimentRunner &) {
             SimConfig config = makeBenchConfig(40000);
-            const auto mixes = makeMixes(kNumMixes, 2018);
-            MulticoreSimulator sim(config, mixes[mix_index],
-                                   prefetcher);
+            MulticoreSimulator sim(
+                config, makeMixes(kNumMixes, 2018, prefetcher)[mix_index]);
             const MulticoreResult result = sim.run();
             mixRecords()[slot] = {
                 prefetcher, mix_index,

@@ -13,7 +13,6 @@
 
 #include "metrics/table.hpp"
 #include "sim/multicore.hpp"
-#include "workloads/suite.hpp"
 
 int
 main(int argc, char **argv)
@@ -27,27 +26,26 @@ main(int argc, char **argv)
     SimConfig config;
     config.maxInstrs = 60000;
 
-    const auto mixes = makeMixes(1, seed);
-    const auto &mix = mixes[0];
+    const auto mix = makeMixes(1, seed)[0];
 
     std::printf("4-core mix (seed %lu):\n",
                 static_cast<unsigned long>(seed));
     for (std::size_t core = 0; core < mix.size(); ++core)
-        std::printf("  core %zu: %s\n", core, mix[core].name.c_str());
+        std::printf("  core %zu: %s\n", core, mix[core].workload.c_str());
 
     std::printf("\nrunning baseline (no prefetching)...\n");
-    MulticoreSimulator baseline_sim(config, mix, "");
+    MulticoreSimulator baseline_sim(config, mix);
     const MulticoreResult baseline = baseline_sim.run();
 
     std::printf("running with %s...\n\n", prefetcher.c_str());
-    MulticoreSimulator pf_sim(config, mix, prefetcher);
+    MulticoreSimulator pf_sim(config, makeMixes(1, seed, prefetcher)[0]);
     const MulticoreResult result = pf_sim.run();
 
     TextTable table({"core", "workload", "baseline IPC",
                      "IPC with pf", "ratio"});
     for (std::size_t core = 0; core < mix.size(); ++core) {
         table.addRow({"core " + std::to_string(core),
-                      mix[core].name,
+                      mix[core].workload,
                       fmt("%.3f", baseline.ipc[core]),
                       fmt("%.3f", result.ipc[core]),
                       fmt("%.3f",

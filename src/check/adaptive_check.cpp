@@ -1,16 +1,8 @@
 #include "check/adaptive_check.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
-#include <sstream>
 
 #include "check/reference_adaptive.hpp"
-#include "core/composite.hpp"
-#include "mem/memory_image.hpp"
-#include "prefetch/next_line.hpp"
-#include "sim/simulator.hpp"
-#include "trace/counters.hpp"
 #include "workloads/trace_ingest.hpp"
 
 namespace dol::check
@@ -18,97 +10,6 @@ namespace dol::check
 
 namespace
 {
-
-std::string
-hex(std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
-/** First differing line of two counter-registry texts. */
-std::string
-firstDivergence(const std::string &a, const std::string &b)
-{
-    std::istringstream sa(a);
-    std::istringstream sb(b);
-    std::string la;
-    std::string lb;
-    while (true) {
-        const bool ga = static_cast<bool>(std::getline(sa, la));
-        const bool gb = static_cast<bool>(std::getline(sb, lb));
-        if (!ga && !gb)
-            return "texts equal";
-        if (ga != gb)
-            return "line counts differ";
-        if (la != lb)
-            return "first '" + la + "' second '" + lb + "'";
-    }
-}
-
-/**
- * One full simulator run over the fuzz trace, hardwired or adaptive.
- * Mirrors the main differential harness: the MemoryImage is rebuilt
- * from the trace's (addr, value) pairs so P1's chases read what the
- * trace loads returned, and the composite is configured straight from
- * the case's FuzzParams.
- */
-struct AdaptiveHarness
-{
-    AdaptiveHarness(const std::vector<TraceRecord> &records,
-                    const FuzzParams &params, bool adaptive,
-                    const AdaptiveParams &adapt)
-        : kernel(image, records)
-    {
-        for (const TraceRecord &record : records) {
-            const Instr instr = record.unpack();
-            if (instr.isMem())
-                image.write64(instr.addr, instr.value);
-        }
-
-        CompositePrefetcher::Config cfg;
-        cfg.t2 = params.t2;
-        cfg.enableP1 = params.enableP1;
-        cfg.enableC1 = params.enableC1;
-        cfg.adaptive = adaptive;
-        cfg.adapt = adapt;
-        tpc = std::make_unique<CompositePrefetcher>(&image, cfg);
-        tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-            params.extraDegree1));
-        tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-            params.extraDegree2));
-        if (params.numExtras >= 3) {
-            tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-                params.extraDegree3));
-        }
-
-        SimConfig sim_config;
-        sim_config.maxInstrs = records.size();
-        sim = std::make_unique<Simulator>(sim_config, kernel,
-                                          tpc.get());
-        if (adaptive) {
-            MemorySystem &mem = sim->mem();
-            tpc->setPressureProbe([&mem] {
-                return mem.shared().dram().stats().windowDeferrals;
-            });
-        }
-    }
-
-    std::string
-    countersText()
-    {
-        CounterRegistry registry;
-        sim->exportCounters(registry);
-        return registry.toText();
-    }
-
-    MemoryImage image;
-    RecordKernel kernel;
-    std::unique_ptr<CompositePrefetcher> tpc;
-    std::unique_ptr<Simulator> sim;
-};
 
 /** The demand-stream fields adaptation must never perturb. Timing and
  *  hit bits legitimately differ (different prefetches land in the
@@ -137,7 +38,7 @@ runDemandStream(const std::vector<TraceRecord> &records,
                 std::vector<AdaptiveWindowRecord> *log,
                 std::string *counters_out)
 {
-    AdaptiveHarness harness(records, params, adaptive, adapt);
+    FuzzHarness harness(records, params, adaptive, adapt);
     if (log)
         harness.tpc->setAdaptiveDecisionLog(log);
     std::vector<DemandRecord> stream;
@@ -349,14 +250,12 @@ checkAdaptiveTrace(const std::vector<TraceRecord> &records,
         }
     }
     {
-        MemoryImage image_a;
-        MemoryImage image_b;
         TraceIngestStats stats_a;
         TraceIngestStats stats_b;
         const std::vector<Instr> expand_a =
-            expandChampSimTrace(encoded, image_a, &stats_a);
+            expandChampSimTrace(encoded, &stats_a);
         const std::vector<Instr> expand_b =
-            expandChampSimTrace(encoded, image_b, &stats_b);
+            expandChampSimTrace(encoded, &stats_b);
         bool same = expand_a.size() == expand_b.size() &&
                     stats_a.loads == stats_b.loads &&
                     stats_a.stores == stats_b.stores;

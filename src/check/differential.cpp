@@ -1,22 +1,16 @@
 #include "check/differential.hpp"
 
 #include <cstdio>
-#include <memory>
+#include <sstream>
 
 #include "check/reference_cache.hpp"
 #include "check/reference_coordinator.hpp"
 #include "check/reference_t2.hpp"
 #include "common/rng.hpp"
-#include "core/composite.hpp"
-#include "mem/memory_image.hpp"
 #include "prefetch/next_line.hpp"
-#include "sim/simulator.hpp"
 #include "trace/counters.hpp"
 
 namespace dol::check
-{
-
-namespace
 {
 
 std::string
@@ -27,6 +21,68 @@ hex(std::uint64_t value)
                   static_cast<unsigned long long>(value));
     return buf;
 }
+
+std::string
+firstDivergence(const std::string &a, const std::string &b)
+{
+    std::istringstream sa(a);
+    std::istringstream sb(b);
+    std::string la;
+    std::string lb;
+    while (true) {
+        const bool ga = static_cast<bool>(std::getline(sa, la));
+        const bool gb = static_cast<bool>(std::getline(sb, lb));
+        if (!ga && !gb)
+            return "texts equal";
+        if (ga != gb)
+            return "line counts differ";
+        if (la != lb)
+            return "first '" + la + "' second '" + lb + "'";
+    }
+}
+
+FuzzHarness::FuzzHarness(const std::vector<TraceRecord> &records,
+                         const FuzzParams &params, bool adaptive,
+                         const AdaptiveParams &adapt)
+    : kernel(image, "fuzz", unpackTraceRecords(records), /*loop=*/false)
+{
+    CompositePrefetcher::Config cfg;
+    cfg.t2 = params.t2;
+    cfg.enableP1 = params.enableP1;
+    cfg.enableC1 = params.enableC1;
+    cfg.adaptive = adaptive;
+    cfg.adapt = adapt;
+    tpc = std::make_unique<CompositePrefetcher>(&image, cfg);
+    tpc->addComponent(
+        std::make_unique<NextLinePrefetcher>(params.extraDegree1));
+    tpc->addComponent(
+        std::make_unique<NextLinePrefetcher>(params.extraDegree2));
+    if (params.numExtras >= 3) {
+        tpc->addComponent(
+            std::make_unique<NextLinePrefetcher>(params.extraDegree3));
+    }
+
+    SimConfig sim_config;
+    sim_config.maxInstrs = records.size();
+    sim = std::make_unique<Simulator>(sim_config, kernel, tpc.get());
+    if (adaptive) {
+        MemorySystem &mem = sim->mem();
+        tpc->setPressureProbe([&mem] {
+            return mem.shared().dram().stats().windowDeferrals;
+        });
+    }
+}
+
+std::string
+FuzzHarness::countersText() const
+{
+    CounterRegistry registry;
+    sim->exportCounters(registry);
+    return registry.toText();
+}
+
+namespace
+{
 
 const char *
 ownerName(CompositePrefetcher::Owner owner)
@@ -186,57 +242,6 @@ runCacheDifferential(const std::vector<TraceRecord> &records,
     return result;
 }
 
-/** The production half of the simulator-coupled check. */
-struct SimHarness
-{
-    SimHarness(const std::vector<TraceRecord> &records,
-               const FuzzParams &params)
-        : kernel(image, records)
-    {
-        // Replaying every (addr, value) pair reconstructs the heap the
-        // generator intended: the fuzz domain guarantees one value per
-        // pointer-bearing address, so P1's chases read what the trace
-        // loads returned.
-        for (const TraceRecord &record : records) {
-            const Instr instr = record.unpack();
-            if (instr.isMem())
-                image.write64(instr.addr, instr.value);
-        }
-
-        CompositePrefetcher::Config cfg;
-        cfg.t2 = params.t2;
-        cfg.enableP1 = params.enableP1;
-        cfg.enableC1 = params.enableC1;
-        tpc = std::make_unique<CompositePrefetcher>(&image, cfg);
-        tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-            params.extraDegree1));
-        tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-            params.extraDegree2));
-        if (params.numExtras >= 3) {
-            tpc->addComponent(std::make_unique<NextLinePrefetcher>(
-                params.extraDegree3));
-        }
-
-        SimConfig sim_config;
-        sim_config.maxInstrs = records.size();
-        sim = std::make_unique<Simulator>(sim_config, kernel,
-                                          tpc.get());
-    }
-
-    std::string
-    countersText()
-    {
-        CounterRegistry registry;
-        sim->exportCounters(registry);
-        return registry.toText();
-    }
-
-    MemoryImage image;
-    RecordKernel kernel;
-    std::unique_ptr<CompositePrefetcher> tpc;
-    std::unique_ptr<Simulator> sim;
-};
-
 /**
  * Check 2: full pipeline vs. ReferenceT2 + ReferenceCoordinator in
  * per-access lockstep. On success @p counters_out receives the
@@ -248,7 +253,7 @@ runSimDifferential(const std::vector<TraceRecord> &records,
                    std::string *counters_out)
 {
     DiffResult result;
-    SimHarness harness(records, config.params);
+    FuzzHarness harness(records, config.params);
     CompositePrefetcher &tpc = *harness.tpc;
 
     const ComponentId t2_id = tpc.t2()->id();

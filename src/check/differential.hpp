@@ -26,20 +26,55 @@
  *
  * The first divergence stops the case and is reported with its access
  * index, which is what the shrinker minimises against.
+ *
+ * FuzzHarness is the production side of every trace check, this one
+ * and the adaptive checks of adaptive_check.hpp alike.
  */
 
 #ifndef DOL_CHECK_DIFFERENTIAL_HPP
 #define DOL_CHECK_DIFFERENTIAL_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/fuzz_workload.hpp"
 #include "check/mutation.hpp"
+#include "core/composite.hpp"
+#include "sim/simulator.hpp"
 
 namespace dol::check
 {
+
+/**
+ * One production run over a fuzz trace: a non-looping ReplayKernel
+ * over the records, whose first-touch heap is the heap P1 chases (the
+ * fuzz domain gives each address one value), and the case's composite
+ * (T2/P1/C1 plus two or three next-line extras), hardwired or, with
+ * @p adaptive, under the adaptive coordinator with @p adapt and DRAM
+ * window deferrals as its pressure signal.
+ */
+struct FuzzHarness
+{
+    FuzzHarness(const std::vector<TraceRecord> &records,
+                const FuzzParams &params, bool adaptive = false,
+                const AdaptiveParams &adapt = {});
+
+    /** The end-of-run counter registry as text. */
+    std::string countersText() const;
+
+    MemoryImage image;
+    ReplayKernel kernel;
+    std::unique_ptr<CompositePrefetcher> tpc;
+    std::unique_ptr<Simulator> sim;
+};
+
+/** "0x..." rendering of an address or PC in diff messages. */
+std::string hex(std::uint64_t value);
+
+/** First differing line of two counter-registry texts. */
+std::string firstDivergence(const std::string &a, const std::string &b);
 
 struct DiffResult
 {

@@ -1,5 +1,7 @@
 #include "check/fuzz_workload.hpp"
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace dol::check
@@ -156,10 +158,16 @@ makeFuzzTrace(std::uint64_t case_seed, const FuzzParams &params)
         slot.chainDelta =
             static_cast<std::int64_t>(rng.below(3)) * 8;
         const std::uint64_t nodes = rng.range(8, 24);
-        for (std::uint64_t i = 0; i < nodes; ++i) {
-            slot.nodes.push_back(0x40000000 +
-                                 rng.below(1u << 16) * kLineBytes +
-                                 rng.below(8) * 8);
+        while (slot.nodes.size() < nodes) {
+            // A node drawn twice would load two different successors;
+            // redraw it, so each address keeps one value.
+            const Addr node = 0x40000000 +
+                              rng.below(1u << 16) * kLineBytes +
+                              rng.below(8) * 8;
+            if (std::find(slot.nodes.begin(), slot.nodes.end(), node) ==
+                slot.nodes.end()) {
+                slot.nodes.push_back(node);
+            }
         }
         for (std::uint64_t i = 0; i < nodes; ++i) {
             // Node i's loaded value leads to node i+1 (wrapping), so

@@ -17,9 +17,11 @@
  *    idle, distance is always the default;
  *  - at most ~16 distinct memory PCs: far below the SIT / I-cache
  *    state-table capacities, so production never evicts;
- *  - one value per chase/pointer address: replaying a trace's
- *    (addr, value) pairs into a MemoryImage reconstructs the exact
- *    heap P1 chases, so shrunk reproducers replay bit-identically.
+ *  - one value per address (a chase never revisits a node with a
+ *    different successor): the first-touch heap a ReplayKernel
+ *    rebuilds from the records is the exact heap P1 chases, for the
+ *    whole trace and for any subset the shrinker keeps, so shrunk
+ *    reproducers replay bit-identically.
  */
 
 #ifndef DOL_CHECK_FUZZ_WORKLOAD_HPP
@@ -65,30 +67,6 @@ FuzzParams makeFuzzParams(std::uint64_t case_seed);
 
 std::vector<TraceRecord> makeFuzzTrace(std::uint64_t case_seed,
                                        const FuzzParams &params);
-
-/** A Kernel replaying an in-memory record vector (non-looping). */
-class RecordKernel : public Kernel
-{
-  public:
-    RecordKernel(MemoryImage &memory,
-                 const std::vector<TraceRecord> &records)
-        : Kernel("fuzz", memory), _records(&records)
-    {}
-
-  protected:
-    bool
-    generate() override
-    {
-        if (_position >= _records->size())
-            return false;
-        push((*_records)[_position++].unpack());
-        return true;
-    }
-
-  private:
-    const std::vector<TraceRecord> *_records;
-    std::size_t _position = 0;
-};
 
 } // namespace dol::check
 

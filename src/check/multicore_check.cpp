@@ -87,21 +87,6 @@ runOnce(const CaseSetup &setup, const SimConfig &config)
     return run;
 }
 
-/** First line where two counter texts diverge, for the diff message. */
-std::string
-firstDivergence(const std::string &a, const std::string &b)
-{
-    std::size_t line = 1;
-    std::size_t i = 0;
-    const std::size_t n = std::min(a.size(), b.size());
-    while (i < n && a[i] == b[i]) {
-        if (a[i] == '\n')
-            ++line;
-        ++i;
-    }
-    return "first divergence at counter line " + std::to_string(line);
-}
-
 } // namespace
 
 DiffResult

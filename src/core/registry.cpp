@@ -5,13 +5,10 @@
 #include "prefetch/bop.hpp"
 #include "prefetch/fdp.hpp"
 #include "prefetch/ghb_pcdc.hpp"
-#include "prefetch/isb.hpp"
-#include "prefetch/markov.hpp"
 #include "prefetch/next_line.hpp"
 #include "prefetch/pchase.hpp"
 #include "prefetch/sms.hpp"
 #include "prefetch/spp.hpp"
-#include "prefetch/stride_pc.hpp"
 #include "prefetch/triangel.hpp"
 #include "prefetch/vldp.hpp"
 
@@ -59,14 +56,8 @@ makeMonolithic(const std::string &name, const ValueSource *memory)
         return std::make_unique<SmsPrefetcher>();
     if (name == "AMPM")
         return std::make_unique<AmpmPrefetcher>();
-    if (name == "Markov")
-        return std::make_unique<MarkovPrefetcher>();
-    if (name == "ISB")
-        return std::make_unique<IsbPrefetcher>();
     if (name == "NextLine")
         return std::make_unique<NextLinePrefetcher>();
-    if (name == "StridePC")
-        return std::make_unique<StridePcPrefetcher>();
     if (name == "Triangel")
         return std::make_unique<TriangelPrefetcher>();
     if (name == "PChase")

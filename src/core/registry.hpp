@@ -4,7 +4,7 @@
  *
  * Names:
  *  - monolithic baselines: "GHB-PC/DC", "SPP", "VLDP", "BOP", "FDP",
- *    "SMS", "AMPM" (Table II set) plus "NextLine" and "StridePC"
+ *    "SMS", "AMPM" (Table II set) plus "NextLine"
  *  - components / composites: "T2", "T2P1" (T2+P1), "TPC"
  *  - composited extras: "TPC+<baseline>[+<baseline>...]"
  *    (coordinated, section IV-E; '+'-separated extras are bound

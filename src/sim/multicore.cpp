@@ -4,6 +4,7 @@
 
 #include "core/registry.hpp"
 #include "trace/counters.hpp"
+#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -52,36 +53,6 @@ MulticoreSimulator::MulticoreSimulator(
 {
     for (const CoreSpec &spec : specs)
         addCore(spec);
-}
-
-MulticoreSimulator::MulticoreSimulator(
-    const SimConfig &config, const std::vector<WorkloadSpec> &mix,
-    const std::string &prefetcher_name)
-    : _config(config),
-      _shared(std::make_shared<SharedMemory>(
-          config.mem, static_cast<unsigned>(mix.size())))
-{
-    // Homogeneous form: resolve the factories directly (the specs may
-    // come from makeMixes rather than the name registry).
-    for (const WorkloadSpec &spec : mix) {
-        auto image = std::make_unique<MemoryImage>();
-        auto kernel = spec.factory(*image);
-
-        Prefetcher *prefetcher = nullptr;
-        if (!prefetcher_name.empty()) {
-            _prefetchers.push_back(
-                makePrefetcher(prefetcher_name, image.get()));
-            prefetcher = _prefetchers.back().get();
-        }
-
-        _cores.push_back(std::make_unique<Simulator>(
-            _config, *kernel, prefetcher, _shared));
-        _cores.back()->mem().setCoreId(
-            static_cast<unsigned>(_cores.size() - 1));
-        _budgets.push_back(_config.maxInstrs);
-        _images.push_back(std::move(image));
-        _kernels.push_back(std::move(kernel));
-    }
 }
 
 void

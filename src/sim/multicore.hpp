@@ -5,9 +5,10 @@
  * interleaved in simulated-time order so they contend for the shared
  * levels realistically.
  *
- * Cores are heterogeneous: each CoreSpec names its own workload,
+ * Every core is built from a CoreSpec naming its own workload,
  * prefetcher and instruction budget, so a mix can pit an enlarged
- * composite against a bare pointer-chase prefetcher. Shared-resource
+ * composite against a bare pointer-chase prefetcher, and a
+ * homogeneous mix is one whose specs share a prefetcher. Shared-resource
  * attribution (per-core DRAM lines, L3 insertions, evictions of
  * other cores' lines) and the fairness metrics built on solo
  * baselines live here too.
@@ -22,7 +23,6 @@
 
 #include "sim/simulator.hpp"
 #include "workloads/contention.hpp"
-#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -91,21 +91,12 @@ class MulticoreSimulator
 {
   public:
     /**
-     * Heterogeneous mix: one CoreSpec per core, each naming its own
-     * workload, prefetcher, and optional instruction budget.
+     * One CoreSpec per core, each naming its own workload, prefetcher
+     * and optional instruction budget (the named mixes of
+     * contentionMixes() and the seeded ones of makeMixes()).
      */
     MulticoreSimulator(const SimConfig &config,
                        const std::vector<CoreSpec> &specs);
-
-    /**
-     * Homogeneous legacy form: one workload per core, every core
-     * running the same prefetcher configuration.
-     *
-     * @param prefetcher_name registry name; empty = no prefetching
-     */
-    MulticoreSimulator(const SimConfig &config,
-                       const std::vector<WorkloadSpec> &mix,
-                       const std::string &prefetcher_name);
 
     /** Run every core to its instruction budget. */
     MulticoreResult run();

@@ -1,6 +1,8 @@
 #include "workloads/contention.hpp"
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
+#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -62,6 +64,22 @@ mixPrefetcherLabel(const ContentionMix &mix)
         label += core.prefetcher.empty() ? "none" : core.prefetcher;
     }
     return label;
+}
+
+std::vector<std::vector<CoreSpec>>
+makeMixes(unsigned count, std::uint64_t seed,
+          const std::string &prefetcher)
+{
+    const auto &pool = allWorkloads();
+    Rng rng(seed);
+    std::vector<std::vector<CoreSpec>> mixes;
+    for (unsigned m = 0; m < count; ++m) {
+        std::vector<CoreSpec> mix;
+        for (unsigned c = 0; c < 4; ++c)
+            mix.push_back({pool[rng.below(pool.size())].name, prefetcher});
+        mixes.push_back(std::move(mix));
+    }
+    return mixes;
 }
 
 } // namespace dol

@@ -9,7 +9,8 @@
  * recurring experiment shapes — a streamer starving a pointer chase,
  * four temporal co-runners fighting for bandwidth, a prefetch storm
  * next to a quiet ALU core — so sweeps, tests and benches reference
- * one canonical definition.
+ * one canonical definition. Seeded random mixes (makeMixes) build
+ * the same CoreSpec lists for the paper's 4-core experiments.
  */
 
 #ifndef DOL_WORKLOADS_CONTENTION_HPP
@@ -49,6 +50,15 @@ const ContentionMix &findContentionMix(const std::string &name);
 
 /** "core0|core1|..." label of the per-core prefetcher names. */
 std::string mixPrefetcherLabel(const ContentionMix &mix);
+
+/**
+ * Seeded random 4-core mixes drawn from allWorkloads() (the paper's
+ * multiprogrammed experiments), every core running @p prefetcher.
+ * A seed draws the same workloads whatever the prefetcher.
+ */
+std::vector<std::vector<CoreSpec>>
+makeMixes(unsigned count, std::uint64_t seed,
+          const std::string &prefetcher = "");
 
 } // namespace dol
 

@@ -13,6 +13,11 @@
  * fresh MemoryImages emit identical streams. The baseline pass that
  * feeds the offline stratifier and every measured run of a workload
  * each build their own kernel and rely on that.
+ *
+ * ReplayKernel is the one kernel for recorded streams. DOLINS01 files
+ * (trace_file.hpp), ChampSim traces (trace_ingest.hpp) and fuzz
+ * records (check/fuzz_workload.hpp) are decoders that produce its
+ * std::vector<Instr>; it rebuilds the heap from the stream itself.
  */
 
 #ifndef DOL_WORKLOADS_KERNEL_HPP
@@ -20,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/ring_buffer.hpp"
 #include "cpu/instr.hpp"
@@ -93,6 +99,37 @@ class Kernel
     std::string _name;
     MemoryImage *_memory;
     RingBuffer<Instr> _queue;
+};
+
+/**
+ * A Kernel that replays a decoded instruction stream.
+ *
+ * The constructor rebuilds the heap: each address the stream touches
+ * gets its first-touch value, the value of its first load or store in
+ * stream order, so P1's and PChase's fill-time reads see what the
+ * recorded loads returned before any later store.
+ */
+class ReplayKernel : public Kernel
+{
+  public:
+    /**
+     * @param loop replay from the start when the stream runs out
+     *             (keeps instruction budgets independent of trace
+     *             length); without it the kernel exhausts after one
+     *             pass
+     */
+    ReplayKernel(MemoryImage &memory, std::string name,
+                 std::vector<Instr> instrs, bool loop = true);
+
+    std::size_t instrCount() const { return _instrs.size(); }
+
+  protected:
+    bool generate() override;
+
+  private:
+    std::vector<Instr> _instrs;
+    std::size_t _position = 0;
+    bool _loop;
 };
 
 } // namespace dol

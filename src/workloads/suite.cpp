@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "workloads/irregular_kernels.hpp"
 #include "workloads/mixed_kernels.hpp"
 #include "workloads/pointer_kernels.hpp"
@@ -457,17 +456,25 @@ traceSuite()
         }
         std::sort(paths.begin(), paths.end());
 
-        for (const std::string &path : paths) {
-            out.push_back(
-                {"trace:" + champSimTraceStem(path), "trace",
-                 [path](MemoryImage &mem) {
-                     return std::make_unique<TraceIngestKernel>(mem,
-                                                                path);
-                 }});
-        }
+        for (const std::string &path : paths)
+            out.push_back(champSimWorkload(path));
         return out;
     }();
     return suite;
+}
+
+WorkloadSpec
+champSimWorkload(const std::string &path)
+{
+    const std::string name = "trace:" + champSimTraceStem(path);
+    return {name, "trace", [path, name](MemoryImage &memory) {
+                std::vector<ChampSimInstr> records;
+                std::string error;
+                if (!readChampSimTrace(path, records, &error))
+                    fatal(error);
+                return std::make_unique<ReplayKernel>(
+                    memory, name, expandChampSimTrace(records));
+            }};
 }
 
 const WorkloadSpec &
@@ -482,21 +489,6 @@ findWorkload(const std::string &name)
             return spec;
     }
     fatal("unknown workload: " + name);
-}
-
-std::vector<std::vector<WorkloadSpec>>
-makeMixes(unsigned count, std::uint64_t seed)
-{
-    const auto &pool = allWorkloads();
-    Rng rng(seed);
-    std::vector<std::vector<WorkloadSpec>> mixes;
-    for (unsigned m = 0; m < count; ++m) {
-        std::vector<WorkloadSpec> mix;
-        for (unsigned c = 0; c < 4; ++c)
-            mix.push_back(pool[rng.below(pool.size())]);
-        mixes.push_back(std::move(mix));
-    }
-    return mixes;
 }
 
 const std::vector<WorkloadSpec> &

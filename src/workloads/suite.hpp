@@ -51,7 +51,7 @@ const std::vector<WorkloadSpec> &temporalSuite();
 const std::vector<WorkloadSpec> &allWorkloads();
 
 /**
- * ChampSim trace workloads (`--suite trace`): one `trace:<stem>` spec
+ * ChampSim trace workloads (`--suite trace`): one champSimWorkload
  * per `*.champsim` / `*.champsim.xz` file in $DOL_TRACE_DIR (default
  * `tests/traces`), sorted by filename. Empty when the directory does
  * not exist. Deliberately NOT folded into allWorkloads(): the set
@@ -60,16 +60,16 @@ const std::vector<WorkloadSpec> &allWorkloads();
  */
 const std::vector<WorkloadSpec> &traceSuite();
 
+/**
+ * The `trace:<stem>` workload of the ChampSim trace at @p path: each
+ * kernel decodes the file into a looping ReplayKernel (fatal on a
+ * malformed trace).
+ */
+WorkloadSpec champSimWorkload(const std::string &path);
+
 /** Find a workload by name, searching the synthetic suites then the
  *  trace suite (fatal on unknown). */
 const WorkloadSpec &findWorkload(const std::string &name);
-
-/**
- * Seeded random 4-workload mixes drawn from all suites (the paper's
- * 4-core multiprogrammed experiments).
- */
-std::vector<std::vector<WorkloadSpec>>
-makeMixes(unsigned count, std::uint64_t seed = 42);
 
 /** A reduced workload list for smoke tests and quick runs. */
 const std::vector<WorkloadSpec> &quickSuite();

@@ -129,6 +129,10 @@ readTraceRecords(const std::string &path, std::vector<TraceRecord> &out,
         }
         return fail("not a dol instruction trace (DOLINS01): " + path);
     }
+    if (header.instructionCount == 0) {
+        std::fclose(file);
+        return fail("empty trace: " + path);
+    }
     // Check the count against the file before allocating for it.
     if (header.instructionCount >
         (size - sizeof header) / sizeof(TraceRecord)) {
@@ -146,25 +150,24 @@ readTraceRecords(const std::string &path, std::vector<TraceRecord> &out,
     return true;
 }
 
-TraceKernel::TraceKernel(MemoryImage &memory, const std::string &path,
-                         bool loop)
-    : Kernel("trace:" + path, memory), _loop(loop)
+std::vector<Instr>
+unpackTraceRecords(const std::vector<TraceRecord> &records)
 {
-    std::string error;
-    if (!readTraceRecords(path, _records, &error))
-        fatal(error);
+    std::vector<Instr> instrs;
+    instrs.reserve(records.size());
+    for (const TraceRecord &record : records)
+        instrs.push_back(record.unpack());
+    return instrs;
 }
 
-bool
-TraceKernel::generate()
+std::vector<Instr>
+readInstrTrace(const std::string &path)
 {
-    if (_position >= _records.size()) {
-        if (!_loop || _records.empty())
-            return false;
-        _position = 0;
-    }
-    push(_records[_position++].unpack());
-    return true;
+    std::vector<TraceRecord> records;
+    std::string error;
+    if (!readTraceRecords(path, records, &error))
+        fatal(error);
+    return unpackTraceRecords(records);
 }
 
 } // namespace dol

@@ -3,10 +3,16 @@
  * Binary instruction-trace record/replay (the DOLINS01 format).
  *
  * Any kernel's instruction stream can be recorded to a compact binary
- * file and replayed later as a Kernel — useful for sharing workloads,
- * pinning down regressions, and feeding externally captured traces
- * into the simulator (the record layout carries everything the paper's
- * mechanisms need: PCs, registers, values, and branch structure).
+ * file and replayed later through a ReplayKernel — useful for sharing
+ * workloads, pinning down regressions, and feeding externally captured
+ * traces into the simulator (the record layout carries everything the
+ * paper's mechanisms need: PCs, registers, values, and branch
+ * structure). The file holds no heap: the ReplayKernel rebuilds it
+ * from first-touch values, so a replay matches the recorded kernel's
+ * run only if the recording touched every address the run's
+ * prefetchers dereference. Record at least twice the replay budget;
+ * a kernel that relinks its heap as it runs (shuflist.syn) can still
+ * drift on long runs.
  *
  * Layout: the 8-byte magic "DOLINS01", a u64 instruction count, then
  * that many 40-byte TraceRecords, in host byte order. The event
@@ -71,35 +77,20 @@ bool writeTraceRecords(const std::string &path,
  * Read every record of a DOLINS01 trace file.
  * @return false (with @p error set) on I/O or format problems: a
  *         missing file, another format's magic (an event trace is
- *         named as such), or fewer records than the header claims.
+ *         named as such), no records at all, or fewer records than
+ *         the header claims.
  */
 bool readTraceRecords(const std::string &path,
                       std::vector<TraceRecord> &out,
                       std::string *error = nullptr);
 
-/** A Kernel that replays a recorded trace (looping at the end). */
-class TraceKernel : public Kernel
-{
-  public:
-    /**
-     * Loads the whole trace; fatal() on any readTraceRecords error.
-     * @param loop replay from the start when the trace runs out
-     *             (keeps instruction budgets independent of trace
-     *             length)
-     */
-    TraceKernel(MemoryImage &memory, const std::string &path,
-                bool loop = true);
+/** Unpack @p records into the stream a ReplayKernel replays. */
+std::vector<Instr>
+unpackTraceRecords(const std::vector<TraceRecord> &records);
 
-    std::uint64_t traceLength() const { return _records.size(); }
-
-  protected:
-    bool generate() override;
-
-  private:
-    std::vector<TraceRecord> _records;
-    std::size_t _position = 0;
-    bool _loop;
-};
+/** Decode the DOLINS01 file at @p path for a ReplayKernel (`--replay`);
+ *  fatal() on any readTraceRecords error. */
+std::vector<Instr> readInstrTrace(const std::string &path);
 
 } // namespace dol
 

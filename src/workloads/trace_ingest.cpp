@@ -1,12 +1,9 @@
 #include "workloads/trace_ingest.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
-
-#include "common/log.hpp"
 
 namespace dol
 {
@@ -211,31 +208,16 @@ writeChampSimTrace(const std::string &path,
 
 std::vector<Instr>
 expandChampSimTrace(const std::vector<ChampSimInstr> &records,
-                    MemoryImage &image, TraceIngestStats *stats)
+                    TraceIngestStats *stats)
 {
     TraceIngestStats local;
     std::vector<Instr> instrs;
     instrs.reserve(records.size() * 2);
 
-    // The deterministic heap model: current value per 8-byte slot,
-    // plus the first value each slot ever held (baked into the image
-    // below so fill-time pointer reads match trace load values).
+    // The deterministic heap model: current value per 8-byte slot.
     std::unordered_map<Addr, std::uint64_t> heap;
-    std::unordered_map<Addr, std::uint64_t> first_touch;
-
     const auto read_heap = [&](Addr addr) {
-        auto [it, inserted] = heap.try_emplace(addr, 0);
-        if (inserted) {
-            it->second = mix64(addr);
-            first_touch.emplace(addr, it->second);
-        }
-        return it->second;
-    };
-    const auto write_heap = [&](Addr addr, std::uint64_t value) {
-        const auto [it, inserted] = heap.insert_or_assign(addr, value);
-        (void)it;
-        if (inserted)
-            first_touch.emplace(addr, value);
+        return heap.try_emplace(addr, mix64(addr)).first->second;
     };
 
     for (std::size_t i = 0; i < records.size(); ++i) {
@@ -273,7 +255,7 @@ expandChampSimTrace(const std::vector<ChampSimInstr> &records,
                 continue;
             const std::uint64_t value =
                 mix64(record.ip ^ mix64(addr ^ i));
-            write_heap(addr, value);
+            heap.insert_or_assign(addr, value);
             instrs.push_back(
                 makeStore(record.ip, addr, value, data, base));
             ++local.stores;
@@ -297,52 +279,10 @@ expandChampSimTrace(const std::vector<ChampSimInstr> &records,
         }
     }
 
-    for (const auto &[addr, value] : first_touch)
-        image.write64(addr, value);
-
     local.instrs = instrs.size();
     if (stats)
         *stats = local;
     return instrs;
-}
-
-TraceIngestKernel::TraceIngestKernel(MemoryImage &memory,
-                                     const std::string &path, bool loop)
-    : Kernel("trace:" + champSimTraceStem(path), memory), _loop(loop)
-{
-    std::vector<ChampSimInstr> records;
-    std::string error;
-    if (!readChampSimTrace(path, records, &error))
-        fatal(error);
-    _instrs = expandChampSimTrace(records, memory, &_stats);
-}
-
-TraceIngestKernel::TraceIngestKernel(
-    MemoryImage &memory, const std::vector<ChampSimInstr> &records,
-    bool loop, std::string name)
-    : Kernel(std::move(name), memory), _loop(loop)
-{
-    _instrs = expandChampSimTrace(records, memory, &_stats);
-}
-
-bool
-TraceIngestKernel::generate()
-{
-    if (_instrs.empty())
-        return false;
-    if (_position >= _instrs.size()) {
-        if (!_loop)
-            return false;
-        _position = 0;
-    }
-    // One batch per generate() call keeps queue occupancy bounded
-    // while amortising the virtual-call overhead (PR 9's batch loop).
-    const std::size_t batch =
-        std::min<std::size_t>(64, _instrs.size() - _position);
-    for (std::size_t i = 0; i < batch; ++i)
-        push(_instrs[_position + i]);
-    _position += batch;
-    return true;
 }
 
 std::string

@@ -1,9 +1,9 @@
 /**
  * @file
- * ChampSim-format trace ingestion: a frontend that replays real
- * program traces through the Kernel interface, so every prefetcher —
- * and especially the adaptive coordinator — can be evaluated on
- * recorded access streams instead of only synthetic generators.
+ * ChampSim-format trace ingestion: a decoder that feeds real program
+ * traces to the ReplayKernel, so every prefetcher — and especially
+ * the adaptive coordinator — can be evaluated on recorded access
+ * streams instead of only synthetic generators.
  *
  * The on-disk format is ChampSim's fixed 64-byte little-endian
  * instruction record (no header):
@@ -23,12 +23,12 @@
  * destination memory operand, a kBranch (targeting the next record's
  * ip) for branch records, and a kAlu for records with neither. Load
  * values come from a deterministic heap model — first touch of an
- * address defines its value by a fixed hash, stores overwrite it —
- * and the first-touch values are baked into the MemoryImage at
- * construction so P1/PChase pointer dereferences observe the same
- * bytes the trace loads return. The whole stream is decoded once at
- * construction, so two kernels built from one file emit identical
- * streams, as the synthetic kernels do.
+ * address defines its value by a fixed hash, stores overwrite it. The
+ * ReplayKernel writes each address's first-touch value into the
+ * MemoryImage, so P1/PChase pointer dereferences observe the same
+ * bytes the trace loads return. The stream is a pure function of the
+ * file, so two kernels built from one file emit identical streams, as
+ * the synthetic kernels do.
  */
 
 #ifndef DOL_WORKLOADS_TRACE_INGEST_HPP
@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "workloads/kernel.hpp"
+#include "cpu/instr.hpp"
 
 namespace dol
 {
@@ -96,44 +96,12 @@ struct TraceIngestStats
 };
 
 /**
- * Expand ChampSim records into the simulator's Instr stream and bake
- * each address's first-touch value into @p image (see file comment
- * for the value model).
+ * Expand ChampSim records into the simulator's Instr stream (see file
+ * comment for the value model).
  */
 std::vector<Instr>
 expandChampSimTrace(const std::vector<ChampSimInstr> &records,
-                    MemoryImage &image,
                     TraceIngestStats *stats = nullptr);
-
-/**
- * Kernel that replays a decoded ChampSim trace. Loops by default (the
- * simulator's instruction budget bounds the run); with looping off the
- * kernel exhausts after one pass.
- */
-class TraceIngestKernel : public Kernel
-{
-  public:
-    /** Decode @p path (fatal on a malformed trace). */
-    TraceIngestKernel(MemoryImage &memory, const std::string &path,
-                      bool loop = true);
-
-    /** From pre-decoded records (tests). */
-    TraceIngestKernel(MemoryImage &memory,
-                      const std::vector<ChampSimInstr> &records,
-                      bool loop = true, std::string name = "ctrace");
-
-    const TraceIngestStats &stats() const { return _stats; }
-    std::size_t instrCount() const { return _instrs.size(); }
-
-  protected:
-    bool generate() override;
-
-  private:
-    std::vector<Instr> _instrs;
-    std::size_t _position = 0;
-    bool _loop;
-    TraceIngestStats _stats;
-};
 
 /** Strip ".champsim" / ".champsim.xz" / ".xz" from a filename. */
 std::string champSimTraceStem(const std::string &filename);

@@ -13,6 +13,8 @@ if(NOT DEFINED SRC_DIR)
     message(FATAL_ERROR "pass -DSRC_DIR=<repo src dir>")
 endif()
 
+# Every prefetcher header is hot: each one's train() runs per access.
+file(GLOB prefetch_headers RELATIVE "${SRC_DIR}" "${SRC_DIR}/prefetch/*.hpp")
 set(hot_headers
     common/arena.hpp
     common/hotpath.hpp
@@ -24,20 +26,7 @@ set(hot_headers
     core/composite.hpp
     metrics/accounting.hpp
     mem/memory_image.hpp
-    prefetch/prefetcher.hpp
-    prefetch/ampm.hpp
-    prefetch/bop.hpp
-    prefetch/fdp.hpp
-    prefetch/ghb_pcdc.hpp
-    prefetch/isb.hpp
-    prefetch/markov.hpp
-    prefetch/next_line.hpp
-    prefetch/pchase.hpp
-    prefetch/sms.hpp
-    prefetch/spp.hpp
-    prefetch/stride_pc.hpp
-    prefetch/triangel.hpp
-    prefetch/vldp.hpp
+    ${prefetch_headers}
 )
 
 # Forbidden container spellings. std::map is allowed only in cold

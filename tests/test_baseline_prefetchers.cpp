@@ -13,8 +13,6 @@
 #include "prefetch/ampm.hpp"
 #include "prefetch/bop.hpp"
 #include "prefetch/fdp.hpp"
-#include "prefetch/isb.hpp"
-#include "prefetch/markov.hpp"
 #include "prefetch/sms.hpp"
 #include "prefetch/spp.hpp"
 #include "prefetch/vldp.hpp"
@@ -89,7 +87,7 @@ TEST_P(StreamCoverage, CoversUnitStrideStream)
 INSTANTIATE_TEST_SUITE_P(Monolithic, StreamCoverage,
                          ::testing::Values("GHB-PC/DC", "SPP", "VLDP",
                                            "BOP", "FDP", "AMPM",
-                                           "NextLine", "StridePC"));
+                                           "NextLine"));
 
 class RandomRestraint : public ::testing::TestWithParam<const char *>
 {
@@ -122,8 +120,7 @@ TEST_P(RandomRestraint, StaysQuietOnPatternlessStream)
 
 INSTANTIATE_TEST_SUITE_P(Monolithic, RandomRestraint,
                          ::testing::Values("GHB-PC/DC", "SPP", "VLDP",
-                                           "BOP", "FDP", "SMS",
-                                           "StridePC"));
+                                           "BOP", "FDP", "SMS"));
 
 TEST(Bop, LearnsTheDominantOffset)
 {
@@ -246,65 +243,6 @@ TEST(Spp, FollowsAlternatingDeltaPattern)
     const auto &comp = harness.mem.stats().comp[1];
     EXPECT_GT(static_cast<double>(comp.used),
               0.6 * static_cast<double>(comp.issued));
-}
-
-TEST(Markov, ReplaysCorrelatedMissSequence)
-{
-    MarkovPrefetcher markov;
-    Harness harness;
-    harness.attach(markov);
-
-    // A repeating irregular sequence of lines whose correlation-table
-    // rows do not collide with the flush stream's rows.
-    const Addr seq[] = {(1ull << 30) + 2000 * 64,
-                        (2ull << 30) + 2001 * 64,
-                        (3ull << 30) + 2002 * 64,
-                        (4ull << 30) + 2003 * 64,
-                        (5ull << 30) + 2004 * 64};
-    for (int lap = 0; lap < 4; ++lap) {
-        for (Addr addr : seq)
-            harness.access(0x100, addr);
-        // Flush the small L1 between laps so the sequence misses
-        // again (Markov trains on the miss stream).
-        for (int i = 0; i < 1200; ++i)
-            harness.access(0x900, 0x40000000ull + i * 64);
-    }
-    // After training, the correlated successors ride ahead of the
-    // demand stream: B is already somewhere in the hierarchy when A
-    // is touched (Markov may even have covered A itself via the
-    // flush-to-sequence edge).
-    harness.access(0x100, seq[0]);
-    const bool b_cached =
-        harness.mem.cacheAt(kL1).find(seq[1]) != nullptr ||
-        harness.mem.cacheAt(kL2).find(seq[1]) != nullptr;
-    EXPECT_TRUE(b_cached);
-    EXPECT_GT(harness.mem.stats().comp[1].used, 0u);
-}
-
-TEST(Isb, LinearizesIrregularStream)
-{
-    IsbPrefetcher isb;
-    Harness harness;
-    harness.attach(isb);
-
-    const Addr seq[] = {0x1000000, 0x5432100, 0x2222200, 0x7fff100,
-                        0x3030300, 0x0123400};
-    for (int lap = 0; lap < 4; ++lap) {
-        for (Addr addr : seq)
-            harness.access(0x100, addr);
-        for (int i = 0; i < 1200; ++i)
-            harness.access(0x900, 0x40000000ull + i * 64);
-    }
-    // The sequence occupies consecutive structural addresses.
-    const Addr s0 = isb.structuralOf(seq[0]);
-    ASSERT_NE(s0, dol::kNoAddr);
-    EXPECT_EQ(isb.structuralOf(seq[1]), s0 + 1);
-    EXPECT_EQ(isb.structuralOf(seq[2]), s0 + 2);
-
-    // Touching the head prefetches the structural successors.
-    harness.access(0x100, seq[0]);
-    EXPECT_NE(harness.mem.cacheAt(kL1).find(seq[1]), nullptr);
-    EXPECT_NE(harness.mem.cacheAt(kL1).find(seq[2]), nullptr);
 }
 
 TEST(StorageBudgets, TrackTableII)

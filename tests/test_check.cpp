@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "check/differential.hpp"
 #include "check/fuzz_workload.hpp"
@@ -58,6 +59,33 @@ TEST(CaseSeed, ParamsAndTraceAreSeedFunctions)
         EXPECT_EQ(trace_a[i].pc, trace_b[i].pc);
         EXPECT_EQ(trace_a[i].addr, trace_b[i].addr);
         EXPECT_EQ(trace_a[i].value, trace_b[i].value);
+    }
+}
+
+TEST(FuzzTrace, EachAddressCarriesOneValue)
+{
+    // A ReplayKernel rebuilds the heap from first-touch values. That
+    // is the heap every load of the trace reads only if no address
+    // carries two values, as a chase that revisits a node with
+    // another successor would.
+    for (const std::uint64_t campaign : {1, 2, 3, 7, 42}) {
+        for (std::uint64_t index = 0; index < 1000; ++index) {
+            const std::uint64_t seed = caseSeed(campaign, index);
+            std::unordered_map<Addr, std::uint64_t> values;
+            for (const TraceRecord &record :
+                 makeFuzzTrace(seed, makeFuzzParams(seed))) {
+                const Instr instr = record.unpack();
+                if (!instr.isMem())
+                    continue;
+                const auto [it, inserted] =
+                    values.emplace(instr.addr, instr.value);
+                ASSERT_TRUE(inserted || it->second == instr.value)
+                    << "campaign " << campaign << " case " << index
+                    << ": " << hex(instr.addr) << " holds "
+                    << hex(it->second) << " and later "
+                    << hex(instr.value);
+            }
+        }
     }
 }
 

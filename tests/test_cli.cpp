@@ -256,11 +256,12 @@ TEST(TraceFormatCli, ReplayOfAnEventTraceExitsWithAFormatError)
         writer.append(dol::TraceEvent{});
         ASSERT_TRUE(writer.close());
     }
-    // --replay builds exactly this kernel.
+    // --replay decodes the file exactly this way.
     EXPECT_EXIT(
         {
             dol::MemoryImage image;
-            dol::TraceKernel kernel(image, path);
+            dol::ReplayKernel kernel(image, path,
+                                     dol::readInstrTrace(path));
         },
         testing::ExitedWithCode(1), "is an event trace");
     std::remove(path.c_str());

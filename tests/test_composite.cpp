@@ -358,10 +358,7 @@ TEST(Registry, BuildsEveryNamedConfiguration)
     EXPECT_NE(makePrefetcher("TPC+SMS", &image), nullptr);
     EXPECT_NE(makePrefetcher("SHUNT:TPC+VLDP", &image), nullptr);
     EXPECT_NE(makePrefetcher("T2P1", &image), nullptr);
-    EXPECT_NE(makePrefetcher("Markov", &image), nullptr);
-    EXPECT_NE(makePrefetcher("ISB", &image), nullptr);
     EXPECT_NE(makePrefetcher("NextLine", &image), nullptr);
-    EXPECT_NE(makePrefetcher("StridePC", &image), nullptr);
 }
 
 TEST(Registry, CompositeWithExtraHasExtraComponent)

@@ -54,8 +54,7 @@ TEST_P(PrefetcherEnvelope, MetricsWithinBounds)
 INSTANTIATE_TEST_SUITE_P(FigureEight, PrefetcherEnvelope,
                          ::testing::Values("GHB-PC/DC", "FDP", "VLDP",
                                            "SPP", "BOP", "AMPM", "SMS",
-                                           "TPC", "Markov", "ISB",
-                                           "TPC+SMS",
+                                           "TPC", "TPC+SMS",
                                            "SHUNT:TPC+VLDP"));
 
 TEST(Integration, TpcWinsOnStreamsAndKeepsTrafficLow)
@@ -160,7 +159,7 @@ TEST(Multicore, MixRunsAndProducesWeightedSpeedup)
     const auto mixes = makeMixes(1, 7);
     ASSERT_EQ(mixes.size(), 1u);
 
-    MulticoreSimulator baseline(config, mixes[0], "");
+    MulticoreSimulator baseline(config, mixes[0]);
     const MulticoreResult base = baseline.run();
     ASSERT_EQ(base.ipc.size(), 4u);
     for (double ipc : base.ipc) {
@@ -168,7 +167,7 @@ TEST(Multicore, MixRunsAndProducesWeightedSpeedup)
         EXPECT_LT(ipc, 4.5);
     }
 
-    MulticoreSimulator with_tpc(config, mixes[0], "TPC");
+    MulticoreSimulator with_tpc(config, makeMixes(1, 7, "TPC")[0]);
     const MulticoreResult result = with_tpc.run();
     const double ws = result.weightedSpeedup(base);
     EXPECT_GT(ws, 0.7);
@@ -181,14 +180,14 @@ TEST(Multicore, DropPolicyExperimentRuns)
     config.maxInstrs = 25000;
     // Stress the controller queue so drops actually happen.
     config.mem.dram.queueCapacity = 8;
-    const auto mixes = makeMixes(1, 11);
+    const auto mix = makeMixes(1, 11, "TPC")[0];
 
     config.mem.dram.dropPolicy = DropPolicy::kRandomPrefetch;
-    MulticoreSimulator random_policy(config, mixes[0], "TPC");
+    MulticoreSimulator random_policy(config, mix);
     const auto random_result = random_policy.run();
 
     config.mem.dram.dropPolicy = DropPolicy::kLowPriorityPrefetch;
-    MulticoreSimulator smart_policy(config, mixes[0], "TPC");
+    MulticoreSimulator smart_policy(config, mix);
     const auto smart_result = smart_policy.run();
 
     // Both complete; the smart policy never drops more demands.

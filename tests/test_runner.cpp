@@ -105,7 +105,7 @@ makeSmallSweep(unsigned jobs)
 
     std::vector<WorkloadSpec> specs{findWorkload("libquantum.syn"),
                                     findWorkload("mcf.syn")};
-    sweep.addGrid(specs, {"NextLine", "StridePC"});
+    sweep.addGrid(specs, {"NextLine", "BOP"});
     return sweep;
 }
 
@@ -129,7 +129,7 @@ TEST(SweepRunner, SerialAndParallelRowsAreByteIdentical)
     // Grid order: workload-major, prefetcher-minor.
     EXPECT_EQ(rows[0].workload, "libquantum.syn");
     EXPECT_EQ(rows[0].prefetcher, "NextLine");
-    EXPECT_EQ(rows[1].prefetcher, "StridePC");
+    EXPECT_EQ(rows[1].prefetcher, "BOP");
     EXPECT_EQ(rows[2].workload, "mcf.syn");
     // Simulations really happened.
     for (const MetricsRow &row : rows) {
@@ -143,7 +143,7 @@ TEST(SweepRunner, SeedsDeriveFromCellKeyNotSchedule)
     const std::uint64_t seed =
         cellSeed("libquantum.syn", "NextLine");
     EXPECT_EQ(seed, cellSeed("libquantum.syn", "NextLine"));
-    EXPECT_NE(seed, cellSeed("libquantum.syn", "StridePC"));
+    EXPECT_NE(seed, cellSeed("libquantum.syn", "BOP"));
     EXPECT_NE(seed, cellSeed("mcf.syn", "NextLine"));
     EXPECT_NE(cellSeed("ab", "c"), cellSeed("a", "bc"));
 

@@ -85,11 +85,7 @@ TEST(Simulator, SinglePassBaselineMatchesStratifierOracle)
          {"mcf.syn", "libquantum.syn", "shuflist.syn", "markovmix.syn"}) {
         specs.push_back(findWorkload(name));
     }
-    specs.push_back({"trace:stream_gups", "trace",
-                     [fixture](MemoryImage &image) {
-                         return std::make_unique<TraceIngestKernel>(
-                             image, fixture);
-                     }});
+    specs.push_back(champSimWorkload(fixture));
 
     ExperimentRunner runner(testConfig(kInstrs));
     for (const WorkloadSpec &spec : specs) {

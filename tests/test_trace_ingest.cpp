@@ -109,10 +109,9 @@ TEST(TraceIngest, DecodesPlainFixture)
     EXPECT_EQ(records[0].ip, 0x400000u);
     EXPECT_EQ(records[0].srcMem[0], 0x10000u);
 
-    MemoryImage image;
     TraceIngestStats stats;
     const std::vector<Instr> instrs =
-        expandChampSimTrace(records, image, &stats);
+        expandChampSimTrace(records, &stats);
     EXPECT_EQ(stats.records, records.size());
     EXPECT_GT(stats.loads, 0u);
     EXPECT_GT(stats.stores, 0u);
@@ -129,9 +128,8 @@ TEST(TraceIngest, DecodesXzFixture)
     EXPECT_EQ(records.size(), 1088u); // 4 walks x (256 + 16 branches)
     EXPECT_EQ(records[0].ip, 0x401000u);
 
-    MemoryImage image;
     TraceIngestStats stats;
-    expandChampSimTrace(records, image, &stats);
+    expandChampSimTrace(records, &stats);
     EXPECT_GT(stats.loads, 0u);
     EXPECT_EQ(stats.stores, 0u);
 }
@@ -165,10 +163,8 @@ TEST(TraceIngest, DecodeAndExpansionAreDeterministic)
     for (std::size_t i = 0; i < first.size(); ++i)
         ASSERT_TRUE(sameRecord(first[i], second[i]));
 
-    MemoryImage image_a;
-    MemoryImage image_b;
-    const std::vector<Instr> a = expandChampSimTrace(first, image_a);
-    const std::vector<Instr> b = expandChampSimTrace(second, image_b);
+    const std::vector<Instr> a = expandChampSimTrace(first);
+    const std::vector<Instr> b = expandChampSimTrace(second);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].pc, b[i].pc);
@@ -180,9 +176,16 @@ TEST(TraceIngest, DecodeAndExpansionAreDeterministic)
 
 TEST(TraceIngest, FreshKernelsReplayIdentically)
 {
+    const auto decode = [] {
+        std::vector<ChampSimInstr> records;
+        std::string error;
+        EXPECT_TRUE(readChampSimTrace(kPlainFixture, records, &error))
+            << error;
+        return expandChampSimTrace(records);
+    };
     MemoryImage image_a, image_b;
-    TraceIngestKernel kernel_a(image_a, kPlainFixture, /*loop=*/false);
-    TraceIngestKernel kernel_b(image_b, kPlainFixture, /*loop=*/false);
+    ReplayKernel kernel_a(image_a, "a", decode(), /*loop=*/false);
+    ReplayKernel kernel_b(image_b, "b", decode(), /*loop=*/false);
     std::vector<Instr> first;
     Instr instr;
     while (kernel_a.next(instr))
@@ -203,23 +206,23 @@ TEST(TraceIngest, FreshKernelsReplayIdentically)
 TEST(TraceIngest, LoadValuesMatchTheBakedImage)
 {
     // The deterministic heap contract: the value a trace load returns
-    // equals what the MemoryImage holds for that address at first
-    // touch, so P1-style pointer dereferences observe trace-consistent
-    // bytes.
+    // equals what the ReplayKernel wrote into the MemoryImage for that
+    // address at first touch, so P1-style pointer dereferences observe
+    // trace-consistent bytes.
     std::vector<ChampSimInstr> records;
     std::string error;
     ASSERT_TRUE(readChampSimTrace(kXzFixture, records, &error));
     MemoryImage image;
-    const std::vector<Instr> instrs =
-        expandChampSimTrace(records, image);
+    ReplayKernel kernel(image, "linked_walk",
+                        expandChampSimTrace(records));
     std::size_t checked = 0;
-    for (const Instr &in : instrs) {
+    Instr in;
+    while (checked < 64 && kernel.next(in)) {
         if (!in.isLoad())
             continue;
         EXPECT_EQ(in.value, image.read64(in.addr))
             << "load value diverged from the baked heap";
-        if (++checked == 64)
-            break; // linked_walk revisits, 64 distinct checks suffice
+        ++checked; // linked_walk revisits, 64 distinct checks suffice
     }
     EXPECT_EQ(checked, 64u);
 }
@@ -296,10 +299,9 @@ TEST(TraceIngestReader, FoldsOverlongRegisterOperands)
     std::vector<ChampSimInstr> records;
     std::string error;
     ASSERT_TRUE(readChampSimTrace(path, records, &error)) << error;
-    MemoryImage image;
     TraceIngestStats stats;
     const std::vector<Instr> instrs =
-        expandChampSimTrace(records, image, &stats);
+        expandChampSimTrace(records, &stats);
     EXPECT_EQ(stats.clampedRegs, 2u);
     ASSERT_FALSE(instrs.empty());
     for (const Instr &in : instrs) {
@@ -368,12 +370,7 @@ runTraceCellSnapshot()
         runner::cellSeed(workload, prefetcher, "");
     ExperimentRunner runner(config);
 
-    const std::string fixture = kPlainFixture;
-    WorkloadSpec spec{workload, "trace",
-                      [fixture](MemoryImage &image) {
-                          return std::make_unique<TraceIngestKernel>(
-                              image, fixture);
-                      }};
+    const WorkloadSpec spec = champSimWorkload(kPlainFixture);
     RunOptions options;
     options.collectCounters = true;
     options.tracePath = tempPath("golden.trc");

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "sim/experiment.hpp"
+#include "workloads/contention.hpp"
 #include "workloads/irregular_kernels.hpp"
 #include "workloads/mixed_kernels.hpp"
 #include "workloads/pointer_kernels.hpp"
@@ -124,14 +128,14 @@ TEST(Suites, MixesAreSeededAndFourWide)
     for (std::size_t m = 0; m < mixes_a.size(); ++m) {
         ASSERT_EQ(mixes_a[m].size(), 4u);
         for (int c = 0; c < 4; ++c)
-            EXPECT_EQ(mixes_a[m][c].name, mixes_b[m][c].name);
+            EXPECT_EQ(mixes_a[m][c].workload, mixes_b[m][c].workload);
     }
     // A different seed draws a different mix somewhere.
     const auto mixes_c = makeMixes(17, 100);
     bool any_diff = false;
     for (std::size_t m = 0; m < mixes_a.size(); ++m)
         for (int c = 0; c < 4; ++c)
-            any_diff |= mixes_a[m][c].name != mixes_c[m][c].name;
+            any_diff |= mixes_a[m][c].workload != mixes_c[m][c].workload;
     EXPECT_TRUE(any_diff);
 }
 
@@ -228,8 +232,9 @@ TEST(TraceFile, RecordAndReplayRoundTrips)
     EXPECT_EQ(written, 2000u);
 
     MemoryImage replay_image;
-    TraceKernel replay(replay_image, path, /*loop=*/false);
-    EXPECT_EQ(replay.traceLength(), 2000u);
+    ReplayKernel replay(replay_image, path, readInstrTrace(path),
+                        /*loop=*/false);
+    EXPECT_EQ(replay.instrCount(), 2000u);
 
     MemoryImage fresh_image;
     auto kernel = spec.factory(fresh_image);
@@ -267,7 +272,8 @@ TEST(TraceFile, LoopingReplayWraps)
     recordTrace(source, path, 100);
 
     MemoryImage replay_image;
-    TraceKernel replay(replay_image, path, /*loop=*/true);
+    ReplayKernel replay(replay_image, path, readInstrTrace(path),
+                        /*loop=*/true);
     Instr first, instr;
     ASSERT_TRUE(replay.next(first));
     for (int i = 1; i < 100; ++i)
@@ -276,6 +282,58 @@ TEST(TraceFile, LoopingReplayWraps)
     ASSERT_TRUE(replay.next(instr));
     EXPECT_TRUE(sameInstr(first, instr));
     std::remove(path.c_str());
+}
+
+TEST(TraceFile, ReplayOfARecordingMatchesTheDirectRun)
+{
+    // P1 and PChase read pointers from the MemoryImage at fill time,
+    // so a replay matches only if it rebuilds the heap. Recording
+    // twice the replay budget lets the prefetchers' lookahead land
+    // on addresses the recording touched.
+    constexpr std::uint64_t kRecorded = 100000;
+    SimConfig config;
+    config.maxInstrs = kRecorded / 2;
+    ExperimentRunner runner(config);
+    RunOptions options;
+    options.collectCounters = true;
+    for (const char *workload :
+         {"mcf.syn", "astar.syn", "omnetpp.syn", "xalancbmk.syn",
+          "shuflist.syn", "libquantum.syn", "bfs.syn"}) {
+        const WorkloadSpec &direct_spec = findWorkload(workload);
+        const std::string path =
+            testing::TempDir() + "dol_replay_" + workload;
+        {
+            MemoryImage image;
+            recordTrace(*direct_spec.factory(image), path, kRecorded);
+        }
+        const std::string name = std::string("replay:") + workload;
+        const std::vector<Instr> instrs = readInstrTrace(path);
+        std::remove(path.c_str());
+        const WorkloadSpec replay_spec{
+            name, "trace", [&name, &instrs](MemoryImage &image) {
+                return std::make_unique<ReplayKernel>(image, name,
+                                                      instrs);
+            }};
+
+        for (const char *prefetcher :
+             {"TPC", "TPC+SPP+Triangel+PChase"}) {
+            SCOPED_TRACE(std::string(workload) + " x " + prefetcher);
+            const RunOutput direct =
+                runner.run(direct_spec, prefetcher, options);
+            const RunOutput replay =
+                runner.run(replay_spec, prefetcher, options);
+            EXPECT_EQ(replay.ipc, direct.ipc);
+            EXPECT_EQ(replay.baselineIpc, direct.baselineIpc);
+            EXPECT_EQ(replay.scope, direct.scope);
+            EXPECT_EQ(replay.effAccuracyL1, direct.effAccuracyL1);
+            EXPECT_EQ(replay.effCoverageL1, direct.effCoverageL1);
+            EXPECT_EQ(replay.effAccuracyL2, direct.effAccuracyL2);
+            EXPECT_EQ(replay.effCoverageL2, direct.effCoverageL2);
+            EXPECT_EQ(replay.trafficNormalized, direct.trafficNormalized);
+            EXPECT_EQ(replay.prefetchesIssued, direct.prefetchesIssued);
+            EXPECT_EQ(replay.counters.toText(), direct.counters.toText());
+        }
+    }
 }
 
 TEST(MemoryImageTest, ReadbackAndDefaultZero)

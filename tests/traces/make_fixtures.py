@@ -11,6 +11,9 @@ unless the generator changes on purpose.
   linked_walk.champsim.xz  repeated pointer-style walks over a small
                            shuffled node set, xz-compressed (the
                            format real ChampSim traces ship in)
+  empty.dolins             a DOLINS01 instruction trace with zero
+                           records, which --replay and --fuzz-replay
+                           must reject (tests/usage_errors.cmake)
 
 Usage: python3 make_fixtures.py   (from this directory)
 """
@@ -99,6 +102,11 @@ def main():
     xz_path.write_bytes(compressed)
     print(f"{xz_path.name}: {xz_path.stat().st_size} bytes "
           f"({len(raw)} raw)")
+
+    # The DOLINS01 header alone: the magic, then a u64 count of zero.
+    empty = HERE / "empty.dolins"
+    empty.write_bytes(b"DOLINS01" + struct.pack("<Q", 0))
+    print(f"{empty.name}: {empty.stat().st_size} bytes")
 
 
 if __name__ == "__main__":

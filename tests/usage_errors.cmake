@@ -6,7 +6,9 @@
 #    non-numeric DOL_JOBS (it must not wrap "-1" to four billion
 #    workers or read "abc" as "all cores");
 #  - a fuzz campaign given a mutation its checker cannot plant (it
-#    must not report "0 failures" for a self-test that never ran).
+#    must not report "0 failures" for a self-test that never ran);
+#  - an instruction trace with no records given to --replay or
+#    --fuzz-replay (it must not print a 0-instruction row or "ok").
 #
 # Usage:
 #   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-a-bench-binary>
@@ -48,5 +50,11 @@ expect_usage_error("--fuzz-multicore cannot plant mutation lru"
                    "${DOLSIM}" --fuzz-multicore 5 --fuzz-mutate lru)
 expect_usage_error("--fuzz-adaptive cannot plant mutation rebind"
                    "${DOLSIM}" --fuzz-adaptive 5 --fuzz-mutate rebind)
+set(empty_trace "${CMAKE_CURRENT_LIST_DIR}/traces/empty.dolins")
+expect_usage_error("empty trace: ${empty_trace}"
+                   "${DOLSIM}" --replay "${empty_trace}" --prefetcher TPC)
+expect_usage_error("empty trace: ${empty_trace}"
+                   "${DOLSIM}" --fuzz-replay "${empty_trace}"
+                   --fuzz-case-seed 1)
 
 message(STATUS "usage_errors: every malformed command exited 1")

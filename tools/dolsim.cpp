@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,7 +43,6 @@
 #include "workloads/contention.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/trace_file.hpp"
-#include "workloads/trace_ingest.hpp"
 
 namespace
 {
@@ -578,24 +578,18 @@ main(int argc, char **argv)
 
     std::vector<WorkloadSpec> specs;
     if (!options.traceIn.empty()) {
-        const std::string path = options.traceIn;
-        specs.push_back({"trace:" + champSimTraceStem(path), "trace",
-                         [path](MemoryImage &image) {
-                             return std::make_unique<TraceIngestKernel>(
-                                 image, path);
-                         }});
+        specs.push_back(champSimWorkload(options.traceIn));
     } else if (!options.replay.empty()) {
-        const std::string path = options.replay;
-        // Check the file here, so a wrong format fails with its
-        // message before any sweep worker starts.
-        std::vector<TraceRecord> records;
-        std::string error;
-        if (!readTraceRecords(path, records, &error))
-            fatal(error);
-        specs.push_back(
-            {"replay:" + path, "trace", [path](MemoryImage &image) {
-                 return std::make_unique<TraceKernel>(image, path);
-             }});
+        // Decode the file here, so a wrong format fails with its
+        // message before any sweep worker starts. The stream is
+        // shared, not copied, by the spec copies every cell holds.
+        const std::string name = "replay:" + options.replay;
+        const auto instrs = std::make_shared<const std::vector<Instr>>(
+            readInstrTrace(options.replay));
+        specs.push_back({name, "trace", [name, instrs](MemoryImage &image) {
+                             return std::make_unique<ReplayKernel>(
+                                 image, name, *instrs);
+                         }});
     } else {
         for (const std::string &workload : options.workloads)
             specs.push_back(findWorkload(workload));
