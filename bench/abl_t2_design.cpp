@@ -82,36 +82,35 @@ main(int argc, char **argv)
     const WorkloadSpec &stream = findWorkload("libquantum.syn");
 
     // mPC xor on/off on the call-site workload.
-    registerCell(collector(), call_stream, "T2-mPC",
-                 t2Variant([](T2Prefetcher::Params &) {}));
-    registerCell(collector(), call_stream, "T2-noXor",
-                 t2Variant([](T2Prefetcher::Params &params) {
-                     params.useCallSiteXor = false;
-                 }));
+    collector().addCell(call_stream, "T2-mPC",
+                        t2Variant([](T2Prefetcher::Params &) {}));
+    collector().addCell(call_stream, "T2-noXor",
+                        t2Variant([](T2Prefetcher::Params &params) {
+                            params.useCallSiteXor = false;
+                        }));
 
     // NLPCT size on the stencil (nested-loop) workload.
-    registerCell(collector(), stencil, "T2-nlpct20",
-                 t2Variant([](T2Prefetcher::Params &) {}));
-    registerCell(collector(), stencil, "T2-nlpct1",
-                 t2Variant([](T2Prefetcher::Params &params) {
-                     params.nlpctEntries = 1;
-                 }));
+    collector().addCell(stencil, "T2-nlpct20",
+                        t2Variant([](T2Prefetcher::Params &) {}));
+    collector().addCell(stencil, "T2-nlpct1",
+                        t2Variant([](T2Prefetcher::Params &params) {
+                            params.nlpctEntries = 1;
+                        }));
 
     // Strided-confirm threshold sweep on a clean stream.
     for (unsigned threshold : {4u, 16u, 64u}) {
-        registerCell(
-            collector(), stream,
-            "T2-confirm" + std::to_string(threshold),
+        collector().addCell(
+            stream, "T2-confirm" + std::to_string(threshold),
             t2Variant([threshold](T2Prefetcher::Params &params) {
                 params.strideThreshold = threshold;
             }));
     }
 
     // Early-issue threshold: disable early prefetching entirely.
-    registerCell(collector(), stream, "T2-noEarly",
-                 t2Variant([](T2Prefetcher::Params &params) {
-                     params.earlyThreshold = 255;
-                 }));
+    collector().addCell(stream, "T2-noEarly",
+                        t2Variant([](T2Prefetcher::Params &params) {
+                            params.earlyThreshold = 255;
+                        }));
 
     return benchMain(argc, argv, &collector(), printSummary);
 }

@@ -187,7 +187,7 @@ main(int argc, char **argv)
     std::size_t slot = 0;
     for (const std::string &pf : dol::figureEightPrefetcherNames()) {
         for (const dol::WorkloadSpec &spec : dol::allWorkloads())
-            dol::bench::registerCell(collector(), spec, pf);
+            collector().addCell(spec, pf);
         for (unsigned m = 0; m < kNumMixes; ++m)
             registerMix(m, pf, slot++);
     }

@@ -69,12 +69,11 @@ main(int argc, char **argv)
 {
     using namespace dol;
     for (const WorkloadSpec &spec : speclikeSuite())
-        bench::registerCell(collector(), spec, "TPC");
+        collector().addCell(spec, "TPC");
     for (const char *extra : kExtras) {
         for (const WorkloadSpec &spec : speclikeSuite()) {
-            bench::registerCell(collector(), spec,
-                                std::string("TPC+") + extra);
-            bench::registerCell(collector(), spec,
+            collector().addCell(spec, std::string("TPC+") + extra);
+            collector().addCell(spec,
                                 std::string("SHUNT:TPC+") + extra);
         }
     }

@@ -63,18 +63,17 @@ main(int argc, char **argv)
         for (const WorkloadSpec &spec : speclikeSuite()) {
             RunOptions to_l2;
             to_l2.forceDest = kL2;
-            bench::registerCell(collector(), spec, pf, to_l2, ":L2");
+            collector().addCell(spec, pf, to_l2, ":L2");
 
             RunOptions to_l1;
             // TPC's natural policy is already component-stratified;
             // forcing L1 moves C1's region prefetches up as well.
             to_l1.forceDest = kL1;
-            bench::registerCell(collector(), spec, pf, to_l1, ":L1");
+            collector().addCell(spec, pf, to_l1, ":L1");
 
             RunOptions stratified;
             stratified.oracleDest = pf != "TPC";
-            bench::registerCell(collector(), spec, pf, stratified,
-                                ":strat");
+            collector().addCell(spec, pf, stratified, ":strat");
         }
     }
     return bench::benchMain(argc, argv, &collector(), printSummary);

@@ -135,20 +135,11 @@ class Collector
     runner::SweepMeta _meta;
 };
 
-/** Queue one (workload, prefetcher) cell of the figure's grid. */
-inline void
-registerCell(Collector &collector, const WorkloadSpec &spec,
-             const std::string &prefetcher, RunOptions options = {},
-             const std::string &label_suffix = "")
-{
-    collector.addCell(spec, prefetcher, std::move(options),
-                      label_suffix);
-}
-
 /**
  * Standard bench main: run the queued sweep in parallel, then print
  * the summary table. @p collector may be null for binaries with no
- * sweep. Unknown arguments are an error (exit status 1).
+ * sweep. Unknown arguments, and a --json file that cannot be written,
+ * are an error (exit status 1).
  */
 inline int
 benchMain(int argc, char **argv, Collector *collector,
@@ -198,9 +189,11 @@ benchMain(int argc, char **argv, Collector *collector,
 
     if (collector && !json_path.empty()) {
         if (!collector->store().writeJsonFile(json_path,
-                                              collector->meta()))
+                                              collector->meta())) {
             std::fprintf(stderr, "cannot write %s\n",
                          json_path.c_str());
+            return 1;
+        }
     }
 
     summary();

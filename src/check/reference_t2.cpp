@@ -51,10 +51,8 @@ ReferenceT2::issueStream(Entry &entry, const AccessInfo &access,
         const Addr next = static_cast<Addr>(
             static_cast<std::int64_t>(frontier) + step);
         const PrefetchOutcome outcome = env.emit(next);
-        if (outcome == PrefetchOutcome::kDroppedMshr ||
-            outcome == PrefetchOutcome::kDroppedQueue) {
+        if (outcome == PrefetchOutcome::kDroppedQueue)
             break;
-        }
         frontier = next;
         ++issued;
     }

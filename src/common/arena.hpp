@@ -66,20 +66,6 @@ class SlabArena
         _usedInSlab = 0;
     }
 
-    std::size_t blockBytes() const { return _blockBytes; }
-
-    /** Blocks handed out since construction/reset. */
-    std::size_t
-    blocksAllocated() const
-    {
-        return _slabs.empty()
-                   ? 0
-                   : (_slabs.size() - 1) * _blocksPerSlab + _usedInSlab;
-    }
-
-    /** Backing allocations made (the malloc count the arena saves). */
-    std::size_t slabCount() const { return _slabs.size(); }
-
   private:
     std::size_t _blockBytes;
     std::size_t _blocksPerSlab;

@@ -127,7 +127,6 @@ class AdaptiveCoordinator
     /** Append one extra slot (mirrors CompositePrefetcher::addComponent). */
     void addExtra();
 
-    std::size_t numSlots() const { return _slots.size(); }
     std::size_t numExtras() const
     {
         return _slots.size() - kFirstExtraSlot;

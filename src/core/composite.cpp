@@ -13,11 +13,10 @@ CompositePrefetcher::CompositePrefetcher(const ValueSource *memory)
 CompositePrefetcher::CompositePrefetcher(const ValueSource *memory,
                                          const Config &config,
                                          std::string name)
-    : Prefetcher(std::move(name)), _config(config)
+    : Prefetcher(std::move(name)),
+      _t2(std::make_unique<T2Prefetcher>(config.t2))
 {
-    if (config.enableT2)
-        _t2 = std::make_unique<T2Prefetcher>(config.t2);
-    if (config.enableP1 && _t2) {
+    if (config.enableP1) {
         _p1 = std::make_unique<P1Prefetcher>(_t2.get(), memory,
                                              config.p1);
     }
@@ -39,8 +38,7 @@ CompositePrefetcher::addComponent(std::unique_ptr<Prefetcher> extra)
 void
 CompositePrefetcher::assignIds(const IdAllocator &alloc)
 {
-    if (_t2)
-        _t2->setId(alloc(_t2->name()));
+    _t2->setId(alloc(_t2->name()));
     if (_p1)
         _p1->setId(alloc(_p1->name()));
     if (_c1)
@@ -49,15 +47,11 @@ CompositePrefetcher::assignIds(const IdAllocator &alloc)
         extra->assignIds(alloc);
 
     // The composite itself never emits; give it a representative id.
-    if (_t2)
-        setId(_t2->id());
-    else if (_c1)
-        setId(_c1->id());
+    setId(_t2->id());
 
     if (_adapt) {
-        if (_t2)
-            _adapt->setSlotComponent(AdaptiveCoordinator::kSlotT2,
-                                     _t2->id());
+        _adapt->setSlotComponent(AdaptiveCoordinator::kSlotT2,
+                                 _t2->id());
         if (_p1)
             _adapt->setSlotComponent(AdaptiveCoordinator::kSlotP1,
                                      _p1->id());
@@ -76,8 +70,7 @@ void
 CompositePrefetcher::setTraceContext(TraceContext *trace)
 {
     Prefetcher::setTraceContext(trace);
-    if (_t2)
-        _t2->setTraceContext(trace);
+    _t2->setTraceContext(trace);
     if (_p1)
         _p1->setTraceContext(trace);
     if (_c1)
@@ -91,8 +84,7 @@ CompositePrefetcher::setTraceContext(TraceContext *trace)
 void
 CompositePrefetcher::exportCounters(CounterRegistry &registry) const
 {
-    if (_t2)
-        _t2->exportCounters(registry);
+    _t2->exportCounters(registry);
     if (_p1)
         _p1->exportCounters(registry);
     if (_c1)
@@ -117,7 +109,7 @@ CompositePrefetcher::exportCounters(CounterRegistry &registry) const
 int
 CompositePrefetcher::slotOfComponent(ComponentId comp) const
 {
-    if (_t2 && comp == _t2->id())
+    if (comp == _t2->id())
         return static_cast<int>(AdaptiveCoordinator::kSlotT2);
     if (_p1 && comp == _p1->id())
         return static_cast<int>(AdaptiveCoordinator::kSlotP1);
@@ -134,12 +126,10 @@ CompositePrefetcher::slotOfComponent(ComponentId comp) const
 CompositePrefetcher::Owner
 CompositePrefetcher::ownerOf(Pc m_pc) const
 {
-    if (_t2) {
-        const InstrState state = _t2->stateOf(m_pc);
-        if (state == InstrState::kStrided ||
-            state == InstrState::kObservation) {
-            return Owner::kT2;
-        }
+    const InstrState state = _t2->stateOf(m_pc);
+    if (state == InstrState::kStrided ||
+        state == InstrState::kObservation) {
+        return Owner::kT2;
     }
     if (_p1 && _p1->handles(m_pc))
         return Owner::kP1;
@@ -202,7 +192,7 @@ CompositePrefetcher::routeToExtras(const AccessInfo &access,
     ++_extraBoundAccesses[index];
     Prefetcher &extra = *_extras[index];
     runSlot(AdaptiveCoordinator::kFirstExtraSlot + index, extra, emitter,
-            _config.extraDest, [&] { extra.train(access, emitter); });
+            [&] { extra.train(access, emitter); });
 }
 
 void
@@ -223,14 +213,12 @@ CompositePrefetcher::train(const AccessInfo &access,
     // ignored and its emission budget is zero, so the access falls
     // through to lower-priority components.
     bool claimed = false;
-    if (_t2) {
-        runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter,
-                _config.t2Dest, [&] { _t2->train(access, emitter); });
-        if (!(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotT2))) {
-            const InstrState state = _t2->stateOf(access.mPc);
-            claimed = state == InstrState::kStrided ||
-                      state == InstrState::kObservation;
-        }
+    runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter,
+            [&] { _t2->train(access, emitter); });
+    if (!(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotT2))) {
+        const InstrState state = _t2->stateOf(access.mPc);
+        claimed = state == InstrState::kStrided ||
+                  state == InstrState::kObservation;
     }
 
     // P1 acts on the retire stream; here it only claims ownership so
@@ -245,7 +233,7 @@ CompositePrefetcher::train(const AccessInfo &access,
         if (access.l1PrimaryMiss)
             _c1->considerInstruction(access.mPc);
         runSlot(AdaptiveCoordinator::kSlotC1, *_c1, emitter,
-                _config.c1Dest, [&] { _c1->train(access, emitter); });
+                [&] { _c1->train(access, emitter); });
         if (!(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotC1))) {
             claimed = _c1->isMarked(access.mPc) ||
                       _c1->isMonitored(access.mPc);
@@ -288,21 +276,17 @@ void
 CompositePrefetcher::onInstr(const Instr &instr, const RetireInfo &retire,
                              Pc m_pc, PrefetchEmitter &emitter)
 {
-    if (_t2) {
-        runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter,
-                _config.t2Dest, [&] {
-            _t2->onInstr(instr, retire, m_pc, emitter);
-        });
-    }
+    runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter, [&] {
+        _t2->onInstr(instr, retire, m_pc, emitter);
+    });
     if (_p1) {
-        runSlot(AdaptiveCoordinator::kSlotP1, *_p1, emitter,
-                _config.p1Dest, [&] {
+        runSlot(AdaptiveCoordinator::kSlotP1, *_p1, emitter, [&] {
             _p1->onInstr(instr, retire, m_pc, emitter);
         });
     }
     for (std::size_t i = 0; i < _extras.size(); ++i) {
         runSlot(AdaptiveCoordinator::kFirstExtraSlot + i, *_extras[i],
-                emitter, _config.extraDest, [&] {
+                emitter, [&] {
             _extras[i]->onInstr(instr, retire, m_pc, emitter);
         });
     }
@@ -313,14 +297,13 @@ CompositePrefetcher::onFill(ComponentId comp, Addr line_addr,
                             Cycle completion, PrefetchEmitter &emitter)
 {
     if (_p1) {
-        runSlot(AdaptiveCoordinator::kSlotP1, *_p1, emitter,
-                _config.p1Dest, [&] {
+        runSlot(AdaptiveCoordinator::kSlotP1, *_p1, emitter, [&] {
             _p1->onFill(comp, line_addr, completion, emitter);
         });
     }
     for (std::size_t i = 0; i < _extras.size(); ++i) {
         runSlot(AdaptiveCoordinator::kFirstExtraSlot + i, *_extras[i],
-                emitter, _config.extraDest, [&] {
+                emitter, [&] {
             _extras[i]->onFill(comp, line_addr, completion, emitter);
         });
     }
@@ -329,9 +312,7 @@ CompositePrefetcher::onFill(ComponentId comp, Addr line_addr,
 std::size_t
 CompositePrefetcher::storageBits() const
 {
-    std::size_t total = 0;
-    if (_t2)
-        total += _t2->storageBits();
+    std::size_t total = _t2->storageBits();
     if (_p1)
         total += _p1->storageBits();
     if (_c1)

@@ -9,15 +9,14 @@
  * monolithic prefetchers), bound round-robin per instruction and
  * rebound to whichever component's prefetched line the instruction
  * later hits. T2/P1 prefetch into L1; C1 into L2 (its lower accuracy
- * makes L2 the appropriate destination); per-component destination
- * overrides support the Figure 16 experiment.
+ * makes L2 the appropriate destination). Figure 16 overrides the
+ * destination for every component at once, on the PrefetchEmitter.
  */
 
 #ifndef DOL_CORE_COMPOSITE_HPP
 #define DOL_CORE_COMPOSITE_HPP
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/flat_table.hpp"
@@ -33,19 +32,14 @@ namespace dol
 class CompositePrefetcher : public Prefetcher
 {
   public:
+    /** T2 is always present; P1 and C1 can be left out (Fig. 12). */
     struct Config
     {
-        bool enableT2 = true;
         bool enableP1 = true;
         bool enableC1 = true;
         T2Prefetcher::Params t2{};
         P1Prefetcher::Params p1{};
         C1Prefetcher::Params c1{};
-        /** Destination overrides (Figure 16 sweeps). */
-        std::optional<unsigned> t2Dest;
-        std::optional<unsigned> p1Dest;
-        std::optional<unsigned> c1Dest;
-        std::optional<unsigned> extraDest;
 
         /**
          * Feedback-driven coordination (`--coordinator adaptive`,
@@ -122,40 +116,26 @@ class CompositePrefetcher : public Prefetcher
     }
 
   private:
-    /** Run a sub-component with its identity and dest override set. */
-    template <typename Fn>
-    void
-    withComponent(Prefetcher &comp, PrefetchEmitter &emitter,
-                  std::optional<unsigned> dest_override, Fn &&fn)
-    {
-        const auto saved = emitter.forcedDestLevel();
-        if (dest_override)
-            emitter.forceDestLevel(dest_override);
-        emitter.setContext(comp.id(), emitter.now());
-        fn();
-        emitter.forceDestLevel(saved);
-    }
-
     /**
-     * withComponent plus adaptive bookkeeping: arms the slot's
-     * emission budget and records the issued/throttled deltas. In
-     * hardwired mode (_adapt == nullptr) this is exactly
-     * withComponent — one extra null test on the hot path.
+     * Run a sub-component with its identity set on the emitter. In
+     * adaptive mode, also arm the slot's emission budget and record
+     * the issued/throttled deltas; in hardwired mode (_adapt ==
+     * nullptr) that costs one null test on the hot path.
      */
     template <typename Fn>
     void
     runSlot(std::size_t slot, Prefetcher &comp, PrefetchEmitter &emitter,
-            std::optional<unsigned> dest_override, Fn &&fn)
+            Fn &&fn)
     {
+        emitter.setContext(comp.id(), emitter.now());
         if (!_adapt) {
-            withComponent(comp, emitter, dest_override,
-                          std::forward<Fn>(fn));
+            fn();
             return;
         }
         emitter.setEmitBudget(_adapt->budgetFor(slot));
         const std::uint64_t issued_before = emitter.issuedCount();
         const std::uint64_t throttled_before = emitter.throttledCount();
-        withComponent(comp, emitter, dest_override, std::forward<Fn>(fn));
+        fn();
         _adapt->recordIssued(slot,
                              emitter.issuedCount() - issued_before);
         _adapt->recordThrottled(
@@ -171,7 +151,6 @@ class CompositePrefetcher : public Prefetcher
                        PrefetchEmitter &emitter);
     int extraIndexOfComponent(ComponentId comp) const;
 
-    Config _config;
     std::unique_ptr<T2Prefetcher> _t2;
     std::unique_ptr<P1Prefetcher> _p1;
     std::unique_ptr<C1Prefetcher> _c1;

@@ -368,8 +368,7 @@ P1Prefetcher::producerExecuted(const Instr &instr, Pc m_pc, Cycle when,
             static_cast<std::int64_t>(value) + record.ptrDelta);
         const auto outcome =
             emitter.emitAt(target, when, kL1, _params.priority);
-        if (outcome == PrefetchOutcome::kDroppedMshr ||
-            outcome == PrefetchOutcome::kDroppedQueue) {
+        if (outcome == PrefetchOutcome::kDroppedQueue) {
             break; // retry from this slot next execution
         }
         slot = next_slot;

@@ -49,7 +49,8 @@ std::unique_ptr<Prefetcher>
 makePrefetcher(const std::string &name, const ValueSource *memory,
                bool adaptive = false);
 
-/** TPC with per-component destination overrides (Figure 16). */
+/** TPC built from an explicit composite config (component params,
+ *  P1/C1 on or off, adaptive coordination). */
 std::unique_ptr<CompositePrefetcher>
 makeTpc(const ValueSource *memory,
         const CompositePrefetcher::Config &config = {});

@@ -109,8 +109,7 @@ T2Prefetcher::issueStream(SitEntry &entry, const AccessInfo &access,
         const Addr next = static_cast<Addr>(
             static_cast<std::int64_t>(frontier) + step);
         const auto outcome = emitter.emit(next, kL1, _params.priority);
-        if (outcome == PrefetchOutcome::kDroppedMshr ||
-            outcome == PrefetchOutcome::kDroppedQueue) {
+        if (outcome == PrefetchOutcome::kDroppedQueue) {
             // No resources: stop here and retry from this frontier on
             // the next training event, so no line is silently skipped.
             break;

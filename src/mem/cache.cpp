@@ -140,32 +140,6 @@ Cache::pendingEntry(Addr line_addr, Cycle now)
     return nullptr;
 }
 
-Cycle
-Cache::pendingCompletion(Addr line_addr, Cycle now) const
-{
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return kNoCycle;
-    const Addr tag = lineAddr(line_addr);
-    for (const MshrEntry &entry : _mshrs) {
-        if (entry.lineAddr == tag && entry.completion > now)
-            return entry.completion;
-    }
-    return kNoCycle;
-}
-
-std::uint32_t
-Cache::liveMshrCount(Cycle now) const
-{
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return 0;
-    std::uint32_t live = 0;
-    for (const MshrEntry &entry : _mshrs) {
-        if (entry.completion > now)
-            ++live;
-    }
-    return live;
-}
-
 bool
 Cache::mshrFull(Cycle now) const
 {
@@ -190,8 +164,7 @@ Cache::earliestMshrFree() const
 }
 
 void
-Cache::addMshr(Addr line_addr, Cycle completion, ComponentId comp,
-               bool is_prefetch)
+Cache::addMshr(Addr line_addr, Cycle completion)
 {
     if (_mshrs.empty())
         return;
@@ -203,30 +176,9 @@ Cache::addMshr(Addr line_addr, Cycle completion, ComponentId comp,
         if (entry.completion < slot->completion)
             slot = &entry;
     }
-    *slot = MshrEntry{lineAddr(line_addr), completion, comp,
-                      is_prefetch, false};
+    *slot = MshrEntry{lineAddr(line_addr), completion};
     if (completion > _mshrMaxCompletion)
         _mshrMaxCompletion = completion;
-}
-
-bool
-Cache::stealPrefetchMshr(Cycle now)
-{
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return false;
-    // Reclaim the most speculative victim: the prefetch completing
-    // furthest in the future.
-    MshrEntry *victim = nullptr;
-    for (MshrEntry &entry : _mshrs) {
-        if (entry.isPrefetch && entry.completion > now &&
-            (!victim || entry.completion > victim->completion)) {
-            victim = &entry;
-        }
-    }
-    if (!victim)
-        return false;
-    *victim = MshrEntry{};
-    return true;
 }
 
 } // namespace dol

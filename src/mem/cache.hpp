@@ -98,9 +98,6 @@ class Cache
     {
         Addr lineAddr = kNoAddr;
         Cycle completion = 0; ///< slot free once completion <= now
-        ComponentId comp = kNoComponent; ///< prefetch that allocated it
-        bool isPrefetch = false;
-        bool used = false; ///< a demand access merged with the fetch
     };
 
     /**
@@ -109,33 +106,18 @@ class Cache
      */
     MshrEntry *pendingEntry(Addr line_addr, Cycle now);
 
-    /**
-     * Completion time of an outstanding fetch of this line, or
-     * kNoCycle when none is pending as of @p now.
-     */
-    Cycle pendingCompletion(Addr line_addr, Cycle now) const;
-
     /** True when no MSHR can accept a new miss at @p now. */
     bool mshrFull(Cycle now) const;
-
-    /** Number of MSHRs still tracking an in-flight fetch at @p now. */
-    std::uint32_t liveMshrCount(Cycle now) const;
 
     /** Earliest time an MSHR frees; kNoCycle if none allocated. */
     Cycle earliestMshrFree() const;
 
-    /** Allocate an MSHR for a fetch completing at @p completion. */
-    void addMshr(Addr line_addr, Cycle completion,
-                 ComponentId comp = kNoComponent,
-                 bool is_prefetch = false);
-
     /**
-     * Free a live prefetch-held MSHR so a demand miss can proceed
-     * (demands always outrank prefetches for miss resources).
-     *
-     * @return true when a slot was reclaimed.
+     * Allocate an MSHR for a demand fetch completing at
+     * @p completion. Prefetches never hold one: their throttle is the
+     * memory controller's read queue.
      */
-    bool stealPrefetchMshr(Cycle now);
+    void addMshr(Addr line_addr, Cycle completion);
 
     const Params &params() const { return _params; }
     Cycle latency() const { return _params.latency; }
@@ -161,8 +143,8 @@ class Cache
     /** Latest completion ever registered in the MSHR file: once the
      *  clock passes it nothing is in flight, and every MSHR query
      *  short-circuits without scanning (the event-driven fast path).
-     *  Monotone upper bound — stealPrefetchMshr may clear the entry
-     *  that set it, which only makes the fast path conservative. */
+     *  It bounds every entry's completion from above, so the
+     *  short-circuit never skips a live entry. */
     Cycle _mshrMaxCompletion = 0;
     std::uint64_t _stampCounter = 0;
 };

@@ -93,7 +93,7 @@ Dram::pruneQueue(Channel &channel, Cycle now)
 }
 
 bool
-Dram::makeRoom(Channel &channel, Cycle now, bool incoming_is_prefetch,
+Dram::makeRoom(Channel &channel, bool incoming_is_prefetch,
                std::uint8_t incoming_priority)
 {
     // Collect queued prefetches as drop candidates (member scratch:
@@ -247,7 +247,7 @@ Dram::access(Addr line_addr, Cycle now, bool is_write, bool is_prefetch,
     }
 
     if (pruneQueue(channel, _clock) >= _params.queueCapacity) {
-        if (!makeRoom(channel, _clock, is_prefetch, priority)) {
+        if (!makeRoom(channel, is_prefetch, priority)) {
             ++_stats.droppedPrefetches;
             return {0, true};
         }

@@ -228,7 +228,7 @@ class Dram
      * Make room in a full queue according to the drop policy.
      * @return false when the incoming prefetch itself should be shed.
      */
-    bool makeRoom(Channel &channel, Cycle now, bool incoming_is_prefetch,
+    bool makeRoom(Channel &channel, bool incoming_is_prefetch,
                   std::uint8_t incoming_priority);
 
     struct ArbDelay

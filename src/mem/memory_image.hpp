@@ -74,8 +74,6 @@ class MemoryImage : public ValueSource
             writeByte(addr + i, bytes[i]);
     }
 
-    std::size_t pageCount() const { return _pages.size(); }
-
   private:
     static constexpr unsigned kPageBits = 12;
     static constexpr std::size_t kPageBytes = 1u << kPageBits;

@@ -13,17 +13,6 @@ namespace
 {
 
 /**
- * How long a prefetch may wait for an MSHR before being shed. Demands
- * are insulated from waiting prefetches (they steal slots, and a
- * demand never waits longer than its own refetch), so the queue can
- * be generous; only hopeless backlog is shed.
- */
-constexpr Cycle kPrefetchQueueHorizon = 1000;
-
-/** MSHRs held back for demand misses; prefetches may not take them. */
-constexpr std::uint32_t kDemandReservedMshrs = 4;
-
-/**
  * New prefetches are rejected while their channel's read queue holds
  * this many live requests: keeps burst backlog (and thus every fill's
  * queueing delay) bounded to a few memory round trips.
@@ -360,12 +349,11 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
         }
 
         if (cache->mshrFull(std::max(now, _memClock))) {
-            // Demands outrank prefetches: reclaim a prefetch-held
-            // slot before stalling for a free one.
-            if (!cache->stealPrefetchMshr(std::max(now, _memClock))) {
-                ++ls.mshrStalls;
-                now = std::max(now, cache->earliestMshrFree());
-            }
+            // Only demands hold MSHRs (prefetches throttle at the
+            // memory controller), so a full file means waiting for
+            // the earliest demand fetch to land.
+            ++ls.mshrStalls;
+            now = std::max(now, cache->earliestMshrFree());
         }
         now += cache->latency();
     }

@@ -66,7 +66,6 @@ struct ComponentStats
     std::uint64_t filled = 0;
     std::uint64_t used = 0;
     std::uint64_t filtered = 0;
-    std::uint64_t droppedMshr = 0;
     std::uint64_t droppedQueue = 0;
     /** Fractional negative credits from induced misses. */
     double inducedCredit = 0.0;
@@ -84,15 +83,6 @@ struct MemStats
         std::uint64_t total = 0;
         for (const auto &c : comp)
             total += c.issued;
-        return total;
-    }
-
-    std::uint64_t
-    prefetchesUsed() const
-    {
-        std::uint64_t total = 0;
-        for (const auto &c : comp)
-            total += c.used;
         return total;
     }
 };
@@ -115,7 +105,6 @@ class SharedMemory
     SharedMemory(const MemParams &params, unsigned num_cores = 1);
 
     Cache &l3() { return _l3; }
-    Cache &shadowL3() { return _shadowL3; }
     Dram &dram() { return _dram; }
     const Dram &dram() const { return _dram; }
 
@@ -132,8 +121,6 @@ class SharedMemory
     {
         return _shadowDramReads + _shadowDramWrites;
     }
-
-    std::uint64_t shadowDramReads() const { return _shadowDramReads; }
 
     void registerCore(MemorySystem *core);
 
@@ -156,15 +143,17 @@ class SharedMemory
     std::vector<CoreShareStats> _coreShare;
 };
 
-/** Outcome of a prefetch request. */
+/**
+ * Outcome of a prefetch request. P1's chain-advance trace events
+ * record the number, so the dropped outcomes keep the values 4 and 5.
+ */
 enum class PrefetchOutcome : std::uint8_t
 {
     kIssued,
-    kFilteredPresent, ///< line already cached at/above the target
-    kFilteredPending, ///< fetch already outstanding
-    kDroppedMshr,     ///< no MSHR available at the target level
-    kDroppedQueue,    ///< shed by the memory controller
-    kDroppedThrottle, ///< blocked by the adaptive emission budget
+    kFilteredPresent,     ///< line already cached at/above the target
+    kFilteredPending,     ///< fetch already outstanding
+    kDroppedQueue = 4,    ///< shed by the memory controller
+    kDroppedThrottle = 5, ///< blocked by the adaptive emission budget
 };
 
 class MemorySystem : public DataPort

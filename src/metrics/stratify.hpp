@@ -77,7 +77,7 @@ class OfflineStratifier
         if (state.seen && delta == state.delta && delta != 0) {
             if (state.runLength < 0xff)
                 ++state.runLength;
-            if (state.runLength + 1 >= _params.strideRun) {
+            if (state.runLength + 1u >= _params.strideRun) {
                 // The run is canonical: mark the lines it covers.
                 _lhfLines.insert(line);
                 _lhfLines.insert(lineAddr(state.lastAddr));

@@ -69,7 +69,6 @@ class PrefetchEmitter
 
     /** Force all prefetches to one level (Figure 16 sweeps). */
     void forceDestLevel(std::optional<unsigned> level) { _force = level; }
-    std::optional<unsigned> forcedDestLevel() const { return _force; }
 
     /**
      * Oracle destination policy (Figure 16's "stratified" bars): maps
@@ -144,7 +143,6 @@ class PrefetchEmitter
      */
     static constexpr std::uint32_t kUnlimitedBudget = 0xffffffffu;
     void setEmitBudget(std::uint32_t budget) { _budget = budget; }
-    std::uint32_t emitBudget() const { return _budget; }
 
     /** Emissions blocked by an exhausted budget. */
     std::uint64_t throttledCount() const { return _throttledCount; }
@@ -240,7 +238,6 @@ class Prefetcher
      * sub-components.
      */
     virtual void setTraceContext(TraceContext *trace) { _trace = trace; }
-    TraceContext *traceContext() const { return _trace; }
 
     /**
      * Export this component's decision counters into @p registry,

@@ -48,11 +48,6 @@ class ThreadPool
     /** Block until every task submitted so far has finished. */
     void wait();
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(_workers.size());
-    }
-
   private:
     void workerLoop();
 

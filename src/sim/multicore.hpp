@@ -101,7 +101,6 @@ class MulticoreSimulator
     /** Run every core to its instruction budget. */
     MulticoreResult run();
 
-    std::size_t numCores() const { return _cores.size(); }
     Simulator &core(std::size_t i) { return *_cores[i]; }
     const Simulator &core(std::size_t i) const { return *_cores[i]; }
     SharedMemory &shared() { return *_shared; }

@@ -4,12 +4,11 @@
  *
  * Instrumented code holds a `TraceContext *` that is nullptr in
  * ordinary runs — the DOL_TRACE_EVENT macro compiles to a single
- * pointer test on the hot path (and to nothing at all when the build
- * defines DOL_TRACE_DISABLED). When a context is attached, events fan
- * out to an optional sink (binary file writer or in-memory vector)
- * and are tallied per type; the tallies and the attached
- * CounterRegistry feed golden-trace snapshots and the dol-sweep-v1
- * "counters" section.
+ * pointer test on the hot path. When a context is attached, events
+ * fan out to an optional sink (binary file writer or in-memory
+ * vector) and are tallied per type; exportEventCounts() folds the
+ * tallies into the counter registry that feeds golden-trace
+ * snapshots and the dol-sweep-v1 "counters" section.
  *
  * One context belongs to exactly one Simulator: parallel sweep jobs
  * each own a private context, which is what keeps enabled traces
@@ -109,41 +108,25 @@ class TraceContext
         return total;
     }
 
-    const std::array<std::uint64_t, kNumTraceEventTypes> &
-    eventCounts() const
-    {
-        return _eventCounts;
-    }
-
     /** Fold the per-type event tallies into @p registry ("trace"). */
     void exportEventCounts(CounterRegistry &registry) const;
-
-    CounterRegistry &counters() { return _counters; }
-    const CounterRegistry &counters() const { return _counters; }
 
   private:
     TraceSink *_sink = nullptr;
     std::array<std::uint64_t, kNumTraceEventTypes> _eventCounts{};
-    CounterRegistry _counters;
 };
 
 } // namespace dol
 
 /**
  * Emit an event through a possibly-null `TraceContext *`. The null
- * test is the entire disabled-path cost; DOL_TRACE_DISABLED removes
- * even that (and any argument evaluation) at compile time.
+ * test is the entire disabled-path cost: the arguments are evaluated
+ * only when a context is attached.
  */
-#ifndef DOL_TRACE_DISABLED
 #define DOL_TRACE_EVENT(ctx, ...)                                      \
     do {                                                               \
         if ((ctx) != nullptr)                                          \
             (ctx)->record(__VA_ARGS__);                                \
     } while (0)
-#else
-#define DOL_TRACE_EVENT(ctx, ...)                                      \
-    do {                                                               \
-    } while (0)
-#endif
 
 #endif // DOL_TRACE_CONTEXT_HPP

@@ -116,8 +116,6 @@ class TraceReader
     const std::string &error() const { return _error; }
     bool ok() const { return _error.empty(); }
 
-    std::uint64_t eventsRead() const { return _read; }
-
   private:
     std::FILE *_file = nullptr;
     std::uint64_t _read = 0;

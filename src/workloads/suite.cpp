@@ -491,19 +491,4 @@ findWorkload(const std::string &name)
     fatal("unknown workload: " + name);
 }
 
-const std::vector<WorkloadSpec> &
-quickSuite()
-{
-    static const auto suite = [] {
-        std::vector<WorkloadSpec> out;
-        for (const char *name :
-             {"libquantum.syn", "mcf.syn", "gcc.syn", "lbm.syn",
-              "omnetpp.syn", "soplex.syn"}) {
-            out.push_back(findWorkload(name));
-        }
-        return out;
-    }();
-    return suite;
-}
-
 } // namespace dol

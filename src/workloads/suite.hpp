@@ -71,9 +71,6 @@ WorkloadSpec champSimWorkload(const std::string &path);
  *  trace suite (fatal on unknown). */
 const WorkloadSpec &findWorkload(const std::string &name);
 
-/** A reduced workload list for smoke tests and quick runs. */
-const std::vector<WorkloadSpec> &quickSuite();
-
 } // namespace dol
 
 #endif // DOL_WORKLOADS_SUITE_HPP

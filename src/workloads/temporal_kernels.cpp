@@ -203,14 +203,6 @@ HistoryKernel::HistoryKernel(MemoryImage &memory, const Params &params)
         memory.write64(_tableBase + i * 8, perm[i]);
 }
 
-std::uint64_t
-HistoryKernel::nextIndex() const
-{
-    const std::uint64_t slot =
-        (31 * _index + 17 * _prevIndex + 7) % _params.elements;
-    return memory().read64(_tableBase + slot * 8);
-}
-
 bool
 HistoryKernel::generate()
 {

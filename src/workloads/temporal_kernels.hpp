@@ -135,8 +135,6 @@ class HistoryKernel : public Kernel
     bool generate() override;
 
   private:
-    std::uint64_t nextIndex() const;
-
     Params _params;
     Addr _tableBase;
     Addr _dataBase;

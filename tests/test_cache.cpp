@@ -113,7 +113,7 @@ TEST(Cache, MshrTracksPendingFetches)
     EXPECT_EQ(cache.pendingEntry(0x1000, 0), nullptr);
     cache.addMshr(0x1000, 100);
     ASSERT_NE(cache.pendingEntry(0x1000, 50), nullptr);
-    EXPECT_EQ(cache.pendingCompletion(0x1000, 50), 100u);
+    EXPECT_EQ(cache.pendingEntry(0x1000, 50)->completion, 100u);
     // Expired entries no longer match.
     EXPECT_EQ(cache.pendingEntry(0x1000, 100), nullptr);
 }
@@ -124,26 +124,8 @@ TEST(Cache, MshrFullAndLiveCount)
     for (Addr i = 0; i < 4; ++i)
         cache.addMshr(0x1000 + i * 64, 200 + i);
     EXPECT_TRUE(cache.mshrFull(100));
-    EXPECT_EQ(cache.liveMshrCount(100), 4u);
     EXPECT_EQ(cache.earliestMshrFree(), 200u);
     EXPECT_FALSE(cache.mshrFull(200));
-    EXPECT_EQ(cache.liveMshrCount(201), 2u);
-}
-
-TEST(Cache, StealPrefersMostSpeculativePrefetch)
-{
-    Cache cache(smallCache());
-    cache.addMshr(0x1000, 300, 1, true);
-    cache.addMshr(0x2000, 500, 2, true);
-    cache.addMshr(0x3000, 400, kNoComponent, false); // demand
-    EXPECT_TRUE(cache.stealPrefetchMshr(100));
-    // The completion-500 prefetch went first.
-    EXPECT_EQ(cache.pendingEntry(0x2000, 100), nullptr);
-    ASSERT_NE(cache.pendingEntry(0x1000, 100), nullptr);
-    EXPECT_TRUE(cache.stealPrefetchMshr(100));
-    // Only the demand remains: no more steals.
-    EXPECT_FALSE(cache.stealPrefetchMshr(100));
-    EXPECT_NE(cache.pendingEntry(0x3000, 100), nullptr);
 }
 
 /** LRU order property across associativities. */

@@ -3,7 +3,7 @@
  * Unit tests for the composite prefetcher's coordinator: ownership
  * claims (T2 -> P1 -> C1), routing of unclaimed instructions to extra
  * components, round-robin binding with hit-based rebinding, shunting,
- * destination overrides, and the registry.
+ * and the registry.
  */
 
 #include <gtest/gtest.h>
@@ -280,31 +280,6 @@ TEST_F(CompositeTest, PrefetchHitRebindsToExactExtraAmongThree)
     EXPECT_GT(
         mem.stats().comp[4 + static_cast<ComponentId>(target)].issued,
         moving);
-}
-
-TEST_F(CompositeTest, DestinationOverridesApply)
-{
-    CompositePrefetcher::Config config;
-    config.t2Dest = kL2; // force T2's prefetches into L2
-    CompositePrefetcher forced(&image, config, "TPC-L2");
-    ComponentId next = 10;
-    forced.assignIds([&](const std::string &) { return next++; });
-
-    Cycle t = 0;
-    for (int i = 0; i <= 30; ++i) {
-        AccessInfo info;
-        info.pc = 0x600;
-        info.mPc = 0x600;
-        info.addr = 0x600000 + i * 64;
-        info.isLoad = true;
-        info.l1PrimaryMiss = true;
-        info.when = t += 12;
-        info.completion = info.when + 200;
-        emitter.setContext(forced.id(), info.when);
-        forced.train(info, emitter);
-    }
-    EXPECT_GT(mem.stats().level[kL2].prefetchFills, 0u);
-    EXPECT_EQ(mem.stats().level[kL1].prefetchFills, 0u);
 }
 
 TEST_F(CompositeTest, StorageSumsComponents)

@@ -183,8 +183,9 @@ TEST(FlatHashMap, DifferentialAgainstUnorderedMap)
             const std::uint64_t *found = flat.find(key);
             ASSERT_EQ(found != nullptr, it != ref.end())
                 << "step " << step;
-            if (found)
+            if (found) {
                 ASSERT_EQ(*found, it->second) << "step " << step;
+            }
         } else {
             flat.clear();
             ref.clear();

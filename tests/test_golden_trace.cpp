@@ -14,7 +14,8 @@
  * Regenerate after an intentional behaviour change with either
  *   ./test_golden_trace --update-golden
  * or DOL_UPDATE_GOLDEN=1 ctest -R GoldenTrace
- * and commit the updated tests/golden/*.golden files with the change.
+ * and commit the updated .golden files under tests/golden/ with the
+ * change.
  */
 
 #include <cstdio>

@@ -102,7 +102,7 @@ TEST(TraceEventCodec, RejectsOutOfRangeType)
 
 TEST(TraceEventCodec, EveryTypeHasAName)
 {
-    for (int i = 0; i < kNumTraceEventTypes; ++i) {
+    for (unsigned i = 0; i < kNumTraceEventTypes; ++i) {
         const char *name =
             traceEventName(static_cast<TraceEventType>(i));
         ASSERT_NE(name, nullptr);
@@ -225,8 +225,9 @@ TEST(TraceReaderFuzz, GarbageBytesNeverCrash)
         std::vector<TraceEvent> events;
         std::string error;
         const bool ok = readTraceFile(path, events, &error);
-        if (!ok)
+        if (!ok) {
             EXPECT_FALSE(error.empty()) << "round " << round;
+        }
     }
     std::remove(path.c_str());
 }

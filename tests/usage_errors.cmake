@@ -10,6 +10,9 @@
 #  - an instruction trace with no records given to --replay or
 #    --fuzz-replay (it must not print a 0-instruction row or "ok").
 #
+# Last, a bench binary whose --json file cannot be written must exit 1
+# naming the file once its (quick) sweep has run, not report success.
+#
 # Usage:
 #   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-a-bench-binary>
 #         -P usage_errors.cmake
@@ -56,5 +59,7 @@ expect_usage_error("empty trace: ${empty_trace}"
 expect_usage_error("empty trace: ${empty_trace}"
                    "${DOLSIM}" --fuzz-replay "${empty_trace}"
                    --fuzz-case-seed 1)
+expect_usage_error("cannot write /dev/full"
+                   "${BENCH}" --quiet --json /dev/full)
 
 message(STATUS "usage_errors: every malformed command exited 1")
