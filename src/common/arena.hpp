@@ -12,7 +12,7 @@
  * SlabArena replaces the per-page churn: it hands out fixed-size,
  * zero-initialised blocks carved from larger slabs (one malloc per
  * `blocksPerSlab` allocations) and releases everything wholesale on
- * destruction or reset(). It is deliberately bump-only — the image
+ * destruction. It is deliberately bump-only — the image
  * never frees individual pages, and a free list would buy nothing
  * but bookkeeping on this workload.
  */
@@ -44,7 +44,7 @@ class SlabArena
     SlabArena(const SlabArena &) = delete;
     SlabArena &operator=(const SlabArena &) = delete;
 
-    /** A zero-initialised block; valid until destruction/reset(). */
+    /** A zero-initialised block; valid until destruction. */
     std::uint8_t *
     allocate()
     {
@@ -56,14 +56,6 @@ class SlabArena
             _usedInSlab = 0;
         }
         return _slabs.back().get() + (_usedInSlab++) * _blockBytes;
-    }
-
-    /** Drop every block and slab (all outstanding pointers die). */
-    void
-    reset()
-    {
-        _slabs.clear();
-        _usedInSlab = 0;
     }
 
   private:

@@ -32,14 +32,6 @@ fatal(std::string_view msg)
     std::exit(1);
 }
 
-/** Non-fatal advisory, printed once per call site is the caller's job. */
-inline void
-warn(std::string_view msg)
-{
-    std::fprintf(stderr, "warn: %.*s\n",
-                 static_cast<int>(msg.size()), msg.data());
-}
-
 } // namespace dol
 
 #endif // DOL_COMMON_LOG_HPP

@@ -56,18 +56,6 @@ geomean(std::span<const double> values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-/** Weighted arithmetic mean; zero total weight yields zero. */
-inline double
-weightedMean(std::span<const double> values, std::span<const double> weights)
-{
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        num += values[i] * weights[i];
-        den += weights[i];
-    }
-    return den > 0.0 ? num / den : 0.0;
-}
-
 /**
  * Simple least-squares linear regression, used to reproduce the trend
  * line in the paper's Figure 12 (accuracy falling with scope).

@@ -2,14 +2,12 @@
 
 #include <bit>
 
-#include "common/hotpath.hpp"
 #include "common/log.hpp"
 
 namespace dol
 {
 
-Cache::Cache(const Params &params)
-    : _params(params), _fastPath(hotpath::fastPath())
+Cache::Cache(const Params &params) : _params(params)
 {
     const std::uint32_t lines = params.sizeBytes / kLineBytes;
     if (params.assoc == 0 || lines == 0 || lines % params.assoc != 0)
@@ -126,12 +124,6 @@ Cache::prefetchedCompsInSet(Addr line_addr,
 Cache::MshrEntry *
 Cache::pendingEntry(Addr line_addr, Cycle now)
 {
-    // Quiescence fast path: once every fill in the file has landed
-    // (now is past the latest completion ever registered), no entry
-    // can be pending — skip the scan entirely. Exact by definition:
-    // an entry is live iff entry.completion > now.
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return nullptr;
     const Addr tag = lineAddr(line_addr);
     for (MshrEntry &entry : _mshrs) {
         if (entry.lineAddr == tag && entry.completion > now)
@@ -143,10 +135,6 @@ Cache::pendingEntry(Addr line_addr, Cycle now)
 bool
 Cache::mshrFull(Cycle now) const
 {
-    // No in-flight fill => some slot is reusable (or there are no
-    // slots at all, in which case the file never reports full).
-    if (_fastPath && now >= _mshrMaxCompletion)
-        return false;
     for (const MshrEntry &entry : _mshrs) {
         if (entry.completion <= now)
             return false;
@@ -177,8 +165,6 @@ Cache::addMshr(Addr line_addr, Cycle completion)
             slot = &entry;
     }
     *slot = MshrEntry{lineAddr(line_addr), completion};
-    if (completion > _mshrMaxCompletion)
-        _mshrMaxCompletion = completion;
 }
 
 } // namespace dol

@@ -128,8 +128,6 @@ class Cache
 
     Params _params;
     std::uint32_t _numSets;
-    /** Event-driven fast path enabled (hotpath::fastPath() at ctor). */
-    bool _fastPath;
     std::vector<Line> _lines;
     /** Tag-only mirror of _lines (kNoAddr = invalid): find() scans 8
      *  bytes per way instead of the 40-byte Line, so a set fits in one
@@ -140,12 +138,6 @@ class Cache
      *  victim scan reads only _tags + _stamps (two dense arrays). */
     std::vector<std::uint64_t> _stamps;
     std::vector<MshrEntry> _mshrs;
-    /** Latest completion ever registered in the MSHR file: once the
-     *  clock passes it nothing is in flight, and every MSHR query
-     *  short-circuits without scanning (the event-driven fast path).
-     *  It bounds every entry's completion from above, so the
-     *  short-circuit never skips a live entry. */
-    Cycle _mshrMaxCompletion = 0;
     std::uint64_t _stampCounter = 0;
 };
 

@@ -3,24 +3,8 @@
 #include <algorithm>
 #include <array>
 
-#include "common/hotpath.hpp"
-
 namespace dol
 {
-
-const char *
-arbitrationName(ArbitrationPolicy policy)
-{
-    switch (policy) {
-    case ArbitrationPolicy::kFifo:
-        return "fifo";
-    case ArbitrationPolicy::kCoreRoundRobin:
-        return "rr";
-    case ArbitrationPolicy::kDemandFirst:
-        break;
-    }
-    return "demand-first";
-}
 
 bool
 arbitrationFromName(const std::string &name, ArbitrationPolicy &out)
@@ -38,8 +22,7 @@ arbitrationFromName(const std::string &name, ArbitrationPolicy &out)
 }
 
 Dram::Dram(const DramParams &params)
-    : _params(params), _fastPath(hotpath::fastPath()),
-      _channels(params.channels), _rng(params.rngSeed)
+    : _params(params), _channels(params.channels), _rng(params.rngSeed)
 {
     for (Channel &channel : _channels) {
         channel.banks.resize(params.ranksPerChannel *
@@ -78,14 +61,6 @@ Dram::rowOf(Addr line_addr) const
 std::size_t
 Dram::pruneQueue(Channel &channel, Cycle now)
 {
-    // Quiescence fast path: every queued entry completes no later
-    // than liveMax, so once the clock passes it the filter below
-    // would remove everything — clear in O(1) instead. Exact: the
-    // surviving set is identical (empty) either way.
-    if (_fastPath && now >= channel.liveMax) {
-        channel.queue.clear();
-        return 0;
-    }
     std::erase_if(channel.queue, [now](const QueueEntry &entry) {
         return entry.completion <= now;
     });
@@ -302,8 +277,6 @@ Dram::access(Addr line_addr, Cycle now, bool is_write, bool is_prefetch,
     if (channel.queue.size() < _params.queueCapacity) {
         channel.queue.push_back({lineAddr(line_addr), completion,
                                  is_prefetch, priority, core});
-        if (completion > channel.liveMax)
-            channel.liveMax = completion;
     }
 
     return {completion, false};

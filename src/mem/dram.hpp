@@ -53,9 +53,6 @@ enum class ArbitrationPolicy : std::uint8_t
     kCoreRoundRobin, ///< per-core fair slotting
 };
 
-/** Canonical CLI/JSON name of an arbitration policy. */
-const char *arbitrationName(ArbitrationPolicy policy);
-
 /** Parse an arbitration name; returns false on unknown input. */
 bool arbitrationFromName(const std::string &name,
                          ArbitrationPolicy &out);
@@ -211,10 +208,6 @@ class Dram
         std::vector<Bank> banks;
         Cycle busReadyAt = 0;
         std::vector<QueueEntry> queue;
-        /** Latest completion of any queued entry: once the clock
-         *  passes it the whole queue is dead and pruneQueue clears it
-         *  in O(1) instead of filtering (event-driven fast path). */
-        Cycle liveMax = 0;
     };
 
     unsigned channelOf(Addr line_addr) const;
@@ -245,8 +238,6 @@ class Dram
     Cycle applyBandwidthWindow(Cycle now);
 
     DramParams _params;
-    /** Event-driven fast path enabled (hotpath::fastPath() at ctor). */
-    bool _fastPath;
     std::vector<Channel> _channels;
     DramStats _stats;
     /** Scratch for makeRoom's drop-candidate list (no per-call heap). */

@@ -156,14 +156,6 @@ decodeCellFailedPayload(const std::string &payload,
 }
 
 bool
-decodeJobIndex(const std::string &payload, std::uint64_t &out)
-{
-    wire::Cursor in = cursorOver(payload);
-    out = in.u64();
-    return in.ok;
-}
-
-bool
 CheckpointJournal::create(const std::string &path,
                           const JournalPlan &plan, std::string *error)
 {
@@ -258,8 +250,7 @@ CheckpointJournal::load(const std::string &path)
             decodeFailed = true;
             break;
         }
-        out.goodBytes =
-            rec.offset + kFrameEnvelopeBytes + rec.payload.size();
+        out.goodBytes = reader.goodBytes();
     }
     out.cleanTail = !decodeFailed && !reader.tornTail();
     return out;

@@ -38,18 +38,15 @@
  * In-flight work is never journaled and re-runs on resume; the
  * journal never has to encode an exception mid-flight.
  *
- * Two read paths exist: CheckpointJournal::load() materializes every
- * record (convenient for small journals), and CheckpointReader
- * streams records one at a time with their file offsets — the
- * journal merge uses it to index 10k-cell journals and re-read
- * individual rows without ever holding a whole journal in memory.
+ * CheckpointJournal::load() is the one reader: `--resume` and
+ * `dolsim --merge` both read a journal through it, so both agree on
+ * where its clean prefix ends.
  */
 
 #ifndef DOL_RUNNER_CHECKPOINT_HPP
 #define DOL_RUNNER_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,9 +104,9 @@ struct JournalCellFailed
     FailedCell cell;
 };
 
-// Payload codecs, shared by the journal writer, load(), and the
-// journal merge's two-pass streaming reads. Decoders return false on
-// a short or malformed payload and leave @p out unspecified.
+// Payload codecs, shared by the journal writer and load(). Decoders
+// return false on a short or malformed payload and leave @p out
+// unspecified.
 std::string encodePlanPayload(const JournalPlan &plan);
 std::string encodeJobDonePayload(const JournalJobDone &job);
 std::string encodeCellFailedPayload(const JournalCellFailed &failed);
@@ -118,9 +115,6 @@ bool decodeJobDonePayload(const std::string &payload,
                           JournalJobDone &out);
 bool decodeCellFailedPayload(const std::string &payload,
                              JournalCellFailed &out);
-/** Decode just the leading jobIndex of a kJobDone/kCellFailed
- *  payload — the cheap index pass of a streaming merge. */
-bool decodeJobIndex(const std::string &payload, std::uint64_t &out);
 
 class CheckpointJournal
 {
@@ -175,34 +169,6 @@ class CheckpointJournal
 
   private:
     FramedWriter _file;
-};
-
-/**
- * Streaming DOLCKPT1 reader: FramedReader pinned to the checkpoint
- * magic. Iterate with next(); a record's offset can be revisited
- * later with seek() — the cross-journal merge reads each journal
- * once to index it, then seeks back to the winning record per cell,
- * so peak memory stays one decoded row regardless of journal size.
- */
-class CheckpointReader
-{
-  public:
-    bool
-    open(const std::string &path)
-    {
-        return _reader.open(path, kCheckpointMagic);
-    }
-
-    bool next(FramedReader::Record &out) { return _reader.next(out); }
-    bool seek(std::uint64_t offset) { return _reader.seek(offset); }
-
-    bool fileExists() const { return _reader.fileExists(); }
-    bool valid() const { return _reader.valid(); }
-    bool tornTail() const { return _reader.tornTail(); }
-    std::uint64_t goodBytes() const { return _reader.goodBytes(); }
-
-  private:
-    FramedReader _reader;
 };
 
 } // namespace dol::runner

@@ -18,22 +18,6 @@ FaultPlan::siteFor(std::size_t job_index) const
     return nullptr;
 }
 
-const char *
-faultKindName(FaultPlan::Kind kind)
-{
-    switch (kind) {
-    case FaultPlan::Kind::kThrow:
-        return "throw";
-    case FaultPlan::Kind::kHang:
-        return "hang";
-    case FaultPlan::Kind::kAbort:
-        return "abort";
-    case FaultPlan::Kind::kStop:
-        return "stop";
-    }
-    return "?";
-}
-
 bool
 FaultPlan::parse(const std::string &spec, FaultPlan &out,
                  std::string *error)

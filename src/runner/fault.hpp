@@ -70,8 +70,6 @@ struct FaultPlan
                       std::string *error = nullptr);
 };
 
-const char *faultKindName(FaultPlan::Kind kind);
-
 /**
  * Process-wide stop flag for graceful drain. Signal handlers set it;
  * sweeps and fuzz campaigns observe it through SweepOptions::stopFlag.

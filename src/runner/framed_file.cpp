@@ -118,9 +118,7 @@ FramedReader::open(const std::string &path, const char (&magic)[8])
 {
     close();
     _fileExists = false;
-    _valid = false;
     _tornTail = false;
-    _pos = 0;
     _goodBytes = 0;
 
     _file = std::fopen(path.c_str(), "rb");
@@ -135,8 +133,6 @@ FramedReader::open(const std::string &path, const char (&magic)[8])
         _file = nullptr;
         return false;
     }
-    _valid = true;
-    _pos = kFrameMagicBytes;
     _goodBytes = kFrameMagicBytes;
     return true;
 }
@@ -164,7 +160,7 @@ FramedReader::next(Record &out)
     // envelope. Reject it before allocating: one flipped high byte
     // would otherwise zero-fill up to 4 GiB for a payload that is not
     // there.
-    if (length > bytesAfter(_file, _pos + kFrameEnvelopeBytes)) {
+    if (length > bytesAfter(_file, _goodBytes + kFrameEnvelopeBytes)) {
         _tornTail = true;
         return false;
     }
@@ -181,24 +177,7 @@ FramedReader::next(Record &out)
 
     out.type = envelope[0];
     out.payload = std::move(payload);
-    out.offset = _pos;
-    _pos += kFrameEnvelopeBytes + length;
-    // goodBytes only ever grows: a seek back and re-read must not
-    // shrink the clean prefix a resuming writer will keep.
-    if (_pos > _goodBytes)
-        _goodBytes = _pos;
-    return true;
-}
-
-bool
-FramedReader::seek(std::uint64_t offset)
-{
-    if (!_file)
-        return false;
-    if (std::fseek(_file, static_cast<long>(offset), SEEK_SET) != 0)
-        return false;
-    _pos = offset;
-    _tornTail = false;
+    _goodBytes += kFrameEnvelopeBytes + length;
     return true;
 }
 

@@ -9,11 +9,11 @@
  *
  * all integers little-endian. The writer fsyncs after every append,
  * so at any kill point — SIGKILL included — the file holds a prefix
- * of whole records plus at most one torn tail. The reader streams
- * records one at a time (it never materializes the whole file) and
- * stops at the first short, oversized or checksum-failing record,
- * reporting how many clean bytes precede it; a resuming writer
- * truncates the tail away before appending.
+ * of whole records plus at most one torn tail. The reader returns
+ * records one at a time in file order and stops at the first short,
+ * oversized or checksum-failing record, reporting how many clean
+ * bytes precede it; a resuming writer truncates the tail away before
+ * appending.
  */
 
 #ifndef DOL_RUNNER_FRAMED_FILE_HPP
@@ -68,12 +68,7 @@ class FramedWriter
     std::FILE *_file = nullptr;
 };
 
-/**
- * Streaming reader: records come back one at a time in file order,
- * with their byte offset, so callers can index large journals and
- * revisit individual records with seek() instead of holding every
- * decoded payload in memory.
- */
+/** Reader side: records come back one at a time in file order. */
 class FramedReader
 {
   public:
@@ -81,8 +76,6 @@ class FramedReader
     {
         std::uint8_t type = 0;
         std::string payload;
-        /** Byte offset of the record's envelope in the file. */
-        std::uint64_t offset = 0;
     };
 
     FramedReader() = default;
@@ -92,9 +85,9 @@ class FramedReader
     FramedReader &operator=(const FramedReader &) = delete;
 
     /**
-     * Open @p path and check the magic. A missing file reports
-     * fileExists()==false; wrong magic reports valid()==false. Both
-     * leave the reader closed and return false.
+     * Open @p path and check the magic. False, with the reader
+     * closed, for a missing file (fileExists()==false) and for a file
+     * of another format (fileExists()==true).
      */
     bool open(const std::string &path, const char (&magic)[8]);
 
@@ -106,12 +99,7 @@ class FramedReader
      */
     bool next(Record &out);
 
-    /** Re-position to a record offset previously returned by next(). */
-    bool seek(std::uint64_t offset);
-
     bool fileExists() const { return _fileExists; }
-    /** Magic matched; false means not this format at all. */
-    bool valid() const { return _valid; }
     /** A torn/corrupt tail was hit (only meaningful after next()
      *  returned false). */
     bool tornTail() const { return _tornTail; }
@@ -123,9 +111,8 @@ class FramedReader
   private:
     std::FILE *_file = nullptr;
     bool _fileExists = false;
-    bool _valid = false;
     bool _tornTail = false;
-    std::uint64_t _pos = 0;
+    /** Clean prefix so far, which is also the read position. */
     std::uint64_t _goodBytes = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "runner/result_store.hpp"
 
+#include <cstdio>
+
 #include "runner/json_writer.hpp"
 
 namespace dol::runner
@@ -28,68 +30,6 @@ makeMetricsRow(const RunOutput &out, const std::string &variant,
     row.instructions = out.instructions;
     row.counters = out.counters;
     return row;
-}
-
-ResultStore::ResultStore(ResultStore &&other) noexcept
-{
-    std::lock_guard lock(other._mutex);
-    _rows = std::move(other._rows);
-    _filled = std::move(other._filled);
-}
-
-ResultStore &
-ResultStore::operator=(ResultStore &&other) noexcept
-{
-    if (this != &other) {
-        std::scoped_lock lock(_mutex, other._mutex);
-        _rows = std::move(other._rows);
-        _filled = std::move(other._filled);
-    }
-    return *this;
-}
-
-void
-ResultStore::resize(std::size_t slots)
-{
-    std::lock_guard lock(_mutex);
-    _rows.resize(slots);
-    _filled.resize(slots, false);
-}
-
-std::size_t
-ResultStore::size() const
-{
-    std::lock_guard lock(_mutex);
-    return _rows.size();
-}
-
-void
-ResultStore::set(std::size_t index, MetricsRow row)
-{
-    std::lock_guard lock(_mutex);
-    _rows.at(index) = std::move(row);
-    _filled.at(index) = true;
-}
-
-void
-ResultStore::append(MetricsRow row)
-{
-    std::lock_guard lock(_mutex);
-    _rows.push_back(std::move(row));
-    _filled.push_back(true);
-}
-
-std::vector<MetricsRow>
-ResultStore::rows() const
-{
-    std::lock_guard lock(_mutex);
-    std::vector<MetricsRow> out;
-    out.reserve(_rows.size());
-    for (std::size_t i = 0; i < _rows.size(); ++i) {
-        if (_filled[i])
-            out.push_back(_rows[i]);
-    }
-    return out;
 }
 
 const char *
@@ -131,6 +71,10 @@ ResultStore::toCsv() const
     return out;
 }
 
+namespace
+{
+
+/** One dol-sweep-v1 "results" array element. */
 void
 writeMetricsRowJson(JsonWriter &json, const MetricsRow &row)
 {
@@ -163,9 +107,6 @@ writeMetricsRowJson(JsonWriter &json, const MetricsRow &row)
     json.endObject();
 }
 
-namespace
-{
-
 /** One "failed_cells" array element. */
 void
 writeFailedCellJson(JsonWriter &json, const FailedCell &cell)
@@ -192,9 +133,10 @@ ResultStore::resultsJson() const
     return json.take();
 }
 
-void
-writeSweepHead(JsonWriter &json, const SweepMeta &meta)
+std::string
+ResultStore::toJson(const SweepMeta &meta) const
 {
+    JsonWriter json;
     json.beginObject();
     json.field("schema", "dol-sweep-v1");
     json.field("generator", meta.generator);
@@ -202,11 +144,8 @@ writeSweepHead(JsonWriter &json, const SweepMeta &meta)
     json.field("max_instrs", meta.maxInstrs);
     json.endObject();
     json.key("results").beginArray();
-}
-
-std::string
-finishSweepDocument(JsonWriter &json, const SweepMeta &meta)
-{
+    for (const MetricsRow &row : rows())
+        writeMetricsRowJson(json, row);
     json.endArray();
 
     // Quarantined cells. Emitted only when present: a clean sweep's
@@ -235,16 +174,6 @@ finishSweepDocument(JsonWriter &json, const SweepMeta &meta)
     std::string out = json.take();
     out.push_back('\n');
     return out;
-}
-
-std::string
-ResultStore::toJson(const SweepMeta &meta) const
-{
-    JsonWriter json;
-    writeSweepHead(json, meta);
-    for (const MetricsRow &row : rows())
-        writeMetricsRowJson(json, row);
-    return finishSweepDocument(json, meta);
 }
 
 bool

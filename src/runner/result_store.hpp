@@ -1,13 +1,15 @@
 /**
  * @file
- * Thread-safe result aggregation for parallel sweeps.
+ * The metric rows of a sweep and their serializations (CSV and the
+ * dol-sweep-v1 JSON document).
  *
- * Workers complete cells in schedule-dependent order; the store keeps
- * every row in its pre-assigned grid slot so serialization (CSV, the
- * dol-sweep-v1 JSON document) is always in grid order and therefore
- * byte-identical between `--jobs 1` and `--jobs N` runs. Wall-clock
- * timings are deliberately kept out of the metric rows — they live in
- * a separate, documented-as-nondeterministic "timing" section of the
+ * A ResultStore is a plain list of rows in append order. Its callers
+ * append in grid order — SweepRunner::run() after its pool drained,
+ * the journal merge in cell order — so the serializations are
+ * byte-identical between `--jobs 1` and `--jobs N` runs and between
+ * a merged and a single-process sweep. Wall-clock timings are
+ * deliberately kept out of the metric rows — they live in a
+ * separate, documented-as-nondeterministic "timing" section of the
  * JSON document.
  */
 
@@ -15,17 +17,14 @@
 #define DOL_RUNNER_RESULT_STORE_HPP
 
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hpp"
 
 namespace dol::runner
 {
-
-class JsonWriter;
 
 /** One flattened (workload, prefetcher, config) metric row. */
 struct MetricsRow
@@ -59,14 +58,6 @@ struct MetricsRow
 MetricsRow makeMetricsRow(const RunOutput &out,
                           const std::string &variant,
                           std::uint64_t seed);
-
-/**
- * Serialize one row as its dol-sweep-v1 "results" array element.
- * ResultStore::toJson() and the streaming journal merge both emit rows
- * through this exact function, which is what makes a merged document
- * byte-identical to a single-process one.
- */
-void writeMetricsRowJson(JsonWriter &json, const MetricsRow &row);
 
 /**
  * A quarantined cell: it threw or timed out. The sweep completes
@@ -103,46 +94,19 @@ struct SweepMeta
     std::vector<FailedCell> failedCells;
 };
 
-/**
- * The dol-sweep-v1 envelope around the "results" rows. A document is
- * writeSweepHead(), one writeMetricsRowJson() per row, then
- * finishSweepDocument(), which closes "results", writes
- * "failed_cells" (only when non-empty) and "timing", and returns the
- * writer's remaining text, newline-terminated. ResultStore::toJson()
- * and the streaming journal merge both write through this pair, so a
- * merged document is byte-identical to a single-process one.
- */
-void writeSweepHead(JsonWriter &json, const SweepMeta &meta);
-std::string finishSweepDocument(JsonWriter &json, const SweepMeta &meta);
-
 class ResultStore
 {
   public:
-    ResultStore() = default;
+    /** Append a row at the end. */
+    void append(MetricsRow row) { _rows.push_back(std::move(row)); }
 
-    /** Pre-size the grid: every row index must be < slots. */
-    explicit ResultStore(std::size_t slots) { resize(slots); }
-
-    /** Movable (fresh mutex); the source must be quiescent. */
-    ResultStore(ResultStore &&other) noexcept;
-    ResultStore &operator=(ResultStore &&other) noexcept;
-
-    void resize(std::size_t slots);
-    std::size_t size() const;
-
-    /** Place @p row into grid slot @p index. Thread-safe. */
-    void set(std::size_t index, MetricsRow row);
-
-    /** Append a row at the end. Thread-safe. */
-    void append(MetricsRow row);
-
-    /** Snapshot of all filled rows, grid order. */
-    std::vector<MetricsRow> rows() const;
+    /** Every row, in append order. */
+    const std::vector<MetricsRow> &rows() const { return _rows; }
 
     static const char *csvHeader();
     static std::string csvLine(const MetricsRow &row);
 
-    /** Whole store as CSV (header + rows, grid order). */
+    /** Whole store as CSV (header + rows, append order). */
     std::string toCsv() const;
 
     /**
@@ -159,9 +123,7 @@ class ResultStore
                        const SweepMeta &meta) const;
 
   private:
-    mutable std::mutex _mutex;
     std::vector<MetricsRow> _rows;
-    std::vector<bool> _filled;
 };
 
 } // namespace dol::runner

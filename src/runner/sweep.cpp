@@ -262,10 +262,15 @@ SweepRunner::run()
             meter.onJobSkipped(jobs[i].label);
     }
 
+    // A failed journal append loses that job's record, and a shard's
+    // journal is its only output: start no further jobs, and fail the
+    // run once the running ones finish.
+    std::atomic<bool> journal_failed{false};
+
     const auto supervise = [&](std::size_t i) {
         // Drain check: once stop is raised, jobs that have not started
         // stay kPending and re-run on resume.
-        if (stop.load(std::memory_order_relaxed))
+        if (stop.load(std::memory_order_relaxed) || journal_failed)
             return;
         const PendingJob &job = jobs[i];
         const FaultPlan::Site *site =
@@ -308,7 +313,8 @@ SweepRunner::run()
                 for (const RunOutput &out : outs)
                     rec.rows.push_back(
                         makeMetricsRow(out, job.variant, job.seed));
-                journal.appendJobDone(rec);
+                if (!journal.appendJobDone(rec))
+                    journal_failed = true;
             }
             per_job[i] = std::move(outs);
             state[i] = kDone;
@@ -337,8 +343,8 @@ SweepRunner::run()
         cell.label = job.label;
         cell.variant = job.variant;
         cell.seed = job.seed;
-        if (journal.isOpen())
-            journal.appendCellFailed({i, cell});
+        if (journal.isOpen() && !journal.appendCellFailed({i, cell}))
+            journal_failed = true;
         meter.onJobDone(job.label + " [failed]", per_job_ms[i]);
         failed[i] = std::move(cell);
     };
@@ -363,6 +369,10 @@ SweepRunner::run()
     // future is an infrastructure bug — surface the first one.
     for (std::future<void> &future : futures)
         future.get();
+    if (journal_failed)
+        throw std::runtime_error("checkpoint " +
+                                 _options.checkpointPath +
+                                 ": cannot append a record");
 
     // kPropagate: rethrow the first job failure in submission order,
     // after every other job drained (legacy semantics).

@@ -18,6 +18,9 @@
  *    resume=true skips the completed jobs, re-runs the quarantined
  *    ones, and merges the journaled rows back so the final document
  *    is byte-identical to an uninterrupted run's deterministic parts.
+ *    A failed append (a full disk) starts no further jobs, and run()
+ *    throws once the running ones finish: a shard's journal is its
+ *    only output, so a lost record must not pass as success.
  *  - cellTimeoutMs arms a per-cell cooperative deadline (the
  *    simulator polls it every few thousand instructions). A cell that
  *    throws or times out runs once: with onError = kQuarantine it is
@@ -166,8 +169,8 @@ class SweepRunner
          *  rows to `store` but no RunOutput (the journal keeps rows,
          *  not full simulator state). */
         std::vector<RunOutput> outputs;
-        /** Flattened metric rows, grid order — executed and resumed
-         *  jobs alike. */
+        /** Flattened metric rows, appended in grid order once the
+         *  pool drained — executed and resumed jobs alike. */
         ResultStore store;
         /** Header/timing info for ResultStore::toJson(), including
          *  failedCells and the resumed-job count. */
@@ -188,6 +191,8 @@ class SweepRunner
      * drains. In kPropagate mode an exception thrown by a job body
      * is rethrown here once every other job drained;
      * in kQuarantine mode failures land in meta.failedCells instead.
+     * Throws when the checkpoint cannot be opened, belongs to another
+     * grid, or fails an append.
      * The queue is consumed: a second run() starts empty.
      */
     Report run();

@@ -17,7 +17,6 @@ endif()
 file(GLOB prefetch_headers RELATIVE "${SRC_DIR}" "${SRC_DIR}/prefetch/*.hpp")
 set(hot_headers
     common/arena.hpp
-    common/hotpath.hpp
     common/ring_buffer.hpp
     core/t2.hpp
     core/sit.hpp

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common utility layer: address arithmetic,
- * saturating counters, the deterministic RNG, and statistics helpers.
+ * Unit tests for the common utility layer: address arithmetic, the
+ * deterministic RNG, and statistics helpers.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/sat_counter.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "metrics/table.hpp"
@@ -67,23 +66,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AddressProperty,
                                            4095ull, 4096ull,
                                            0xdeadbeefull,
                                            0x7fffffffffffull));
-
-TEST(SatCounter, SaturatesBothWays)
-{
-    SatCounter counter(3);
-    EXPECT_EQ(counter.value(), 0u);
-    counter.decrement();
-    EXPECT_EQ(counter.value(), 0u);
-    for (int i = 0; i < 10; ++i)
-        counter.increment();
-    EXPECT_EQ(counter.value(), 3u);
-    EXPECT_TRUE(counter.saturated());
-    counter.decrement();
-    EXPECT_EQ(counter.value(), 2u);
-    EXPECT_TRUE(counter.high());
-    counter.reset();
-    EXPECT_EQ(counter.value(), 0u);
-}
 
 TEST(Rng, DeterministicAcrossInstances)
 {
@@ -143,13 +125,6 @@ TEST(Stats, Geomean)
     const std::vector<double> ones{1.0, 1.0, 1.0};
     EXPECT_NEAR(geomean(ones), 1.0, 1e-12);
     EXPECT_EQ(geomean({}), 0.0);
-}
-
-TEST(Stats, WeightedMean)
-{
-    const std::vector<double> vals{1.0, 3.0};
-    const std::vector<double> weights{1.0, 3.0};
-    EXPECT_NEAR(weightedMean(vals, weights), 2.5, 1e-12);
 }
 
 TEST(Stats, LinearFitRecoversLine)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Shard merge tests: range partitioning properties and the streaming
- * journal merge behind `dolsim --merge` (first-committed-wins dedup,
- * success over an earlier quarantine, bounded rows held, quarantine
- * surfacing, and refusal of uncovered cells and foreign plans).
+ * Shard merge tests: range partitioning properties and the journal
+ * merge behind `dolsim --merge` (first-committed-wins dedup, success
+ * over an earlier quarantine, quarantine surfacing, a clean prefix
+ * that ends where `--resume` ends it, and refusal of uncovered cells
+ * and foreign plans).
  *
  * The journals hold fabricated rows (a pure function of the cell
  * index), not simulated ones: the property under test is the merge,
@@ -20,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "runner/checkpoint.hpp"
+#include "runner/framed_file.hpp"
 #include "runner/merge.hpp"
 #include "runner/sweep.hpp"
+#include "runner/wire.hpp"
 
 namespace
 {
@@ -130,6 +133,20 @@ failedRecord(std::uint64_t cell)
     return failed;
 }
 
+/** Merge @p journals; on success @p document holds the merged
+ *  dol-sweep-v1 document. */
+runner::MergeStats
+mergeToString(const std::vector<std::string> &journals,
+              std::string &document)
+{
+    runner::ResultStore store;
+    runner::SweepMeta meta;
+    const runner::MergeStats stats =
+        runner::mergeJournals(journals, store, meta);
+    document = stats.ok ? store.toJson(meta) : "";
+    return stats;
+}
+
 // ---------------------------------------------------------------------
 // Partitioning
 // ---------------------------------------------------------------------
@@ -177,11 +194,9 @@ TEST(Merge, FirstCommittedWinsAndSuccessOutranksFailure)
     writeJournal(dir + "/b.ckpt", plan3(),
                  {markedJob(1, 2.5), markedJob(2, 9.75)});
 
-    runner::MergeOptions options;
-    options.journals = {dir + "/a.ckpt", dir + "/b.ckpt"};
     std::string merged;
     const runner::MergeStats stats =
-        runner::mergeJournalsToString(options, merged);
+        mergeToString({dir + "/a.ckpt", dir + "/b.ckpt"}, merged);
     ASSERT_TRUE(stats.ok) << stats.error;
     EXPECT_EQ(stats.mergedCells, 3u);
     EXPECT_EQ(stats.failedCells, 0u);
@@ -204,11 +219,9 @@ TEST(Merge, QuarantinedEverywhereSurfacesInFailedCells)
                  {markedJob(0, 1.5), markedJob(2, 3.5)},
                  {failedRecord(1)});
 
-    runner::MergeOptions options;
-    options.journals = {dir + "/a.ckpt"};
     std::string merged;
     const runner::MergeStats stats =
-        runner::mergeJournalsToString(options, merged);
+        mergeToString({dir + "/a.ckpt"}, merged);
     ASSERT_TRUE(stats.ok) << stats.error;
     EXPECT_EQ(stats.mergedCells, 2u);
     EXPECT_EQ(stats.failedCells, 1u);
@@ -217,28 +230,48 @@ TEST(Merge, QuarantinedEverywhereSurfacesInFailedCells)
               std::string::npos);
 }
 
-TEST(Merge, StreamsWithBoundedRowsHeld)
+TEST(Merge, UndecodableRecordEndsThatJournalsCleanPrefix)
 {
-    const std::string dir = freshDir("merge_streaming");
-    runner::JournalPlan plan;
-    plan.itemCount = 64;
-    plan.gridHash = 0x64ull;
-    plan.maxInstrs = 4000;
-    std::vector<runner::JournalJobDone> jobs;
-    for (std::uint64_t cell = 0; cell < plan.itemCount; ++cell)
-        jobs.push_back(jobFor(cell));
-    writeJournal(dir + "/a.ckpt", plan, jobs);
+    const std::string dir = freshDir("merge_undecodable");
+    // Journal a: cell 0, then a record for cell 1 whose checksum
+    // verifies but whose payload does not decode, then cell 2.
+    // Journal b covers cells 1 and 2.
+    const std::string a = dir + "/a.ckpt";
+    writeJournal(a, plan3(), {markedJob(0, 1.5)});
+    {
+        std::string undecodable;
+        runner::wire::putU64(undecodable, 1);
+        runner::wire::putU32(undecodable, 1000); // label past the end
+        runner::FramedWriter writer;
+        ASSERT_TRUE(
+            writer.openAppend(a, std::filesystem::file_size(a)));
+        ASSERT_TRUE(writer.appendRecord(
+            static_cast<std::uint8_t>(runner::JournalRecord::kJobDone),
+            undecodable));
+        ASSERT_TRUE(writer.appendRecord(
+            static_cast<std::uint8_t>(runner::JournalRecord::kJobDone),
+            runner::encodeJobDonePayload(markedJob(2, 3.5))));
+    }
+    writeJournal(dir + "/b.ckpt", plan3(),
+                 {markedJob(1, 2.5), markedJob(2, 9.75)});
 
-    runner::MergeOptions options;
-    options.journals = {dir + "/a.ckpt"};
+    // a's clean prefix ends before the undecodable record, where a
+    // resumed shard would truncate a and re-run cells 1 and 2.
+    const auto loaded = runner::CheckpointJournal::load(a);
+    EXPECT_FALSE(loaded.cleanTail);
+    EXPECT_EQ(loaded.jobs.size(), 1u);
+
     std::string merged;
     const runner::MergeStats stats =
-        runner::mergeJournalsToString(options, merged);
+        mergeToString({a, dir + "/b.ckpt"}, merged);
     ASSERT_TRUE(stats.ok) << stats.error;
-    EXPECT_EQ(stats.mergedCells, 64u);
-    // One row per cell: streaming emission must never materialize
-    // more than one cell's rows at a time, however many cells merge.
-    EXPECT_EQ(stats.peakRowsHeld, 1u);
+    EXPECT_EQ(stats.mergedCells, 3u);
+    EXPECT_EQ(stats.duplicatesDiscarded, 0u);
+    EXPECT_NE(merged.find("1.5"), std::string::npos);
+    EXPECT_NE(merged.find("2.5"), std::string::npos);
+    EXPECT_NE(merged.find("9.75"), std::string::npos);
+    EXPECT_EQ(merged.find("3.5"), std::string::npos)
+        << "a's record of cell 2 lies past its clean prefix";
 }
 
 TEST(Merge, FailsOnUncoveredCellOrForeignPlan)
@@ -246,16 +279,14 @@ TEST(Merge, FailsOnUncoveredCellOrForeignPlan)
     const std::string dir = freshDir("merge_errors");
     writeJournal(dir + "/a.ckpt", plan3(), {markedJob(0, 1.5)});
 
-    runner::MergeOptions options;
     std::string merged;
-    runner::MergeStats stats =
-        runner::mergeJournalsToString(options, merged);
+    runner::MergeStats stats = mergeToString({}, merged);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("no journals"), std::string::npos)
         << stats.error;
 
-    options.journals = {dir + "/a.ckpt"};
-    stats = runner::mergeJournalsToString(options, merged);
+    std::vector<std::string> journals = {dir + "/a.ckpt"};
+    stats = mergeToString(journals, merged);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("no journal covers cell"),
               std::string::npos)
@@ -267,15 +298,15 @@ TEST(Merge, FailsOnUncoveredCellOrForeignPlan)
     other.gridHash ^= 1;
     writeJournal(dir + "/b.ckpt", other,
                  {markedJob(1, 2.5), markedJob(2, 3.5)});
-    options.journals.push_back(dir + "/b.ckpt");
-    stats = runner::mergeJournalsToString(options, merged);
+    journals.push_back(dir + "/b.ckpt");
+    stats = mergeToString(journals, merged);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("different sweep plan"),
               std::string::npos)
         << stats.error;
 
-    options.journals = {dir + "/a.ckpt", dir + "/missing.ckpt"};
-    stats = runner::mergeJournalsToString(options, merged);
+    stats = mergeToString({dir + "/a.ckpt", dir + "/missing.ckpt"},
+                          merged);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("missing journal"), std::string::npos)
         << stats.error;

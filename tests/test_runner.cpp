@@ -492,23 +492,4 @@ TEST(ResultStore, JsonRoundTripPropertyRandomizedRows)
     }
 }
 
-TEST(ResultStore, GridSlotsSerializeInOrder)
-{
-    ResultStore store(3);
-    MetricsRow row;
-    row.prefetcher = "X";
-    row.workload = "c";
-    store.set(2, row);
-    row.workload = "a";
-    store.set(0, row);
-    row.workload = "b";
-    store.set(1, row);
-
-    const auto rows = store.rows();
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].workload, "a");
-    EXPECT_EQ(rows[1].workload, "b");
-    EXPECT_EQ(rows[2].workload, "c");
-}
-
 } // namespace

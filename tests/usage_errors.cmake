@@ -11,7 +11,10 @@
 #    --fuzz-replay (it must not print a 0-instruction row or "ok").
 #
 # Last, a bench binary whose --json file cannot be written must exit 1
-# naming the file once its (quick) sweep has run, not report success.
+# naming the file once its (quick) sweep has run, not report success,
+# and so must a shard whose checkpoint journal stops growing (a
+# one-block file-size limit stands in for a full disk): the journal is
+# a shard's only output.
 #
 # Usage:
 #   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-a-bench-binary>
@@ -61,5 +64,10 @@ expect_usage_error("empty trace: ${empty_trace}"
                    --fuzz-case-seed 1)
 expect_usage_error("cannot write /dev/full"
                    "${BENCH}" --quiet --json /dev/full)
+# CMake splits arguments at ';', so the shell steps join with '&&'.
+set(full_journal "${CMAKE_CURRENT_BINARY_DIR}/usage_errors_full.ckpt")
+expect_usage_error("checkpoint ${full_journal}: cannot append a record"
+    sh -c "trap '' XFSZ && ulimit -f 1 && exec '${DOLSIM}' --workload libquantum.syn,mcf.syn,milc.syn --prefetcher TPC,SPP --instrs 20000 --jobs 1 --shard 0/1 --checkpoint '${full_journal}'")
+file(REMOVE "${full_journal}")
 
 message(STATUS "usage_errors: every malformed command exited 1")

@@ -433,18 +433,17 @@ main(int argc, char **argv)
     }
 
     if (!options.merge.empty()) {
-        runner::MergeOptions merge;
-        merge.journals = options.merge;
+        runner::ResultStore store;
+        runner::SweepMeta meta;
         // The shards ran as separate processes: the journals carry
         // every cell's wall time, but no sweep-wide elapsed time.
-        merge.meta.jobs = static_cast<unsigned>(options.merge.size());
+        meta.jobs = static_cast<unsigned>(options.merge.size());
         const runner::MergeStats stats =
-            runner::mergeJournalsToFile(merge, options.json);
-        if (!stats.ok) {
-            std::error_code ec;
-            std::filesystem::remove(options.json, ec);
+            runner::mergeJournals(options.merge, store, meta);
+        if (!stats.ok)
             fatal("--merge: " + stats.error);
-        }
+        if (!store.writeJsonFile(options.json, meta))
+            fatal("--merge: cannot write " + options.json);
         if (!options.quiet) {
             std::fprintf(
                 stderr,
