@@ -8,7 +8,11 @@
 #
 # Usage:
 #   cmake -DBENCH=<path-to-bench-binary> -DGOLDEN=<golden-file>
-#         -DWORKDIR=<scratch-dir> -P figure_golden.cmake
+#         -DWORKDIR=<scratch-dir> [-DARGS=<arguments>]
+#         -P figure_golden.cmake
+#
+# ARGS replaces the default arguments (--jobs 2 --quiet); an empty
+# -DARGS= runs the binary with none, as the examples take none.
 
 foreach(required BENCH GOLDEN WORKDIR)
     if(NOT DEFINED ${required})
@@ -19,10 +23,13 @@ endforeach()
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(actual "${WORKDIR}/stdout.txt")
+if(NOT DEFINED ARGS)
+    set(ARGS --jobs 2 --quiet)
+endif()
 
 set(ENV{DOL_QUICK} 1)
 execute_process(
-    COMMAND "${BENCH}" --jobs 2 --quiet
+    COMMAND "${BENCH}" ${ARGS}
     RESULT_VARIABLE rc
     OUTPUT_FILE "${actual}")
 if(NOT rc EQUAL 0)
