@@ -51,11 +51,9 @@ registerExtra(const std::string &extra)
             "fig14/" + extra + "/" + spec.name;
         collector().addJob(
             label, [extra, spec](ExperimentRunner &runner) {
-                // TPC's footprint defines the uncovered region.
-                const RunOutput tpc = runner.run(spec, "TPC");
-
+                // TPC's prefetched lines define the uncovered region.
                 RunOptions focus;
-                focus.exclude = tpc.pfp;
+                focus.exclude = runner.prefetchedLines(spec, "TPC");
                 std::vector<RunOutput> out;
                 out.push_back(runner.run(spec, extra, focus));
                 out.push_back(

@@ -1,5 +1,7 @@
 #include "metrics/accounting.hpp"
 
+#include <bit>
+
 namespace dol
 {
 
@@ -19,14 +21,13 @@ PrefetchAccounting::prefetchIssued(ComponentId comp, Addr line,
 {
     (void)dest;
     (void)when;
-    _pfp.insert(line);
-    _pfpByComp[comp].insert(line);
-
-    Fruit fruit = Fruit::kHHF;
-    if (_stratifier)
-        fruit = _stratifier->classify(line);
-    ++_categories[static_cast<unsigned>(fruit)].issued;
-    _issueCategory[line] = static_cast<std::uint8_t>(fruit);
+    auto [entry, first] = _pfp.tryEmplace(line);
+    entry->components |= std::uint32_t{1} << comp;
+    if (first) {
+        entry->fruit = static_cast<std::uint8_t>(
+            _stratifier ? _stratifier->classify(line) : Fruit::kHHF);
+    }
+    ++_categories[entry->fruit].issued;
 
     if (inFocus(line))
         ++_focus.issued;
@@ -40,9 +41,9 @@ PrefetchAccounting::prefetchUsed(ComponentId comp, unsigned level,
     (void)level;
     if (level != kL1 && level != kL2)
         return;
-    const std::uint8_t *category = _issueCategory.find(line);
+    const Prefetched *entry = _pfp.find(line);
     const unsigned fruit =
-        category ? *category : static_cast<unsigned>(Fruit::kHHF);
+        entry ? entry->fruit : static_cast<unsigned>(Fruit::kHHF);
     ++_categories[fruit].used;
     if (inFocus(line))
         ++_focus.used;
@@ -58,93 +59,66 @@ PrefetchAccounting::inducedMiss(unsigned level, Addr line,
     // Charge the negative credit to the category (and focus region) of
     // the victim lines' prefetches. We approximate with the category
     // of the missing line itself, which the prefetched lines displaced.
-    const std::uint8_t *category = _issueCategory.find(line);
+    const Prefetched *entry = _pfp.find(line);
     const unsigned fruit =
-        category ? *category
-                 : static_cast<unsigned>(
-                       _stratifier ? _stratifier->classify(line)
-                                   : Fruit::kHHF);
+        entry ? entry->fruit
+              : static_cast<unsigned>(
+                    _stratifier ? _stratifier->classify(line)
+                                : Fruit::kHHF);
     _categories[fruit].inducedCredit += 1.0;
     if (inFocus(line))
         _focus.inducedCredit += 1.0;
 }
 
-double
-PrefetchAccounting::scope() const
+PrefetchAccounting::Scopes
+PrefetchAccounting::scopes() const
 {
-    if (_fpWeight == 0)
-        return 0.0;
-    std::uint64_t covered = 0;
+    // The weight of FP's lines, and of those PFP covers: in total,
+    // per component, per category and in the focus region.
+    std::uint64_t covered = 0, focus_total = 0, focus_covered = 0;
+    std::array<std::uint64_t, kMaxComponents> comp_covered{};
+    std::array<std::uint64_t, kNumFruit> fruit_total{}, fruit_covered{};
     _fp.forEach([&](Addr line, std::uint32_t weight) {
-        if (_pfp.contains(line))
-            covered += weight;
+        const Prefetched *entry = _pfp.find(line);
+        const std::uint64_t covered_weight = entry ? weight : 0;
+        covered += covered_weight;
+        for (std::uint32_t bits = entry ? entry->components : 0; bits;
+             bits &= bits - 1)
+            comp_covered[std::countr_zero(bits)] += weight;
+        if (_stratifier) {
+            const auto fruit =
+                static_cast<unsigned>(_stratifier->classify(line));
+            fruit_total[fruit] += weight;
+            fruit_covered[fruit] += covered_weight;
+        }
+        if (inFocus(line)) {
+            focus_total += weight;
+            focus_covered += covered_weight;
+        }
     });
-    return static_cast<double>(covered) /
-           static_cast<double>(_fpWeight);
-}
 
-double
-PrefetchAccounting::scopeOf(ComponentId comp) const
-{
-    if (_fpWeight == 0)
-        return 0.0;
-    const auto &pfp = _pfpByComp[comp];
-    std::uint64_t covered = 0;
-    _fp.forEach([&](Addr line, std::uint32_t weight) {
-        if (pfp.contains(line))
-            covered += weight;
-    });
-    return static_cast<double>(covered) /
-           static_cast<double>(_fpWeight);
-}
-
-double
-PrefetchAccounting::scopeInCategory(Fruit fruit) const
-{
-    if (!_stratifier)
-        return 0.0;
-    std::uint64_t total = 0;
-    std::uint64_t covered = 0;
-    _fp.forEach([&](Addr line, std::uint32_t weight) {
-        if (_stratifier->classify(line) != fruit)
-            return;
-        total += weight;
-        if (_pfp.contains(line))
-            covered += weight;
-    });
-    return total ? static_cast<double>(covered) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-double
-PrefetchAccounting::focusScope() const
-{
-    if (!_haveExclude)
-        return 0.0;
-    std::uint64_t total = 0;
-    std::uint64_t covered = 0;
-    _fp.forEach([&](Addr line, std::uint32_t weight) {
-        if (!inFocus(line))
-            return;
-        total += weight;
-        if (_pfp.contains(line))
-            covered += weight;
-    });
-    return total ? static_cast<double>(covered) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-std::shared_ptr<std::unordered_set<Addr>>
-PrefetchAccounting::takePfp()
-{
-    // Materialise a node-based copy: the exclude-set plumbing between
-    // chained experiments keeps the shared_ptr API.
-    auto out = std::make_shared<std::unordered_set<Addr>>();
-    out->reserve(_pfp.size());
-    _pfp.forEach([&](Addr line) { out->insert(line); });
+    const auto ratio = [](std::uint64_t part, std::uint64_t whole) {
+        return whole ? static_cast<double>(part) /
+                           static_cast<double>(whole)
+                     : 0.0;
+    };
+    Scopes out;
+    out.total = ratio(covered, _fpWeight);
+    for (unsigned c = 0; c < kMaxComponents; ++c)
+        out.byComponent[c] = ratio(comp_covered[c], _fpWeight);
+    for (unsigned f = 0; f < kNumFruit; ++f)
+        out.byCategory[f] = ratio(fruit_covered[f], fruit_total[f]);
+    out.focus = ratio(focus_covered, focus_total);
     return out;
+}
+
+std::shared_ptr<const FlatHashSet<Addr>>
+PrefetchAccounting::prefetchedLines() const
+{
+    auto lines = std::make_shared<FlatHashSet<Addr>>();
+    lines->reserve(_pfp.size());
+    _pfp.forEach([&](Addr line, const Prefetched &) { lines->insert(line); });
+    return lines;
 }
 
 } // namespace dol

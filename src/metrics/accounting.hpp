@@ -9,9 +9,11 @@
  * count; PFP is the set of lines attempted by a prefetcher. The scope
  * is the weighted fraction of FP covered by PFP.
  *
- * Per-category (LHF/MHF/HHF) counters implement Figure 13, and an
- * optional exclude-set confines counters to the region TPC does not
- * cover (Figure 14).
+ * FP and PFP are one table each; a PFP entry holds the components that
+ * prefetched the line and the LHF/MHF/HHF category of its first issue.
+ * One pass over FP yields every scope: total, per component, per
+ * category (Figure 13) and in the focus region outside an optional
+ * exclude set (Figure 14).
  */
 
 #ifndef DOL_METRICS_ACCOUNTING_HPP
@@ -20,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 
 #include "common/flat_table.hpp"
 #include "mem/listener.hpp"
@@ -34,12 +35,11 @@ class PrefetchAccounting : public MemListener
   public:
     PrefetchAccounting()
     {
-        // The footprint / PFP sets grow to tens of thousands of lines
-        // over a run; pre-sizing skips the doubling rehashes the
-        // profiler otherwise attributes ~20% of sim time to.
+        // FP and PFP grow to tens of thousands of lines over a run;
+        // pre-sizing skips the doubling rehashes the profiler
+        // otherwise attributes ~20% of sim time to.
         _fp.reserve(1u << 16);
         _pfp.reserve(1u << 16);
-        _issueCategory.reserve(1u << 15);
     }
 
     struct CategoryCounters
@@ -69,17 +69,9 @@ class PrefetchAccounting : public MemListener
      * the region TPC does not cover (Figure 14).
      */
     void
-    setExcludeSet(std::shared_ptr<const std::unordered_set<Addr>> exclude)
+    setExcludeSet(std::shared_ptr<const FlatHashSet<Addr>> exclude)
     {
-        // Copied into a flat probe-once set: inFocus() runs on every
-        // issued prefetch when an exclude set is attached (Fig. 14).
-        _exclude.clear();
-        _haveExclude = exclude != nullptr;
-        if (exclude) {
-            _exclude.reserve(exclude->size());
-            for (const Addr line : *exclude)
-                _exclude.insert(line);
-        }
+        _exclude = std::move(exclude);
     }
 
     // --- MemListener ------------------------------------------------
@@ -92,14 +84,19 @@ class PrefetchAccounting : public MemListener
                      std::span<const ComponentId> comps) override;
 
     // --- results ------------------------------------------------------
-    /** Scope of the whole prefetcher (all components). */
-    double scope() const;
+    /** Weighted FP coverage; 0 where that share of FP weighs 0. */
+    struct Scopes
+    {
+        double total = 0.0;
+        std::array<double, kMaxComponents> byComponent{};
+        /** Within each category's FP lines (needs a stratifier). */
+        std::array<double, kNumFruit> byCategory{};
+        /** Within the FP lines outside the exclude set. */
+        double focus = 0.0;
+    };
 
-    /** Scope of one component's prefetching footprint. */
-    double scopeOf(ComponentId comp) const;
-
-    /** Scope within one ground-truth category. */
-    double scopeInCategory(Fruit fruit) const;
+    /** Every scope, from one pass over FP. */
+    Scopes scopes() const;
 
     /** Category counters (all components together). */
     const CategoryCounters &category(Fruit fruit) const
@@ -107,40 +104,42 @@ class PrefetchAccounting : public MemListener
         return _categories[static_cast<unsigned>(fruit)];
     }
 
-    /** Focus-region (outside the exclude set) counters and scope. */
+    /** Focus-region (outside the exclude set) counters. */
     const CategoryCounters &focus() const { return _focus; }
-    double focusScope() const;
 
-    /** The set of lines this run prefetched (becomes the next
-     *  experiment's exclude set). */
-    std::shared_ptr<std::unordered_set<Addr>> takePfp();
+    /** The lines this run prefetched (the next experiment's exclude
+     *  set in Figure 14). */
+    std::shared_ptr<const FlatHashSet<Addr>> prefetchedLines() const;
 
     std::uint64_t footprintLines() const { return _fp.size(); }
     std::uint64_t footprintWeight() const { return _fpWeight; }
 
   private:
+    /** A PFP line: bit c is set when component c prefetched it;
+     *  fruit is the category charged at its first issue. */
+    struct Prefetched
+    {
+        std::uint32_t components = 0;
+        std::uint8_t fruit = 0;
+    };
+
     bool
     inFocus(Addr line) const
     {
-        return _haveExclude && !_exclude.contains(line);
+        return _exclude && !_exclude->contains(line);
     }
 
     const OfflineStratifier *_stratifier = nullptr;
-    bool _haveExclude = false;
-    FlatHashSet<Addr> _exclude;
+    std::shared_ptr<const FlatHashSet<Addr>> _exclude;
 
     /** Baseline L1 miss footprint with weights. */
     FlatHashMap<Addr, std::uint32_t> _fp;
     std::uint64_t _fpWeight = 0;
 
-    FlatHashSet<Addr> _pfp;
-    std::array<FlatHashSet<Addr>, kMaxComponents> _pfpByComp;
+    FlatHashMap<Addr, Prefetched> _pfp;
 
     std::array<CategoryCounters, kNumFruit> _categories{};
     CategoryCounters _focus{};
-
-    /** Which category each prefetched line was charged to. */
-    FlatHashMap<Addr, std::uint8_t> _issueCategory;
 };
 
 } // namespace dol

@@ -1,5 +1,7 @@
 #include "runner/cli.hpp"
 
+#include <algorithm>
+
 namespace dol::runner
 {
 
@@ -84,7 +86,10 @@ std::string
 cellTracePath(const std::string &base, const std::string &workload,
               const std::string &prefetcher, const std::string &variant)
 {
-    return base + "." + workload + "." + prefetcher + variant;
+    // A '/' (GHB-PC/DC, replay:dir/x.trc) would name a directory.
+    std::string cell = workload + "." + prefetcher;
+    std::replace(cell.begin(), cell.end(), '/', '-');
+    return base + "." + cell + variant;
 }
 
 } // namespace dol::runner

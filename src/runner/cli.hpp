@@ -57,7 +57,8 @@ bool parseShard(const std::string &text, std::uint64_t &index_out,
 
 /**
  * Per-cell trace file name for multi-cell sweeps:
- * "<base>.<workload>.<prefetcher><variant>". Single-cell sweeps use
+ * "<base>.<workload>.<prefetcher><variant>", with every '/' in the
+ * workload and prefetcher names mapped to '-'. Single-cell sweeps use
  * @p base verbatim (callers special-case that).
  */
 std::string cellTracePath(const std::string &base,

@@ -92,10 +92,20 @@ BaselineCache::size() const
     return _futures.size();
 }
 
+std::shared_ptr<const FlatHashSet<Addr>>
+ExperimentRunner::prefetchedLines(const WorkloadSpec &spec,
+                                  const std::string &prefetcher_name)
+{
+    std::shared_ptr<const FlatHashSet<Addr>> lines;
+    measure(spec, prefetcher_name, {}, &lines);
+    return lines;
+}
+
 RunOutput
-ExperimentRunner::run(const WorkloadSpec &spec,
-                      const std::string &prefetcher_name,
-                      const RunOptions &options)
+ExperimentRunner::measure(const WorkloadSpec &spec,
+                          const std::string &prefetcher_name,
+                          const RunOptions &options,
+                          std::shared_ptr<const FlatHashSet<Addr>> *lines)
 {
     const Baseline &base = baseline(spec);
 
@@ -216,14 +226,13 @@ ExperimentRunner::run(const WorkloadSpec &spec,
             : 1.0;
 
     const PrefetchAccounting &acct = sim.accounting();
-    out.scope = acct.scope();
-    for (unsigned f = 0; f < kNumFruit; ++f) {
+    const PrefetchAccounting::Scopes scopes = acct.scopes();
+    out.scope = scopes.total;
+    for (unsigned f = 0; f < kNumFruit; ++f)
         out.categories[f] = acct.category(static_cast<Fruit>(f));
-        out.categoryScope[f] =
-            acct.scopeInCategory(static_cast<Fruit>(f));
-    }
+    out.categoryScope = scopes.byCategory;
     out.focus = acct.focus();
-    out.focusScope = acct.focusScope();
+    out.focusScope = scopes.focus;
 
     // Per-component outputs.
     const auto &names = sim.componentNames();
@@ -235,11 +244,12 @@ ExperimentRunner::run(const WorkloadSpec &spec,
         comp.issued = mem.comp[id].issued;
         comp.used = mem.comp[id].used;
         comp.inducedCredit = mem.comp[id].inducedCredit;
-        comp.scope = acct.scopeOf(static_cast<ComponentId>(id));
+        comp.scope = scopes.byComponent[id];
         out.components.push_back(std::move(comp));
     }
 
-    out.pfp = sim.accounting().takePfp();
+    if (lines)
+        *lines = acct.prefetchedLines();
     return out;
 }
 

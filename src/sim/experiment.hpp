@@ -5,7 +5,8 @@
  * baseline, scope, effective accuracy and coverage at L1 and L2,
  * normalized memory traffic, per-category (LHF/MHF/HHF) accuracy, and
  * per-component breakdowns. Baselines and stratifiers are computed
- * once per workload and cached.
+ * once per workload and cached. A RunOutput holds no line sets:
+ * Figure 14's chain gets TPC's lines from prefetchedLines().
  */
 
 #ifndef DOL_SIM_EXPERIMENT_HPP
@@ -18,7 +19,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -70,23 +70,12 @@ struct RunOutput
         std::uint64_t used = 0;
         double inducedCredit = 0.0;
         double scope = 0.0;
-
-        double
-        effectiveAccuracy() const
-        {
-            return issued ? (static_cast<double>(used) - inducedCredit) /
-                                static_cast<double>(issued)
-                          : 0.0;
-        }
     };
     std::vector<ComponentOutput> components;
 
     /** Focus-region counters (outside an exclude set; Figure 14). */
     PrefetchAccounting::CategoryCounters focus{};
     double focusScope = 0.0;
-
-    /** Lines this run prefetched (input to Figure 14's exclusion). */
-    std::shared_ptr<std::unordered_set<Addr>> pfp;
 
     /** End-of-run counter snapshot, populated when the run collected
      *  counters (RunOptions::collectCounters or a trace path). */
@@ -105,7 +94,7 @@ struct RunOptions
     /** Oracle-stratified destination: LHF to L1, rest to L2. */
     bool oracleDest = false;
     /** Exclude set for focus-region accounting (Figure 14). */
-    std::shared_ptr<const std::unordered_set<Addr>> exclude;
+    std::shared_ptr<const FlatHashSet<Addr>> exclude;
 
     /** Write this run's binary event trace here (empty = no trace). */
     std::string tracePath;
@@ -155,9 +144,17 @@ class ExperimentRunner
     const Baseline &baseline(const WorkloadSpec &spec);
 
     /** Measured run with a prefetcher built by the registry. */
-    RunOutput run(const WorkloadSpec &spec,
-                  const std::string &prefetcher_name,
-                  const RunOptions &options = {});
+    RunOutput
+    run(const WorkloadSpec &spec, const std::string &prefetcher_name,
+        const RunOptions &options = {})
+    {
+        return measure(spec, prefetcher_name, options, nullptr);
+    }
+
+    /** The lines run(spec, prefetcher_name) prefetches (its PFP). */
+    std::shared_ptr<const FlatHashSet<Addr>>
+    prefetchedLines(const WorkloadSpec &spec,
+                    const std::string &prefetcher_name);
 
     /**
      * Cooperative cancellation for the measured run (borrowed; may be
@@ -175,6 +172,12 @@ class ExperimentRunner
 
   private:
     Baseline computeBaseline(const WorkloadSpec &spec);
+
+    /** run(), also handing out its PFP when @p lines is set. */
+    RunOutput measure(const WorkloadSpec &spec,
+                      const std::string &prefetcher_name,
+                      const RunOptions &options,
+                      std::shared_ptr<const FlatHashSet<Addr>> *lines);
 
     SimConfig _config;
     std::shared_ptr<BaselineCache> _cache;

@@ -133,6 +133,15 @@ TEST(CellTracePath, ComposesPerCellNames)
     // Distinct cells must never share a file (writer exclusivity).
     EXPECT_NE(cellTracePath("t", "a.syn", "TPC", ""),
               cellTracePath("t", "a.syn", "SPP", ""));
+    // A '/' in a prefetcher or workload name must not turn the cell's
+    // file into a path under a directory that does not exist; the
+    // base keeps its own directories.
+    EXPECT_EQ(cellTracePath("run.trc", "mcf.syn", "GHB-PC/DC", ""),
+              "run.trc.mcf.syn.GHB-PC-DC");
+    EXPECT_EQ(cellTracePath("run2.trc", "replay:dir/x.trc", "TPC", ""),
+              "run2.trc.replay:dir-x.trc.TPC");
+    EXPECT_EQ(cellTracePath("out/run.trc", "mcf.syn", "TPC+SPP", ":l2"),
+              "out/run.trc.mcf.syn.TPC+SPP:l2");
 }
 
 // --- dol-sweep-v1 JSON reader fuzz --------------------------------

@@ -127,11 +127,11 @@ TEST(Integration, ExcludeSetNarrowsFocus)
 {
     ExperimentRunner runner(integrationConfig());
     const auto &spec = findWorkload("gcc.syn");
-    const RunOutput tpc = runner.run(spec, "TPC");
-    ASSERT_NE(tpc.pfp, nullptr);
+    const auto tpc_lines = runner.prefetchedLines(spec, "TPC");
+    ASSERT_NE(tpc_lines, nullptr);
 
     RunOptions options;
-    options.exclude = tpc.pfp;
+    options.exclude = tpc_lines;
     const RunOutput sms = runner.run(spec, "SMS", options);
     // The focus region is a subset: focus issues <= total issues.
     EXPECT_LE(sms.focus.issued, sms.prefetchesIssued);

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "metrics/accounting.hpp"
 #include "metrics/stratify.hpp"
 
@@ -26,9 +31,10 @@ TEST(Accounting, ScopeIsWeightedFootprintCoverage)
     // The prefetcher attempted only A.
     acct.prefetchIssued(1, 0x1000, kL1, 0);
 
-    EXPECT_NEAR(acct.scope(), 0.75, 1e-9);
-    EXPECT_NEAR(acct.scopeOf(1), 0.75, 1e-9);
-    EXPECT_NEAR(acct.scopeOf(2), 0.0, 1e-9);
+    const PrefetchAccounting::Scopes scopes = acct.scopes();
+    EXPECT_NEAR(scopes.total, 0.75, 1e-9);
+    EXPECT_NEAR(scopes.byComponent[1], 0.75, 1e-9);
+    EXPECT_NEAR(scopes.byComponent[2], 0.0, 1e-9);
     EXPECT_EQ(acct.footprintLines(), 2u);
     EXPECT_EQ(acct.footprintWeight(), 4u);
 }
@@ -84,7 +90,7 @@ TEST(Accounting, EffectiveAccuracyGoesNegativeWithPollution)
 
 TEST(Accounting, ExcludeSetConfinesFocusCounters)
 {
-    auto exclude = std::make_shared<std::unordered_set<Addr>>();
+    auto exclude = std::make_shared<FlatHashSet<Addr>>();
     exclude->insert(0x1000);
 
     PrefetchAccounting acct;
@@ -98,7 +104,7 @@ TEST(Accounting, ExcludeSetConfinesFocusCounters)
 
     EXPECT_EQ(acct.focus().issued, 1u);
     EXPECT_EQ(acct.focus().used, 1u);
-    EXPECT_NEAR(acct.focusScope(), 1.0, 1e-9);
+    EXPECT_NEAR(acct.scopes().focus, 1.0, 1e-9);
 }
 
 TEST(Accounting, PfpHandoffFeedsNextExperiment)
@@ -106,11 +112,201 @@ TEST(Accounting, PfpHandoffFeedsNextExperiment)
     PrefetchAccounting acct;
     acct.prefetchIssued(1, 0x1000, kL1, 0);
     acct.prefetchIssued(2, 0x2000, kL2, 0);
-    auto pfp = acct.takePfp();
+    auto pfp = acct.prefetchedLines();
     ASSERT_NE(pfp, nullptr);
     EXPECT_TRUE(pfp->contains(0x1000));
     EXPECT_TRUE(pfp->contains(0x2000));
     EXPECT_EQ(pfp->size(), 2u);
+}
+
+/**
+ * The paper's definitions, recounted with ordered containers from the
+ * same callbacks: FP and PFP as plain sets, one PFP per component, the
+ * category of a line's first issue, and every scope as its own walk.
+ */
+struct NaiveAccounting
+{
+    const OfflineStratifier *stratifier = nullptr;
+    const FlatHashSet<Addr> *exclude = nullptr;
+
+    std::map<Addr, std::uint64_t> fp;
+    std::set<Addr> pfp;
+    std::array<std::set<Addr>, kMaxComponents> pfpByComp;
+    std::map<Addr, Fruit> firstFruit;
+    std::array<PrefetchAccounting::CategoryCounters, kNumFruit>
+        categories{};
+    PrefetchAccounting::CategoryCounters focus{};
+
+    bool inFocus(Addr line) const { return !exclude->contains(line); }
+
+    void
+    shadowMiss(unsigned level, Addr line)
+    {
+        if (level == kL1)
+            ++fp[line];
+    }
+
+    void
+    issued(ComponentId comp, Addr line)
+    {
+        pfp.insert(line);
+        pfpByComp[comp].insert(line);
+        firstFruit.emplace(line, stratifier->classify(line));
+        ++categories[static_cast<unsigned>(firstFruit.at(line))].issued;
+        if (inFocus(line))
+            ++focus.issued;
+    }
+
+    void
+    used(unsigned level, Addr line)
+    {
+        if (level != kL1 && level != kL2)
+            return;
+        const auto it = firstFruit.find(line);
+        const Fruit fruit = it != firstFruit.end() ? it->second : Fruit::kHHF;
+        ++categories[static_cast<unsigned>(fruit)].used;
+        if (inFocus(line))
+            ++focus.used;
+    }
+
+    void
+    induced(unsigned level, Addr line)
+    {
+        if (level != kL1)
+            return;
+        const auto it = firstFruit.find(line);
+        const Fruit fruit = it != firstFruit.end()
+                                ? it->second
+                                : stratifier->classify(line);
+        categories[static_cast<unsigned>(fruit)].inducedCredit += 1.0;
+        if (inFocus(line))
+            focus.inducedCredit += 1.0;
+    }
+
+    /** Weighted share of the FP lines @p in_scope admits that
+     *  @p lines covers. */
+    template <typename InScope>
+    double
+    scope(const std::set<Addr> &lines, InScope in_scope) const
+    {
+        std::uint64_t total = 0;
+        std::uint64_t covered = 0;
+        for (const auto &[line, weight] : fp) {
+            if (!in_scope(line))
+                continue;
+            total += weight;
+            if (lines.contains(line))
+                covered += weight;
+        }
+        return total ? static_cast<double>(covered) /
+                           static_cast<double>(total)
+                     : 0.0;
+    }
+};
+
+TEST(Accounting, OnePassMatchesNaiveRecount)
+{
+    // A strided PC over one region (LHF), a wandering PC over a dense
+    // one (MHF), and scattered lines no pattern reaches (HHF).
+    OfflineStratifier strat;
+    std::vector<Addr> universe;
+    for (Addr i = 0; i < 16; ++i) {
+        strat.observe(0x10, 0x100000 + i * kLineBytes);
+        universe.push_back(0x100000 + i * kLineBytes);
+    }
+    for (Addr i = 0; i < 16; ++i) {
+        strat.observe(0x20, 0x200000 + ((i * 5) % 16) * kLineBytes);
+        universe.push_back(0x200000 + i * kLineBytes);
+    }
+    for (Addr i = 0; i < 16; ++i)
+        universe.push_back(0x900000 + i * kRegionBytes);
+
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        const auto pick = [&](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+
+        auto exclude = std::make_shared<FlatHashSet<Addr>>();
+        for (const Addr line : universe) {
+            if (pick(2))
+                exclude->insert(line);
+        }
+
+        PrefetchAccounting acct;
+        acct.setStratifier(&strat);
+        acct.setExcludeSet(exclude);
+        NaiveAccounting naive;
+        naive.stratifier = &strat;
+        naive.exclude = exclude.get();
+
+        for (int event = 0; event < 2000; ++event) {
+            const Addr line = universe[pick(universe.size())];
+            const unsigned level = static_cast<unsigned>(pick(3));
+            const auto comp = static_cast<ComponentId>(pick(kMaxComponents));
+            switch (pick(4)) {
+            case 0:
+                acct.shadowMiss(level, line, 0);
+                naive.shadowMiss(level, line);
+                break;
+            case 1:
+                acct.prefetchIssued(comp, line, level, 0);
+                naive.issued(comp, line);
+                break;
+            case 2:
+                acct.prefetchUsed(comp, level, line);
+                naive.used(level, line);
+                break;
+            default: {
+                const std::vector<ComponentId> comps{comp};
+                acct.inducedMiss(level, line, comps);
+                naive.induced(level, line);
+                break;
+            }
+            }
+        }
+
+        const auto everywhere = [](Addr) { return true; };
+        const PrefetchAccounting::Scopes scopes = acct.scopes();
+        EXPECT_EQ(scopes.total, naive.scope(naive.pfp, everywhere));
+        for (unsigned c = 0; c < kMaxComponents; ++c) {
+            EXPECT_EQ(scopes.byComponent[c],
+                      naive.scope(naive.pfpByComp[c], everywhere))
+                << "component " << c;
+        }
+        for (unsigned f = 0; f < kNumFruit; ++f) {
+            const auto fruit = static_cast<Fruit>(f);
+            EXPECT_EQ(scopes.byCategory[f],
+                      naive.scope(naive.pfp, [&](Addr line) {
+                          return strat.classify(line) == fruit;
+                      }))
+                << fruitName(fruit);
+            const auto &got = acct.category(fruit);
+            const auto &want = naive.categories[f];
+            EXPECT_EQ(got.issued, want.issued) << fruitName(fruit);
+            EXPECT_EQ(got.used, want.used) << fruitName(fruit);
+            EXPECT_EQ(got.inducedCredit, want.inducedCredit)
+                << fruitName(fruit);
+        }
+        EXPECT_EQ(scopes.focus,
+                  naive.scope(naive.pfp, [&](Addr line) {
+                      return naive.inFocus(line);
+                  }));
+        EXPECT_EQ(acct.focus().issued, naive.focus.issued);
+        EXPECT_EQ(acct.focus().used, naive.focus.used);
+        EXPECT_EQ(acct.focus().inducedCredit, naive.focus.inducedCredit);
+
+        std::uint64_t weight = 0;
+        for (const auto &[line, count] : naive.fp)
+            weight += count;
+        EXPECT_EQ(acct.footprintLines(), naive.fp.size());
+        EXPECT_EQ(acct.footprintWeight(), weight);
+        const auto lines = acct.prefetchedLines();
+        EXPECT_EQ(lines->size(), naive.pfp.size());
+        for (const Addr line : naive.pfp)
+            EXPECT_TRUE(lines->contains(line));
+    }
 }
 
 TEST(Stratifier, ClassifiesThreeCategories)
