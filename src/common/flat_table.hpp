@@ -65,7 +65,8 @@ class FlatHashMap
     struct Slot
     {
         Key key{};
-        Value value{};
+        /** An empty Value (FlatHashSet's) takes no room in the slot. */
+        [[no_unique_address]] Value value{};
     };
 
     static constexpr std::uint8_t kEmpty = 0;

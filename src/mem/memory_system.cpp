@@ -1,6 +1,7 @@
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/log.hpp"
 #include "trace/context.hpp"
@@ -31,7 +32,6 @@ scaled(Cache::Params p, unsigned factor, const char *suffix)
 
 SharedMemory::SharedMemory(const MemParams &params, unsigned num_cores)
     : _l3(scaled(params.l3, std::max(1u, num_cores), "")),
-      _shadowL3(scaled(params.l3, std::max(1u, num_cores), ".shadow")),
       _dram(params.dram)
 {
     _dram.setCancelHook([this](Addr line_addr) {
@@ -53,14 +53,21 @@ SharedMemory::registerCore(MemorySystem *core)
 }
 
 MemorySystem::MemorySystem(const MemParams &params,
-                           std::shared_ptr<SharedMemory> shared)
+                           std::shared_ptr<SharedMemory> shared,
+                           std::shared_ptr<const ShadowRecord> replay)
     : _shared(shared ? std::move(shared)
                      : std::make_shared<SharedMemory>(params, 1)),
       _l1(params.l1),
       _l2(params.l2),
-      _shadowL1(scaled(params.l1, 1, ".shadow")),
-      _shadowL2(scaled(params.l2, 1, ".shadow"))
+      _replay(std::move(replay))
 {
+    if (!_replay) {
+        _shadowL1.emplace(scaled(params.l1, 1, ".shadow"));
+        _shadowL2.emplace(scaled(params.l2, 1, ".shadow"));
+        if (!_shared->_shadowL3)
+            _shared->_shadowL3.emplace(
+                scaled(_shared->_l3.params(), 1, ".shadow"));
+    }
     _shared->registerCore(this);
     _compScratch.reserve(32);
 
@@ -86,9 +93,9 @@ Cache *
 MemorySystem::shadowCache(unsigned level)
 {
     switch (level) {
-      case kL1: return &_shadowL1;
-      case kL2: return &_shadowL2;
-      case kL3: return &_shared->_shadowL3;
+      case kL1: return &*_shadowL1;
+      case kL2: return &*_shadowL2;
+      case kL3: return &*_shared->_shadowL3;
       default: panic("bad cache level");
     }
 }
@@ -131,16 +138,13 @@ MemorySystem::shadowFill(unsigned level, Addr line, bool dirty)
     }
 }
 
-void
-MemorySystem::shadowWalk(Addr line, Pc pc, bool is_store,
-                         std::array<bool, kNumCacheLevels> &probed,
-                         std::array<bool, kNumCacheLevels> &hit)
+unsigned
+MemorySystem::shadowWalk(Addr line, Pc pc, bool is_store)
 {
-    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+    unsigned lv = 0;
+    for (; lv < kNumCacheLevels; ++lv) {
         Cache *cache = shadowCache(lv);
-        probed[lv] = true;
         if (Cache::Line *found = cache->find(line)) {
-            hit[lv] = true;
             cache->touch(*found);
             if (is_store && lv == kL1)
                 found->dirty = true;
@@ -148,16 +152,62 @@ MemorySystem::shadowWalk(Addr line, Pc pc, bool is_store,
             // baseline hierarchy would.
             for (unsigned up = lv; up-- > 0;)
                 shadowFill(up, line, is_store && up == kL1);
-            return;
+            break;
         }
-        hit[lv] = false;
         ++_stats.level[lv].shadowMisses;
         if (_listener)
             _listener->shadowMiss(lv, line, pc);
     }
-    ++_shared->_shadowDramReads;
-    for (unsigned lv = kNumCacheLevels; lv-- > 0;)
-        shadowFill(lv, line, is_store && lv == kL1);
+    if (lv == kNumCacheLevels) {
+        ++_shared->_shadowDramReads;
+        for (unsigned fill = kNumCacheLevels; fill-- > 0;)
+            shadowFill(fill, line, is_store && fill == kL1);
+    }
+    if (_record)
+        _record->push(lv);
+    return lv;
+}
+
+unsigned
+MemorySystem::replayShadow()
+{
+    if (_replayed == _replay->accesses()) {
+        throw std::runtime_error(
+            "shadow replay of " + _replay->workload + ": access " +
+            std::to_string(_replayed + 1) + " asked for, " +
+            std::to_string(_replay->accesses()) + " recorded");
+    }
+    const unsigned lv = _replay->at(_replayed++);
+    for (unsigned miss = 0; miss < lv; ++miss)
+        ++_stats.level[miss].shadowMisses;
+    if (lv == kNumCacheLevels)
+        ++_shared->_shadowDramReads;
+    return lv;
+}
+
+std::shared_ptr<const ShadowRecord>
+MemorySystem::takeShadowRecord()
+{
+    std::shared_ptr<ShadowRecord> record = std::move(_record);
+    if (record) {
+        record->dramReads = _shared->_shadowDramReads;
+        record->dramWrites = _shared->_shadowDramWrites;
+    }
+    return record;
+}
+
+void
+MemorySystem::finishShadowReplay()
+{
+    if (!_replay)
+        return;
+    if (_replayed != _replay->accesses()) {
+        throw std::runtime_error(
+            "shadow replay of " + _replay->workload + ": ended after " +
+            std::to_string(_replayed) + " of " +
+            std::to_string(_replay->accesses()) + " recorded accesses");
+    }
+    _shared->_shadowDramWrites = _replay->dramWrites;
 }
 
 void
@@ -242,9 +292,8 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
 
     // Baseline walk first: the alternate reality is independent of the
     // prefetcher-perturbed state.
-    std::array<bool, kNumCacheLevels> shadow_probed{};
-    std::array<bool, kNumCacheLevels> shadow_hit{};
-    shadowWalk(line, pc, is_store, shadow_probed, shadow_hit);
+    const unsigned shadow_hit =
+        _replay ? replayShadow() : shadowWalk(line, pc, is_store);
 
     Cycle now = when;
     for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
@@ -329,7 +378,7 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
         if (_listener)
             _listener->demandMiss(lv, line, pc);
 
-        if (shadow_probed[lv] && shadow_hit[lv]) {
+        if (lv == shadow_hit) {
             // The baseline would have hit here: this miss is a
             // casualty of prefetching. Split one negative credit among
             // the prefetched lines currently in the set.

@@ -10,6 +10,17 @@
  * supplies the footprint FP for the scope metric, the denominator of
  * effective coverage, and the oracle for prefetch-induced misses
  * (paper sections III and V-C.1).
+ *
+ * On one core that alternate reality depends only on the demand
+ * stream, which is the same for every prefetcher of a workload. So a
+ * live walk can record it (the level the shadow walk hit, per access,
+ * plus the shadow DRAM traffic) in a ShadowRecord, and a hierarchy
+ * built to replay that record reads each access's outcome instead of
+ * walking: it allocates no shadow cache and makes no shadowMiss
+ * callback, but counts the same shadow misses, makes the same
+ * induced-miss test and reports the same baseline DRAM traffic.
+ * Multicore runs, whose shared shadow L3 sees a timing-dependent
+ * interleave, always walk live.
  */
 
 #ifndef DOL_MEM_MEMORY_SYSTEM_HPP
@@ -18,6 +29,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -98,6 +111,51 @@ struct CoreShareStats
     std::uint64_t l3EvictionsOfOthers = 0;
 };
 
+/**
+ * A single-core run's alternate reality, as its live shadow walk saw
+ * it: for each demand access in program order, the shadow level that
+ * hit (kL1, kL2, kL3, or kNumCacheLevels for DRAM) in 2 bits, and the
+ * shadow DRAM reads and writes of the whole run.
+ */
+class ShadowRecord
+{
+  public:
+    explicit ShadowRecord(std::string name) : workload(std::move(name)) {}
+
+    void
+    push(unsigned level)
+    {
+        const unsigned shift = 2 * (_accesses % kPerWord);
+        if (shift == 0)
+            _words.push_back(0);
+        _words.back() |= std::uint64_t{level} << shift;
+        ++_accesses;
+    }
+
+    /** The shadow level that served access @p index. */
+    unsigned
+    at(std::uint64_t index) const
+    {
+        return static_cast<unsigned>(
+            (_words[index / kPerWord] >> (2 * (index % kPerWord))) & 3);
+    }
+
+    std::uint64_t accesses() const { return _accesses; }
+
+    bool operator==(const ShadowRecord &) const = default;
+
+    /** Names the workload in replay errors. */
+    std::string workload;
+    std::uint64_t dramReads = 0;
+    std::uint64_t dramWrites = 0;
+
+  private:
+    static constexpr unsigned kPerWord = 32;
+
+    std::vector<std::uint64_t> _words;
+    std::uint64_t _accesses = 0;
+};
+
 /** State shared by all cores: L3, its shadow, and the DRAM channel. */
 class SharedMemory
 {
@@ -135,7 +193,8 @@ class SharedMemory
     }
 
     Cache _l3;
-    Cache _shadowL3;
+    /** Built when the first live-walking core registers. */
+    std::optional<Cache> _shadowL3;
     Dram _dram;
     std::uint64_t _shadowDramReads = 0;
     std::uint64_t _shadowDramWrites = 0;
@@ -165,9 +224,14 @@ class MemorySystem : public DataPort
      * @param params  cache/DRAM configuration
      * @param shared  shared L3+DRAM; nullptr builds a private one
      *                (the common single-core case)
+     * @param replay  replay this recorded alternate reality instead of
+     *                walking shadow caches; single-core only, so
+     *                @p shared must be null
      */
     explicit MemorySystem(const MemParams &params = {},
-                          std::shared_ptr<SharedMemory> shared = nullptr);
+                          std::shared_ptr<SharedMemory> shared = nullptr,
+                          std::shared_ptr<const ShadowRecord> replay =
+                              nullptr);
 
     // DataPort
     Result demandLoad(Addr addr, Pc pc, Cycle when) override;
@@ -221,12 +285,29 @@ class MemorySystem : public DataPort
      */
     void cancelPrefetchLine(Addr line_addr);
 
+    /** Record every live-walk outcome from here on (single core). */
+    void
+    recordShadow(const std::string &workload)
+    {
+        _record = std::make_shared<ShadowRecord>(workload);
+    }
+
+    /** Stop recording; the record, with the run's shadow DRAM traffic. */
+    std::shared_ptr<const ShadowRecord> takeShadowRecord();
+
+    /**
+     * End a replay: throws unless every recorded access was consumed,
+     * then credits the recorded shadow DRAM writes. A live walk
+     * ignores the call.
+     */
+    void finishShadowReplay();
+
   private:
     Result demandAccess(Addr addr, Pc pc, Cycle when, bool is_store);
 
-    void shadowWalk(Addr line, Pc pc, bool is_store,
-                    std::array<bool, kNumCacheLevels> &probed,
-                    std::array<bool, kNumCacheLevels> &hit);
+    /** @return the shadow level that hit (kNumCacheLevels: DRAM). */
+    unsigned shadowWalk(Addr line, Pc pc, bool is_store);
+    unsigned replayShadow();
     void shadowFill(unsigned level, Addr line, bool dirty);
 
     /** Install @p line at @p level; handles eviction/writeback. */
@@ -242,8 +323,13 @@ class MemorySystem : public DataPort
     std::shared_ptr<SharedMemory> _shared;
     Cache _l1;
     Cache _l2;
-    Cache _shadowL1;
-    Cache _shadowL2;
+    /** Live walk only; a replaying hierarchy leaves them unbuilt. */
+    std::optional<Cache> _shadowL1;
+    std::optional<Cache> _shadowL2;
+
+    std::shared_ptr<ShadowRecord> _record;
+    std::shared_ptr<const ShadowRecord> _replay;
+    std::uint64_t _replayed = 0;
 
     /**
      * Upper bound on what a demand pays when it finds its line in

@@ -70,32 +70,47 @@ PrefetchAccounting::inducedMiss(unsigned level, Addr line,
         _focus.inducedCredit += 1.0;
 }
 
+std::shared_ptr<const FrozenFootprint>
+PrefetchAccounting::freezeFootprint() const
+{
+    auto frozen = std::make_shared<FrozenFootprint>();
+    frozen->lines.reserve(_fp.size());
+    _fp.forEach([&](Addr line, std::uint32_t weight) {
+        const Fruit fruit =
+            _stratifier ? _stratifier->classify(line) : Fruit::kHHF;
+        frozen->lines.push_back({line, weight, fruit});
+        if (_stratifier)
+            frozen->fruitWeight[static_cast<unsigned>(fruit)] += weight;
+    });
+    frozen->weight = _fpWeight;
+    return frozen;
+}
+
 PrefetchAccounting::Scopes
 PrefetchAccounting::scopes() const
 {
-    // The weight of FP's lines, and of those PFP covers: in total,
-    // per component, per category and in the focus region.
+    const std::shared_ptr<const FrozenFootprint> fp =
+        _footprint ? _footprint : freezeFootprint();
+
+    // The weight of FP's lines that PFP covers: in total, per
+    // component, per category and in the focus region.
     std::uint64_t covered = 0, focus_total = 0, focus_covered = 0;
     std::array<std::uint64_t, kMaxComponents> comp_covered{};
-    std::array<std::uint64_t, kNumFruit> fruit_total{}, fruit_covered{};
-    _fp.forEach([&](Addr line, std::uint32_t weight) {
-        const Prefetched *entry = _pfp.find(line);
-        const std::uint64_t covered_weight = entry ? weight : 0;
+    std::array<std::uint64_t, kNumFruit> fruit_covered{};
+    for (const FrozenFootprint::Line &fp_line : fp->lines) {
+        const Prefetched *entry = _pfp.find(fp_line.line);
+        const std::uint64_t covered_weight = entry ? fp_line.weight : 0;
         covered += covered_weight;
         for (std::uint32_t bits = entry ? entry->components : 0; bits;
              bits &= bits - 1)
-            comp_covered[std::countr_zero(bits)] += weight;
-        if (_stratifier) {
-            const auto fruit =
-                static_cast<unsigned>(_stratifier->classify(line));
-            fruit_total[fruit] += weight;
-            fruit_covered[fruit] += covered_weight;
-        }
-        if (inFocus(line)) {
-            focus_total += weight;
+            comp_covered[std::countr_zero(bits)] += fp_line.weight;
+        fruit_covered[static_cast<unsigned>(fp_line.fruit)] +=
+            covered_weight;
+        if (inFocus(fp_line.line)) {
+            focus_total += fp_line.weight;
             focus_covered += covered_weight;
         }
-    });
+    }
 
     const auto ratio = [](std::uint64_t part, std::uint64_t whole) {
         return whole ? static_cast<double>(part) /
@@ -103,11 +118,11 @@ PrefetchAccounting::scopes() const
                      : 0.0;
     };
     Scopes out;
-    out.total = ratio(covered, _fpWeight);
+    out.total = ratio(covered, fp->weight);
     for (unsigned c = 0; c < kMaxComponents; ++c)
-        out.byComponent[c] = ratio(comp_covered[c], _fpWeight);
+        out.byComponent[c] = ratio(comp_covered[c], fp->weight);
     for (unsigned f = 0; f < kNumFruit; ++f)
-        out.byCategory[f] = ratio(fruit_covered[f], fruit_total[f]);
+        out.byCategory[f] = ratio(fruit_covered[f], fp->fruitWeight[f]);
     out.focus = ratio(focus_covered, focus_total);
     return out;
 }

@@ -11,9 +11,17 @@
  *
  * FP and PFP are one table each; a PFP entry holds the components that
  * prefetched the line and the LHF/MHF/HHF category of its first issue.
- * One pass over FP yields every scope: total, per component, per
- * category (Figure 13) and in the focus region outside an optional
- * exclude set (Figure 14).
+ * Scope reads FP frozen into an array of (line, weight, category): one
+ * pass over it yields every scope, total, per component, per category
+ * (Figure 13) and in the focus region outside an optional exclude set
+ * (Figure 14).
+ *
+ * On one core FP is the same for every prefetcher of a workload, so
+ * the baseline freezes it once and every measured cell, whose memory
+ * system replays the baseline's alternate reality and so makes no
+ * shadowMiss callback, scores against that shared array and keeps no
+ * FP table. An accounting fed by a live walk freezes its own FP when
+ * asked for scopes.
  */
 
 #ifndef DOL_METRICS_ACCOUNTING_HPP
@@ -22,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/flat_table.hpp"
 #include "mem/listener.hpp"
@@ -30,16 +39,55 @@
 namespace dol
 {
 
+/**
+ * FP frozen for scoring: each line of the baseline L1 miss footprint
+ * with its miss count and category, and the weight of FP and of each
+ * category. Without a stratifier every line is HHF and the category
+ * weights stay 0, so per-category scopes read 0.
+ */
+struct FrozenFootprint
+{
+    struct Line
+    {
+        Addr line = 0;
+        std::uint32_t weight = 0;
+        Fruit fruit = Fruit::kHHF;
+
+        bool operator==(const Line &) const = default;
+    };
+
+    std::vector<Line> lines;
+    std::uint64_t weight = 0;
+    std::array<std::uint64_t, kNumFruit> fruitWeight{};
+
+    bool operator==(const FrozenFootprint &) const = default;
+};
+
 class PrefetchAccounting : public MemListener
 {
   public:
-    PrefetchAccounting()
+    /**
+     * @param footprint   a baseline's frozen FP to score scope against,
+     *                    for a run whose memory system replays that
+     *                    baseline and so makes no shadowMiss callback;
+     *                    null builds FP from shadowMiss callbacks
+     * @param prefetching false when no prefetch will be reported (a
+     *                    baseline run)
+     */
+    explicit PrefetchAccounting(
+        std::shared_ptr<const FrozenFootprint> footprint = nullptr,
+        bool prefetching = true)
+        : _footprint(std::move(footprint))
     {
         // FP and PFP grow to tens of thousands of lines over a run;
         // pre-sizing skips the doubling rehashes the profiler
-        // otherwise attributes ~20% of sim time to.
-        _fp.reserve(1u << 16);
-        _pfp.reserve(1u << 16);
+        // otherwise attributes ~20% of sim time to. Only a table the
+        // run will fill is sized, and it is sized here: sizing on
+        // first use fragments the heap of a multicore run.
+        if (!_footprint)
+            _fp.reserve(1u << 16);
+        if (prefetching)
+            _pfp.reserve(1u << 16);
     }
 
     struct CategoryCounters
@@ -63,6 +111,9 @@ class PrefetchAccounting : public MemListener
     {
         _stratifier = stratifier;
     }
+
+    /** This accounting's own FP, classified by its stratifier. */
+    std::shared_ptr<const FrozenFootprint> freezeFootprint() const;
 
     /**
      * Confine the "focus" counters to lines outside @p exclude —
@@ -95,7 +146,7 @@ class PrefetchAccounting : public MemListener
         double focus = 0.0;
     };
 
-    /** Every scope, from one pass over FP. */
+    /** Every scope, from one pass over the frozen FP. */
     Scopes scopes() const;
 
     /** Category counters (all components together). */
@@ -131,8 +182,9 @@ class PrefetchAccounting : public MemListener
 
     const OfflineStratifier *_stratifier = nullptr;
     std::shared_ptr<const FlatHashSet<Addr>> _exclude;
+    std::shared_ptr<const FrozenFootprint> _footprint;
 
-    /** Baseline L1 miss footprint with weights. */
+    /** Baseline L1 miss footprint with weights, from shadowMiss. */
     FlatHashMap<Addr, std::uint32_t> _fp;
     std::uint64_t _fpWeight = 0;
 

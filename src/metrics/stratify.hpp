@@ -21,9 +21,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_table.hpp"
 #include "common/types.hpp"
 
 namespace dol
@@ -106,9 +105,9 @@ class OfflineStratifier
         const Addr line = lineAddr(line_addr);
         if (_lhfLines.contains(line))
             return Fruit::kLHF;
-        const auto it = _regionLines.find(regionNum(line));
-        if (it != _regionLines.end() &&
-            static_cast<unsigned>(std::popcount(it->second)) >
+        const std::uint16_t *region = _regionLines.find(regionNum(line));
+        if (region &&
+            static_cast<unsigned>(std::popcount(*region)) >
                 _params.denseLines) {
             return Fruit::kMHF;
         }
@@ -128,9 +127,9 @@ class OfflineStratifier
     };
 
     Params _params{};
-    std::unordered_map<Pc, PcState> _pcs;
-    std::unordered_set<Addr> _lhfLines;
-    std::unordered_map<std::uint64_t, std::uint16_t> _regionLines;
+    FlatHashMap<Pc, PcState> _pcs;
+    FlatHashSet<Addr> _lhfLines;
+    FlatHashMap<std::uint64_t, std::uint16_t> _regionLines;
 };
 
 } // namespace dol

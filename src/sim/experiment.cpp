@@ -11,6 +11,37 @@
 namespace dol
 {
 
+namespace
+{
+
+ExperimentRunner::DemandPath
+demandPathOf(const SimConfig &config)
+{
+    ExperimentRunner::DemandPath path;
+    path.maxInstrs = config.maxInstrs;
+    const Cache::Params *levels[] = {&config.mem.l1, &config.mem.l2,
+                                     &config.mem.l3};
+    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+        path.sizeBytes[lv] = levels[lv]->sizeBytes;
+        path.assoc[lv] = levels[lv]->assoc;
+    }
+    return path;
+}
+
+std::string
+describe(const ExperimentRunner::DemandPath &path)
+{
+    std::string text = std::to_string(path.maxInstrs) + " instructions";
+    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+        text += ", L" + std::to_string(lv + 1) + " " +
+                std::to_string(path.sizeBytes[lv]) + " B " +
+                std::to_string(path.assoc[lv]) + "-way";
+    }
+    return text;
+}
+
+} // namespace
+
 ExperimentRunner::ExperimentRunner(const SimConfig &config,
                                    std::shared_ptr<BaselineCache> baselines)
     : _config(config),
@@ -29,26 +60,46 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
 {
     Baseline base;
     base.stratifier = std::make_shared<OfflineStratifier>();
+    base.demandPath = demandPathOf(_config);
 
-    MemoryImage image;
-    auto kernel = spec.factory(image);
+    std::shared_ptr<const ShadowRecord> shadow;
+    std::shared_ptr<const FrozenFootprint> footprint;
+    {
+        MemoryImage image;
+        auto kernel = spec.factory(image);
 
-    // One pass: the run measures the baseline, and its demand stream
-    // feeds the ground-truth classifier as it retires.
-    Simulator sim(_config, *kernel, nullptr);
-    OfflineStratifier &stratifier = *base.stratifier;
-    sim.setAccessObserver([&stratifier](const AccessInfo &access) {
-        stratifier.observe(access.pc, access.addr);
-    });
-    sim.run();
+        // One pass: the run measures the baseline, its demand stream
+        // feeds the ground-truth classifier as it retires, and its
+        // live shadow walk is recorded for the measured runs to
+        // replay.
+        Simulator sim(_config, *kernel, nullptr);
+        OfflineStratifier &stratifier = *base.stratifier;
+        sim.setAccessObserver([&stratifier](const AccessInfo &access) {
+            stratifier.observe(access.pc, access.addr);
+        });
+        sim.mem().recordShadow(spec.name);
+        sim.run();
 
-    base.ipc = sim.ipc();
-    base.l1Misses = sim.mem().stats().level[kL1].primaryMisses;
-    base.mpkiL1 =
-        sim.instructions()
-            ? 1000.0 * static_cast<double>(base.l1Misses) /
-                  static_cast<double>(sim.instructions())
-            : 0.0;
+        shadow = sim.mem().takeShadowRecord();
+        sim.setStratifier(base.stratifier.get());
+        footprint = sim.accounting().freezeFootprint();
+        base.ipc = sim.ipc();
+        const std::uint64_t l1_misses =
+            sim.mem().stats().level[kL1].primaryMisses;
+        base.mpkiL1 =
+            sim.instructions()
+                ? 1000.0 * static_cast<double>(l1_misses) /
+                      static_cast<double>(sim.instructions())
+                : 0.0;
+    }
+    // The baseline outlives its run, so it keeps exact-size copies
+    // made once the run's memory (kernel image, caches, FP table) is
+    // free: the record sheds the slack of its doubling growth, and
+    // neither array stays above that freed memory, where it would
+    // keep the heap from shrinking (about 2 MB of peak RSS on
+    // dolbench's paper_grid).
+    base.shadow = std::make_shared<const ShadowRecord>(*shadow);
+    base.footprint = std::make_shared<const FrozenFootprint>(*footprint);
     return base;
 }
 
@@ -108,6 +159,12 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
                           std::shared_ptr<const FlatHashSet<Addr>> *lines)
 {
     const Baseline &base = baseline(spec);
+    if (base.demandPath != demandPathOf(_config)) {
+        throw std::invalid_argument(
+            "baseline of " + spec.name + " was computed on " +
+            describe(base.demandPath) + ", not on this runner's " +
+            describe(demandPathOf(_config)));
+    }
 
     MemoryImage image;
     auto kernel = spec.factory(image);
@@ -117,7 +174,8 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
             : makePrefetcher(prefetcher_name, &image,
                              options.adaptiveCoordinator);
 
-    Simulator sim(_config, *kernel, prefetcher.get());
+    Simulator sim(_config, *kernel, prefetcher.get(), base.shadow,
+                  base.footprint);
     sim.setStratifier(base.stratifier.get());
     if (options.adaptiveCoordinator) {
         // Feed the degree schedule's pressure signal from the shared

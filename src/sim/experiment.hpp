@@ -4,9 +4,13 @@
  * every metric the paper reports — speedup over the no-prefetch
  * baseline, scope, effective accuracy and coverage at L1 and L2,
  * normalized memory traffic, per-category (LHF/MHF/HHF) accuracy, and
- * per-component breakdowns. Baselines and stratifiers are computed
- * once per workload and cached. A RunOutput holds no line sets:
- * Figure 14's chain gets TPC's lines from prefetchedLines().
+ * per-component breakdowns. Each workload's baseline is computed once
+ * and cached: one prefetcher-less pass measures its IPC, feeds the
+ * offline stratifier, records its alternate reality (the shadow level
+ * that served each demand access) and freezes its footprint FP. Every
+ * measured run replays that record and scores scope against that FP
+ * instead of walking shadow caches of its own. A RunOutput holds no
+ * line sets: Figure 14's chain gets TPC's lines from prefetchedLines().
  */
 
 #ifndef DOL_SIM_EXPERIMENT_HPP
@@ -120,26 +124,41 @@ class ExperimentRunner
      *                  workload's baseline is simulated exactly once.
      *                  nullptr gives the runner a cache of its own.
      *                  All runners sharing a cache must use the same
-     *                  demand-path configuration (budget, cache/DRAM
-     *                  geometry) — only prefetch-side knobs like the
-     *                  drop-RNG seed may differ.
+     *                  demand path (budget, cache sizes and
+     *                  associativities): a measured run throws when
+     *                  its baseline was computed on another. Only
+     *                  knobs such as the DRAM drop-RNG seed and
+     *                  arbitration may differ.
      */
     explicit ExperimentRunner(
         const SimConfig &config = {},
         std::shared_ptr<BaselineCache> baselines = nullptr);
 
+    /** What a baseline's alternate reality depends on. */
+    struct DemandPath
+    {
+        std::uint64_t maxInstrs = 0;
+        std::array<std::uint32_t, kNumCacheLevels> sizeBytes{};
+        std::array<std::uint32_t, kNumCacheLevels> assoc{};
+
+        bool operator==(const DemandPath &) const = default;
+    };
+
     struct Baseline
     {
         double ipc = 0.0;
         double mpkiL1 = 0.0;
-        std::uint64_t l1Misses = 0;
         std::shared_ptr<OfflineStratifier> stratifier;
+        /** The alternate reality every measured run replays. */
+        std::shared_ptr<const ShadowRecord> shadow;
+        std::shared_ptr<const FrozenFootprint> footprint;
+        DemandPath demandPath;
     };
 
     /**
-     * Baseline run (cached per workload): IPC + ground truth, from one
-     * prefetcher-less pass whose demand stream also feeds the offline
-     * stratifier.
+     * Baseline run (cached per workload): IPC, ground truth and the
+     * alternate reality, from one prefetcher-less pass whose demand
+     * stream also feeds the offline stratifier.
      */
     const Baseline &baseline(const WorkloadSpec &spec);
 

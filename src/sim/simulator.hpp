@@ -56,6 +56,18 @@ class Simulator
               Prefetcher *prefetcher,
               std::shared_ptr<SharedMemory> shared = nullptr);
 
+    /**
+     * A single-core run that replays a baseline's alternate reality:
+     * the memory system reads @p shadow instead of walking shadow
+     * caches, and the accounting scores scope against @p footprint.
+     * run() throws unless the run consumes exactly the recorded
+     * accesses.
+     */
+    Simulator(const SimConfig &config, Kernel &kernel,
+              Prefetcher *prefetcher,
+              std::shared_ptr<const ShadowRecord> shadow,
+              std::shared_ptr<const FrozenFootprint> footprint);
+
     /** Attach the ground-truth classifier to the accounting. */
     void
     setStratifier(const OfflineStratifier *stratifier)
@@ -168,6 +180,9 @@ class Simulator
      *  loop overhead, small enough that a batch of Instr (32 B each)
      *  stays resident in L1 while it executes. */
     static constexpr std::size_t kBatchInstrs = 256;
+
+    /** Name the components and attach the listeners. */
+    void wire();
 
     void drainFills();
 

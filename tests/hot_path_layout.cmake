@@ -2,7 +2,8 @@
 #
 # The flat-table PR's contract: no node-based std:: containers and no
 # string-keyed lookups on the hot headers that the per-access loop
-# probes (T2/P1/C1/composite state, the SIT, and the accounting maps).
+# probes (T2/P1/C1/composite state, the SIT, the accounting maps and
+# the stratifier that classifies every prefetched line).
 # A reintroduced std::unordered_map<Pc, ...> would silently undo the
 # data-layout work, so this scripted test greps for the forbidden
 # spellings and fails with the offending line.
@@ -24,6 +25,7 @@ set(hot_headers
     core/c1.hpp
     core/composite.hpp
     metrics/accounting.hpp
+    metrics/stratify.hpp
     mem/memory_image.hpp
     ${prefetch_headers}
 )

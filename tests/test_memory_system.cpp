@@ -255,5 +255,97 @@ TEST(MemorySystem, SharedL3IsVisibleAcrossCores)
     EXPECT_FALSE(res.l1Hit);
 }
 
+/** A hierarchy small enough that dirty lines reach DRAM quickly. */
+MemParams
+tinyParams()
+{
+    MemParams params;
+    params.l1.sizeBytes = 1024;
+    params.l1.assoc = 2;
+    params.l2.sizeBytes = 2048;
+    params.l2.assoc = 2;
+    params.l3.sizeBytes = 4096;
+    params.l3.assoc = 4;
+    return params;
+}
+
+/** Store to every line of a span four times the L3, then reload it. */
+void
+storeSweep(MemorySystem &mem, unsigned accesses)
+{
+    for (unsigned i = 0; i < accesses; ++i) {
+        const Addr addr = 0x40000 + (i % 256) * kLineBytes;
+        const Cycle when = 1000 * i;
+        if (i < 256)
+            mem.demandStore(addr, 1, when);
+        else
+            mem.demandLoad(addr, 1, when);
+    }
+}
+
+TEST(ShadowReplay, MatchesLiveWalkWithoutCallbacks)
+{
+    const MemParams params = tinyParams();
+    MemorySystem live(params);
+    RecordingListener live_events;
+    live.setListener(&live_events);
+    live.recordShadow("sweep.test");
+    storeSweep(live, 512);
+    const auto record = live.takeShadowRecord();
+    ASSERT_EQ(record->accesses(), 512u);
+    EXPECT_GT(record->dramWrites, 0u);
+
+    MemorySystem replay(params, nullptr, record);
+    RecordingListener replay_events;
+    replay.setListener(&replay_events);
+    storeSweep(replay, 512);
+    replay.finishShadowReplay();
+
+    EXPECT_FALSE(live_events.shadowL1.empty());
+    EXPECT_TRUE(replay_events.shadowL1.empty());
+    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+        EXPECT_EQ(replay.stats().level[lv].shadowMisses,
+                  live.stats().level[lv].shadowMisses);
+    }
+    EXPECT_EQ(replay.shared().baselineDramLines(),
+              live.shared().baselineDramLines());
+}
+
+TEST(ShadowReplay, ThrowsWhenAskedForMoreThanRecorded)
+{
+    MemorySystem live;
+    live.recordShadow("three.test");
+    for (const Addr addr : {0x1000, 0x2000, 0x1000})
+        live.demandLoad(addr, 1, 0);
+    MemorySystem replay({}, nullptr, live.takeShadowRecord());
+    for (const Addr addr : {0x1000, 0x2000, 0x1000})
+        replay.demandLoad(addr, 1, 0);
+    try {
+        replay.demandLoad(0x3000, 1, 0);
+        FAIL() << "a fourth access replayed a three-access record";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "shadow replay of three.test: access "
+                                   "4 asked for, 3 recorded");
+    }
+}
+
+TEST(ShadowReplay, ThrowsWhenEndingWithFewerConsumed)
+{
+    MemorySystem live;
+    live.recordShadow("three.test");
+    for (const Addr addr : {0x1000, 0x2000, 0x1000})
+        live.demandLoad(addr, 1, 0);
+    MemorySystem replay({}, nullptr, live.takeShadowRecord());
+    replay.demandLoad(0x1000, 1, 0);
+    replay.demandLoad(0x2000, 1, 0);
+    try {
+        replay.finishShadowReplay();
+        FAIL() << "a replay ended with an access unconsumed";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "shadow replay of three.test: ended "
+                                   "after 2 of 3 recorded accesses");
+    }
+}
+
 } // namespace
 } // namespace dol

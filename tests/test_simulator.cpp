@@ -1,14 +1,17 @@
 /**
  * @file
  * End-to-end simulator tests: baseline sanity, the single-pass
- * baseline against an offline oracle, prefetcher speedups on targeted
- * kernels, and metric plumbing.
+ * baseline against an offline oracle, the replayed alternate reality
+ * against a live walk, prefetcher speedups on targeted kernels, and
+ * metric plumbing.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_set>
 
+#include "core/composite.hpp"
 #include "core/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
@@ -136,6 +139,176 @@ TEST(Simulator, SinglePassBaselineMatchesStratifierOracle)
         EXPECT_GT(observed, 0u);
         EXPECT_EQ(observed, core.loads + core.stores);
     }
+}
+
+/** What a cell's alternate reality feeds: its shadow misses, its
+ *  induced misses, the baseline traffic, every scope, and effective
+ *  accuracy and coverage. */
+struct ShadowScore
+{
+    std::array<std::uint64_t, kNumCacheLevels> shadowMisses{};
+    std::array<std::uint64_t, kNumCacheLevels> inducedMisses{};
+    std::uint64_t baselineDramLines = 0;
+    PrefetchAccounting::Scopes scopes;
+    /** Effective accuracy and coverage at L1, then at L2. */
+    std::array<double, 4> effective{};
+    /** A live walk's record and FP (null for a replay). */
+    std::shared_ptr<const ShadowRecord> shadow;
+    std::shared_ptr<const FrozenFootprint> footprint;
+};
+
+/**
+ * Run one prefetching cell set up as ExperimentRunner::run sets it
+ * up, either replaying @p base's alternate reality or walking (and
+ * recording) the shadow caches live.
+ */
+ShadowScore
+scoreCell(const WorkloadSpec &spec, const SimConfig &config,
+          const std::string &prefetcher_name, bool adaptive,
+          const ExperimentRunner::Baseline &base,
+          const std::shared_ptr<const FlatHashSet<Addr>> &exclude,
+          bool replay)
+{
+    MemoryImage image;
+    auto kernel = spec.factory(image);
+    auto prefetcher = makePrefetcher(prefetcher_name, &image, adaptive);
+    auto sim =
+        replay ? std::make_unique<Simulator>(config, *kernel,
+                                             prefetcher.get(),
+                                             base.shadow, base.footprint)
+               : std::make_unique<Simulator>(config, *kernel,
+                                             prefetcher.get());
+    sim->setStratifier(base.stratifier.get());
+    sim->accounting().setExcludeSet(exclude);
+    auto *composite = dynamic_cast<CompositePrefetcher *>(prefetcher.get());
+    if (adaptive && composite) {
+        MemorySystem &mem = sim->mem();
+        composite->setPressureProbe([&mem] {
+            return mem.shared().dram().stats().windowDeferrals;
+        });
+    }
+    if (!replay)
+        sim->mem().recordShadow(spec.name);
+    sim->run();
+
+    ShadowScore score;
+    const MemStats &stats = sim->mem().stats();
+    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+        score.shadowMisses[lv] = stats.level[lv].shadowMisses;
+        score.inducedMisses[lv] = stats.level[lv].inducedMisses;
+    }
+    score.baselineDramLines = sim->mem().shared().baselineDramLines();
+    score.scopes = sim->accounting().scopes();
+    const double issued = static_cast<double>(stats.prefetchesIssued());
+    for (unsigned lv : {kL1, kL2}) {
+        const double shadow =
+            static_cast<double>(stats.level[lv].shadowMisses);
+        const double avoided =
+            shadow - static_cast<double>(stats.level[lv].primaryMisses);
+        score.effective[2 * lv] = issued ? avoided / issued : 0.0;
+        score.effective[2 * lv + 1] = shadow ? avoided / shadow : 0.0;
+    }
+    if (!replay) {
+        score.shadow = sim->mem().takeShadowRecord();
+        score.footprint = sim->accounting().freezeFootprint();
+    }
+    return score;
+}
+
+/**
+ * Shadow-once rests on one premise: on one core, a workload's demand
+ * stream, and so its alternate reality, does not depend on its
+ * prefetcher. So the live walk of a prefetching run must record
+ * exactly its baseline's outcomes and FP, and a cell that replays the
+ * baseline must agree with one that walks live on every number the
+ * alternate reality feeds. Every synthetic workload and both ChampSim
+ * fixtures run under a monolithic prefetcher and the enlarged
+ * composite, hardwired and adaptive, at a small budget.
+ */
+TEST(ShadowOnce, ReplayMatchesLiveWalk)
+{
+    constexpr std::uint64_t kInstrs = 20000;
+    std::vector<WorkloadSpec> specs = allWorkloads();
+    for (const char *fixture :
+         {"/stream_gups.champsim", "/linked_walk.champsim.xz"}) {
+        specs.push_back(champSimWorkload(
+            std::string(DOL_TRACE_FIXTURE_DIR) + fixture));
+    }
+    const std::pair<std::string, bool> cells[] = {
+        {"AMPM", false},
+        {"TPC+SPP+Triangel+PChase", false},
+        {"TPC+SPP+Triangel+PChase", true},
+    };
+
+    ExperimentRunner runner(testConfig(kInstrs));
+    for (const WorkloadSpec &spec : specs) {
+        const ExperimentRunner::Baseline &base = runner.baseline(spec);
+        ASSERT_TRUE(base.shadow && base.footprint);
+        // Every other FP line is excluded, so the focus scope has
+        // lines on both sides.
+        auto exclude = std::make_shared<FlatHashSet<Addr>>();
+        for (std::size_t i = 0; i < base.footprint->lines.size(); i += 2)
+            exclude->insert(base.footprint->lines[i].line);
+
+        for (const auto &[prefetcher, adaptive] : cells) {
+            SCOPED_TRACE(spec.name + " " + prefetcher +
+                         (adaptive ? " adaptive" : ""));
+            const ShadowScore live = scoreCell(
+                spec, runner.config(), prefetcher, adaptive, base,
+                exclude, /*replay=*/false);
+            const ShadowScore replayed = scoreCell(
+                spec, runner.config(), prefetcher, adaptive, base,
+                exclude, /*replay=*/true);
+
+            EXPECT_GT(base.shadow->accesses(), 0u);
+            EXPECT_TRUE(*live.shadow == *base.shadow);
+            EXPECT_TRUE(*live.footprint == *base.footprint);
+
+            EXPECT_EQ(replayed.shadowMisses, live.shadowMisses);
+            EXPECT_EQ(replayed.inducedMisses, live.inducedMisses);
+            EXPECT_EQ(replayed.baselineDramLines, live.baselineDramLines);
+            EXPECT_EQ(replayed.baselineDramLines,
+                      base.shadow->dramReads + base.shadow->dramWrites);
+            EXPECT_EQ(replayed.scopes.total, live.scopes.total);
+            EXPECT_EQ(replayed.scopes.byComponent, live.scopes.byComponent);
+            EXPECT_EQ(replayed.scopes.byCategory, live.scopes.byCategory);
+            EXPECT_EQ(replayed.scopes.focus, live.scopes.focus);
+            EXPECT_EQ(replayed.effective, live.effective);
+        }
+    }
+}
+
+/**
+ * A replayed alternate reality is only right on the demand path it was
+ * recorded on, so a runner whose budget or cache geometry differs
+ * from the shared baseline's must refuse it. The DRAM seed and
+ * arbitration may differ.
+ */
+TEST(ShadowOnce, SharedBaselineRejectsAnotherL1Size)
+{
+    const WorkloadSpec &spec = findWorkload("mcf.syn");
+    auto cache = std::make_shared<BaselineCache>();
+    const SimConfig config = testConfig(20000);
+    ExperimentRunner(config, cache).run(spec, "SPP");
+
+    SimConfig reseeded = config;
+    reseeded.mem.dram.rngSeed = 7;
+    reseeded.mem.dram.arbitration = ArbitrationPolicy::kFifo;
+    EXPECT_NO_THROW(ExperimentRunner(reseeded, cache).run(spec, "SPP"));
+
+    SimConfig smaller = config;
+    smaller.mem.l1.sizeBytes /= 2;
+    ExperimentRunner runner(smaller, cache);
+    try {
+        runner.run(spec, "SPP");
+        FAIL() << "a baseline of another L1 size was replayed";
+    } catch (const std::invalid_argument &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("mcf.syn"), std::string::npos) << what;
+        EXPECT_NE(what.find("L1 65536 B"), std::string::npos) << what;
+        EXPECT_NE(what.find("L1 32768 B"), std::string::npos) << what;
+    }
+    EXPECT_EQ(cache->size(), 1u);
 }
 
 TEST(Simulator, T2AcceleratesStridedStream)
