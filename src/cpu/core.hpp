@@ -36,6 +36,7 @@ struct CoreParams
     unsigned lsqSize = 96;           ///< load/store queue entries
     unsigned branchMissPenalty = 15; ///< front-end refill cycles
     unsigned agenLatency = 1;        ///< address generation cycles
+    bool operator==(const CoreParams &) const = default;
 };
 
 /**

@@ -41,6 +41,7 @@ class Cache
         Cycle latency = 3;
         /** MSHR entries; 0 disables miss tracking (shadow tags). */
         std::uint32_t mshrs = 32;
+        bool operator==(const Params &) const = default;
     };
 
     struct Line

@@ -107,6 +107,7 @@ struct DramParams
      * on which worker thread executed it.
      */
     std::uint64_t rngSeed = 0xd0a11a5ull;
+    bool operator==(const DramParams &) const = default;
 };
 
 struct DramStats

@@ -53,6 +53,7 @@ struct MemParams
     /** Per-core share; the constructor scales by core count. */
     Cache::Params l3{"L3", 2 * 1024 * 1024, 16, nsToCycles(12.0), 64};
     DramParams dram{};
+    bool operator==(const MemParams &) const = default;
 };
 
 /** Counters kept per cache level. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Prefetch accounting: the paper's scope and effective-accuracy
- * bookkeeping, kept outside the memory model via the listener
- * interface.
+ * bookkeeping, kept outside the machine via the listener interface:
+ * ExperimentRunner attaches one to each baseline pass and each cell.
  *
  * Scope (paper section III): the footprint FP is the set of unique
  * line addresses of baseline (shadow) L1 misses, weighted by miss
@@ -67,27 +67,23 @@ class PrefetchAccounting : public MemListener
 {
   public:
     /**
-     * @param footprint   a baseline's frozen FP to score scope against,
-     *                    for a run whose memory system replays that
-     *                    baseline and so makes no shadowMiss callback;
-     *                    null builds FP from shadowMiss callbacks
-     * @param prefetching false when no prefetch will be reported (a
-     *                    baseline run)
+     * @param footprint a baseline's frozen FP to score scope against,
+     *                  for a run whose memory system replays that
+     *                  baseline and so makes no shadowMiss callback;
+     *                  null builds FP from shadowMiss callbacks
      */
     explicit PrefetchAccounting(
-        std::shared_ptr<const FrozenFootprint> footprint = nullptr,
-        bool prefetching = true)
+        std::shared_ptr<const FrozenFootprint> footprint = nullptr)
         : _footprint(std::move(footprint))
     {
         // FP and PFP grow to tens of thousands of lines over a run;
         // pre-sizing skips the doubling rehashes the profiler
-        // otherwise attributes ~20% of sim time to. Only a table the
-        // run will fill is sized, and it is sized here: sizing on
-        // first use fragments the heap of a multicore run.
-        if (!_footprint)
-            _fp.reserve(1u << 16);
-        if (prefetching)
+        // otherwise attributes ~20% of sim time to. Only the table
+        // the run fills is sized: FP for a baseline, PFP for a cell.
+        if (_footprint)
             _pfp.reserve(1u << 16);
+        else
+            _fp.reserve(1u << 16);
     }
 
     struct CategoryCounters

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/registry.hpp"
@@ -14,28 +15,62 @@ namespace dol
 namespace
 {
 
-ExperimentRunner::DemandPath
-demandPathOf(const SimConfig &config)
+/** What a baseline depends on: its whole config, timing included,
+ *  but the DRAM drop-RNG seed, which only a prefetch drop consults. */
+SimConfig
+seedless(SimConfig config)
 {
-    ExperimentRunner::DemandPath path;
-    path.maxInstrs = config.maxInstrs;
-    const Cache::Params *levels[] = {&config.mem.l1, &config.mem.l2,
-                                     &config.mem.l3};
-    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
-        path.sizeBytes[lv] = levels[lv]->sizeBytes;
-        path.assoc[lv] = levels[lv]->assoc;
-    }
-    return path;
+    config.mem.dram.rngSeed = 0;
+    return config;
 }
 
+/** Each field of @p config but the DRAM drop-RNG seed, one
+ *  "name value" line per field. */
 std::string
-describe(const ExperimentRunner::DemandPath &path)
+describe(const SimConfig &config)
 {
-    std::string text = std::to_string(path.maxInstrs) + " instructions";
-    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
-        text += ", L" + std::to_string(lv + 1) + " " +
-                std::to_string(path.sizeBytes[lv]) + " B " +
-                std::to_string(path.assoc[lv]) + "-way";
+    static const char *const kArbitration[] = {"demand-first", "fifo",
+                                               "rr"};
+    const CoreParams &core = config.core;
+    const DramParams &dram = config.mem.dram;
+    std::ostringstream out;
+    out << "budget " << config.maxInstrs << "\ncore width " << core.width
+        << "\nrobSize " << core.robSize << "\nlsqSize " << core.lsqSize
+        << "\nbranchMissPenalty " << core.branchMissPenalty
+        << "\nagenLatency " << core.agenLatency;
+    for (const Cache::Params *cache :
+         {&config.mem.l1, &config.mem.l2, &config.mem.l3}) {
+        const std::string level = "\n" + cache->name;
+        out << level << " size " << cache->sizeBytes << " B" << level
+            << " assoc " << cache->assoc << level << " latency "
+            << cache->latency << level << " mshrs " << cache->mshrs;
+    }
+    out << "\nDRAM channels " << dram.channels << "\nDRAM ranksPerChannel "
+        << dram.ranksPerChannel << "\nDRAM banksPerRank "
+        << dram.banksPerRank << "\nDRAM rowBytes " << dram.rowBytes
+        << "\nDRAM tRCD " << dram.tRCD << "\nDRAM tRP " << dram.tRP
+        << "\nDRAM tCAS " << dram.tCAS << "\nDRAM tBurst " << dram.tBurst
+        << "\nDRAM tController " << dram.tController
+        << "\nDRAM queueCapacity " << dram.queueCapacity
+        << "\nDRAM dropPolicy " << static_cast<unsigned>(dram.dropPolicy)
+        << "\nDRAM arbitration "
+        << kArbitration[static_cast<unsigned>(dram.arbitration)]
+        << "\nDRAM linesPerWindow " << dram.linesPerWindow
+        << "\nDRAM windowCycles " << dram.windowCycles;
+    return out.str();
+}
+
+/** The fields in which a runner's config differs from its baseline's. */
+std::string
+describeDifference(const SimConfig &theirs, const SimConfig &ours)
+{
+    std::istringstream a(describe(theirs)), b(describe(ours));
+    std::string text;
+    for (std::string x, y; std::getline(a, x) && std::getline(b, y);) {
+        if (x != y) {
+            text += (text.empty() ? "" : "; ") + x +
+                    ", not this runner's " + y;
+        }
     }
     return text;
 }
@@ -59,9 +94,9 @@ ExperimentRunner::Baseline
 ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
 {
     Baseline base;
-    base.stratifier = std::make_shared<OfflineStratifier>();
-    base.demandPath = demandPathOf(_config);
+    base.config = seedless(_config);
 
+    auto stratifier = std::make_shared<OfflineStratifier>();
     std::shared_ptr<const ShadowRecord> shadow;
     std::shared_ptr<const FrozenFootprint> footprint;
     {
@@ -69,20 +104,21 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
         auto kernel = spec.factory(image);
 
         // One pass: the run measures the baseline, its demand stream
-        // feeds the ground-truth classifier as it retires, and its
-        // live shadow walk is recorded for the measured runs to
-        // replay.
+        // feeds the ground-truth classifier as it retires, its live
+        // shadow walk is recorded for the measured runs to replay,
+        // and its shadow L1 misses build FP.
+        PrefetchAccounting accounting;
         Simulator sim(_config, *kernel, nullptr);
-        OfflineStratifier &stratifier = *base.stratifier;
+        sim.addListener(&accounting);
         sim.setAccessObserver([&stratifier](const AccessInfo &access) {
-            stratifier.observe(access.pc, access.addr);
+            stratifier->observe(access.pc, access.addr);
         });
         sim.mem().recordShadow(spec.name);
         sim.run();
 
         shadow = sim.mem().takeShadowRecord();
-        sim.setStratifier(base.stratifier.get());
-        footprint = sim.accounting().freezeFootprint();
+        accounting.setStratifier(stratifier.get());
+        footprint = accounting.freezeFootprint();
         base.ipc = sim.ipc();
         const std::uint64_t l1_misses =
             sim.mem().stats().level[kL1].primaryMisses;
@@ -100,6 +136,7 @@ ExperimentRunner::computeBaseline(const WorkloadSpec &spec)
     // dolbench's paper_grid).
     base.shadow = std::make_shared<const ShadowRecord>(*shadow);
     base.footprint = std::make_shared<const FrozenFootprint>(*footprint);
+    base.stratifier = std::move(stratifier);
     return base;
 }
 
@@ -159,11 +196,10 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
                           std::shared_ptr<const FlatHashSet<Addr>> *lines)
 {
     const Baseline &base = baseline(spec);
-    if (base.demandPath != demandPathOf(_config)) {
+    if (base.config != seedless(_config)) {
         throw std::invalid_argument(
-            "baseline of " + spec.name + " was computed on " +
-            describe(base.demandPath) + ", not on this runner's " +
-            describe(demandPathOf(_config)));
+            "baseline of " + spec.name + " was computed with " +
+            describeDifference(base.config, seedless(_config)));
     }
 
     MemoryImage image;
@@ -174,9 +210,12 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
             : makePrefetcher(prefetcher_name, &image,
                              options.adaptiveCoordinator);
 
-    Simulator sim(_config, *kernel, prefetcher.get(), base.shadow,
-                  base.footprint);
-    sim.setStratifier(base.stratifier.get());
+    PrefetchAccounting acct(base.footprint);
+    acct.setStratifier(base.stratifier.get());
+    if (options.exclude)
+        acct.setExcludeSet(options.exclude);
+    Simulator sim(_config, *kernel, prefetcher.get(), base.shadow);
+    sim.addListener(&acct);
     if (options.adaptiveCoordinator) {
         // Feed the degree schedule's pressure signal from the shared
         // DRAM controller. The probe only fires inside sim.run(), so
@@ -189,8 +228,6 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
             });
         }
     }
-    if (options.exclude)
-        sim.accounting().setExcludeSet(options.exclude);
     if (options.forceDest)
         sim.emitter().forceDestLevel(options.forceDest);
     if (options.oracleDest) {
@@ -244,36 +281,20 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
     out.l1Misses = mem.level[kL1].primaryMisses;
     out.baselineMpkiL1 = base.mpkiL1;
 
-    const auto avoided = [](std::uint64_t shadow, std::uint64_t real) {
-        return shadow > real
-                   ? static_cast<double>(shadow - real)
-                   : -static_cast<double>(real - shadow);
+    const auto avoided = [&mem](unsigned lv) {
+        const std::uint64_t shadow = mem.level[lv].shadowMisses;
+        const std::uint64_t real = mem.level[lv].primaryMisses;
+        return shadow > real ? static_cast<double>(shadow - real)
+                             : -static_cast<double>(real - shadow);
     };
-    const double avoided_l1 =
-        avoided(mem.level[kL1].shadowMisses,
-                mem.level[kL1].primaryMisses);
-    const double avoided_l2 =
-        avoided(mem.level[kL2].shadowMisses,
-                mem.level[kL2].primaryMisses);
-
-    out.effAccuracyL1 =
-        out.prefetchesIssued
-            ? avoided_l1 / static_cast<double>(out.prefetchesIssued)
-            : 0.0;
-    out.effAccuracyL2 =
-        out.prefetchesIssued
-            ? avoided_l2 / static_cast<double>(out.prefetchesIssued)
-            : 0.0;
-    out.effCoverageL1 =
-        mem.level[kL1].shadowMisses
-            ? avoided_l1 /
-                  static_cast<double>(mem.level[kL1].shadowMisses)
-            : 0.0;
-    out.effCoverageL2 =
-        mem.level[kL2].shadowMisses
-            ? avoided_l2 /
-                  static_cast<double>(mem.level[kL2].shadowMisses)
-            : 0.0;
+    const double avoided_l1 = avoided(kL1), avoided_l2 = avoided(kL2);
+    const auto per = [](double part, std::uint64_t whole) {
+        return whole ? part / static_cast<double>(whole) : 0.0;
+    };
+    out.effAccuracyL1 = per(avoided_l1, out.prefetchesIssued);
+    out.effAccuracyL2 = per(avoided_l2, out.prefetchesIssued);
+    out.effCoverageL1 = per(avoided_l1, mem.level[kL1].shadowMisses);
+    out.effCoverageL2 = per(avoided_l2, mem.level[kL2].shadowMisses);
 
     const std::uint64_t baseline_lines =
         sim.mem().shared().baselineDramLines();
@@ -283,7 +304,6 @@ ExperimentRunner::measure(const WorkloadSpec &spec,
                   static_cast<double>(baseline_lines)
             : 1.0;
 
-    const PrefetchAccounting &acct = sim.accounting();
     const PrefetchAccounting::Scopes scopes = acct.scopes();
     out.scope = scopes.total;
     for (unsigned f = 0; f < kNumFruit; ++f)

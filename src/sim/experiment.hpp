@@ -9,8 +9,10 @@
  * offline stratifier, records its alternate reality (the shadow level
  * that served each demand access) and freezes its footprint FP. Every
  * measured run replays that record and scores scope against that FP
- * instead of walking shadow caches of its own. A RunOutput holds no
- * line sets: Figure 14's chain gets TPC's lines from prefetchedLines().
+ * instead of walking shadow caches of its own. The runner, not the
+ * Simulator, owns the accountings: one per baseline, one per run. A
+ * RunOutput holds no line sets: Figure 14's chain gets TPC's lines
+ * from prefetchedLines().
  */
 
 #ifndef DOL_SIM_EXPERIMENT_HPP
@@ -27,7 +29,6 @@
 
 #include "common/cancel.hpp"
 #include "metrics/accounting.hpp"
-#include "metrics/stratify.hpp"
 #include "sim/simulator.hpp"
 #include "trace/counters.hpp"
 #include "workloads/suite.hpp"
@@ -124,35 +125,25 @@ class ExperimentRunner
      *                  workload's baseline is simulated exactly once.
      *                  nullptr gives the runner a cache of its own.
      *                  All runners sharing a cache must use the same
-     *                  demand path (budget, cache sizes and
-     *                  associativities): a measured run throws when
-     *                  its baseline was computed on another. Only
-     *                  knobs such as the DRAM drop-RNG seed and
-     *                  arbitration may differ.
+     *                  config but for the DRAM drop-RNG seed: a
+     *                  measured run throws, naming the fields that
+     *                  differ, when its baseline ran another config.
      */
     explicit ExperimentRunner(
         const SimConfig &config = {},
         std::shared_ptr<BaselineCache> baselines = nullptr);
 
-    /** What a baseline's alternate reality depends on. */
-    struct DemandPath
-    {
-        std::uint64_t maxInstrs = 0;
-        std::array<std::uint32_t, kNumCacheLevels> sizeBytes{};
-        std::array<std::uint32_t, kNumCacheLevels> assoc{};
-
-        bool operator==(const DemandPath &) const = default;
-    };
-
+    /** Read-only once published: worker threads share it. */
     struct Baseline
     {
         double ipc = 0.0;
         double mpkiL1 = 0.0;
-        std::shared_ptr<OfflineStratifier> stratifier;
+        std::shared_ptr<const OfflineStratifier> stratifier;
         /** The alternate reality every measured run replays. */
         std::shared_ptr<const ShadowRecord> shadow;
         std::shared_ptr<const FrozenFootprint> footprint;
-        DemandPath demandPath;
+        /** The config it ran, with the DRAM drop-RNG seed cleared. */
+        SimConfig config;
     };
 
     /**

@@ -14,21 +14,17 @@ Simulator::Simulator(const SimConfig &config, Kernel &kernel,
                      std::shared_ptr<SharedMemory> shared)
     : _config(config), _kernel(&kernel), _prefetcher(prefetcher),
       _mem(config.mem, std::move(shared)), _core(config.core),
-      _emitter(_mem), _accounting(nullptr, prefetcher != nullptr),
-      _fillQueue(_fills)
+      _emitter(_mem), _fillQueue(_fills)
 {
     wire();
 }
 
 Simulator::Simulator(const SimConfig &config, Kernel &kernel,
                      Prefetcher *prefetcher,
-                     std::shared_ptr<const ShadowRecord> shadow,
-                     std::shared_ptr<const FrozenFootprint> footprint)
+                     std::shared_ptr<const ShadowRecord> shadow)
     : _config(config), _kernel(&kernel), _prefetcher(prefetcher),
       _mem(config.mem, nullptr, std::move(shadow)), _core(config.core),
-      _emitter(_mem),
-      _accounting(std::move(footprint), prefetcher != nullptr),
-      _fillQueue(_fills)
+      _emitter(_mem), _fillQueue(_fills)
 {
     wire();
 }
@@ -48,7 +44,6 @@ Simulator::wire()
         });
     }
 
-    _listeners.add(&_accounting);
     _listeners.add(&_fillQueue);
     _mem.setListener(&_listeners);
 }

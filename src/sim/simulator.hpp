@@ -1,8 +1,9 @@
 /**
  * @file
  * Single-core simulation driver: wires a workload kernel, the timing
- * core, the memory hierarchy, one prefetcher, and the metrics
- * listeners together, and runs the instruction budget.
+ * core, the memory hierarchy and one prefetcher together, and runs the
+ * instruction budget. It keeps no scores: ExperimentRunner attaches
+ * its accounting through addListener().
  *
  * Prefetch fill events are queued and drained between instructions
  * (never delivered re-entrantly), so a component chaining prefetches
@@ -29,7 +30,6 @@
 #include "common/ring_buffer.hpp"
 #include "cpu/core.hpp"
 #include "mem/memory_system.hpp"
-#include "metrics/accounting.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "workloads/kernel.hpp"
 
@@ -41,6 +41,7 @@ struct SimConfig
     CoreParams core{};
     MemParams mem{};
     std::uint64_t maxInstrs = 400000;
+    bool operator==(const SimConfig &) const = default;
 };
 
 class Simulator
@@ -59,23 +60,16 @@ class Simulator
     /**
      * A single-core run that replays a baseline's alternate reality:
      * the memory system reads @p shadow instead of walking shadow
-     * caches, and the accounting scores scope against @p footprint.
-     * run() throws unless the run consumes exactly the recorded
-     * accesses.
+     * caches, and makes no shadowMiss callback. run() throws unless
+     * the run consumes exactly the recorded accesses.
      */
     Simulator(const SimConfig &config, Kernel &kernel,
               Prefetcher *prefetcher,
-              std::shared_ptr<const ShadowRecord> shadow,
-              std::shared_ptr<const FrozenFootprint> footprint);
+              std::shared_ptr<const ShadowRecord> shadow);
 
-    /** Attach the ground-truth classifier to the accounting. */
-    void
-    setStratifier(const OfflineStratifier *stratifier)
-    {
-        _accounting.setStratifier(stratifier);
-    }
+    /** Also deliver every memory-system event to @p listener. */
+    void addListener(MemListener *listener) { _listeners.add(listener); }
 
-    PrefetchAccounting &accounting() { return _accounting; }
     PrefetchEmitter &emitter() { return _emitter; }
 
     /**
@@ -181,7 +175,7 @@ class Simulator
      *  stays resident in L1 while it executes. */
     static constexpr std::size_t kBatchInstrs = 256;
 
-    /** Name the components and attach the listeners. */
+    /** Name the components and attach the fill queue. */
     void wire();
 
     void drainFills();
@@ -197,7 +191,6 @@ class Simulator
     Core _core;
     PrefetchEmitter _emitter;
 
-    PrefetchAccounting _accounting;
     RingBuffer<FillEvent> _fills;
     FillQueue _fillQueue;
     ListenerChain _listeners;

@@ -1,13 +1,14 @@
 /**
  * @file
  * End-to-end simulator tests: baseline sanity, the single-pass
- * baseline against an offline oracle, the replayed alternate reality
- * against a live walk, prefetcher speedups on targeted kernels, and
- * metric plumbing.
+ * baseline against an offline oracle, the listener hook, the replayed
+ * alternate reality against a live walk, the shared-baseline guard,
+ * prefetcher speedups on targeted kernels, and metric plumbing.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -15,6 +16,7 @@
 #include "core/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "trace/context.hpp"
 #include "workloads/pointer_kernels.hpp"
 #include "workloads/stream_kernels.hpp"
 #include "workloads/temporal_kernels.hpp"
@@ -141,6 +143,132 @@ TEST(Simulator, SinglePassBaselineMatchesStratifierOracle)
     }
 }
 
+/** Counts every event a listener is told of, per level where the
+ *  event has one. */
+struct EventCounter : MemListener
+{
+    std::array<std::uint64_t, kNumCacheLevels> shadow{}, demand{},
+        induced{}, used{};
+    std::uint64_t issued = 0, filled = 0;
+
+    void shadowMiss(unsigned level, Addr, Pc) override { ++shadow[level]; }
+    void demandMiss(unsigned level, Addr, Pc) override { ++demand[level]; }
+    void
+    inducedMiss(unsigned level, Addr,
+                std::span<const ComponentId>) override
+    {
+        ++induced[level];
+    }
+    void prefetchIssued(ComponentId, Addr, unsigned, Cycle) override
+    {
+        ++issued;
+    }
+    void prefetchFill(ComponentId, Addr, Cycle) override { ++filled; }
+    void
+    prefetchUsed(ComponentId, unsigned level, Addr) override
+    {
+        ++used[level];
+    }
+};
+
+/**
+ * A Simulator keeps no scores: ExperimentRunner attaches its
+ * accounting through addListener. So an attached listener must be told
+ * of every event the memory system counts, and attaching one must not
+ * change the run. Each cell runs four times, walking live or replaying
+ * its baseline's record, with and without a listener: the counter
+ * text (every layer's counters and event tallies) must not move, the
+ * listener's counts must equal the memory system's, and a replay must
+ * deliver the live run's events but no shadowMiss. xalancbmk.syn and
+ * histwalk.syn add prefetched lines first used at L2 and L3.
+ */
+TEST(Simulator, AttachedListenerSeesEveryEventAndChangesNothing)
+{
+    const SimConfig config = testConfig(30000);
+    ExperimentRunner runner(config);
+    const std::pair<std::string, bool> prefetchers[] = {
+        {"TPC", false},
+        {"TPC+SPP+Triangel+PChase", true},
+    };
+    std::array<std::uint64_t, kNumCacheLevels> used_at{};
+    for (const char *workload : {"mcf.syn", "libquantum.syn", "shuflist.syn",
+                                 "xalancbmk.syn", "histwalk.syn"}) {
+        const WorkloadSpec &spec = findWorkload(workload);
+        const ExperimentRunner::Baseline &base = runner.baseline(spec);
+        for (const auto &[name, adaptive] : prefetchers) {
+            SCOPED_TRACE(std::string(workload) + " " + name +
+                         (adaptive ? " adaptive" : ""));
+            // One run: its counter text, and the memory system's
+            // counts checked against the listener's, if attached.
+            const auto run = [&](bool replay, EventCounter *events) {
+                SCOPED_TRACE(replay ? "replaying" : "walking live");
+                MemoryImage image;
+                auto kernel = spec.factory(image);
+                auto prefetcher = makePrefetcher(name, &image, adaptive);
+                auto sim = replay ? std::make_unique<Simulator>(
+                                        config, *kernel, prefetcher.get(),
+                                        base.shadow)
+                                  : std::make_unique<Simulator>(
+                                        config, *kernel, prefetcher.get());
+                if (events)
+                    sim->addListener(events);
+                if (auto *composite = dynamic_cast<CompositePrefetcher *>(
+                        prefetcher.get());
+                    adaptive && composite) {
+                    MemorySystem &mem = sim->mem();
+                    composite->setPressureProbe([&mem] {
+                        return mem.shared().dram().stats().windowDeferrals;
+                    });
+                }
+                TraceContext tallies;
+                sim->setTraceContext(&tallies);
+                sim->run();
+
+                CounterRegistry counters;
+                sim->exportCounters(counters);
+                tallies.exportEventCounts(counters);
+                const MemStats &stats = sim->mem().stats();
+                if (events) {
+                    std::uint64_t issued = 0, filled = 0, used = 0;
+                    for (const ComponentStats &comp : stats.comp) {
+                        issued += comp.issued;
+                        filled += comp.filled;
+                        used += comp.used;
+                    }
+                    EXPECT_EQ(events->issued, issued);
+                    EXPECT_EQ(events->filled, filled);
+                    EXPECT_EQ(events->used[kL1] + events->used[kL2] +
+                                  events->used[kL3],
+                              used);
+                    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {
+                        const LevelStats &level = stats.level[lv];
+                        EXPECT_EQ(events->demand[lv], level.primaryMisses);
+                        EXPECT_EQ(events->induced[lv], level.inducedMisses);
+                        EXPECT_EQ(events->shadow[lv],
+                                  replay ? 0 : level.shadowMisses);
+                    }
+                }
+                return counters.toText();
+            };
+
+            EventCounter live, replayed;
+            EXPECT_EQ(run(false, &live), run(false, nullptr));
+            EXPECT_EQ(run(true, &replayed), run(true, nullptr));
+            EXPECT_GT(live.shadow[kL1], 0u);
+            EXPECT_EQ(replayed.demand, live.demand);
+            EXPECT_EQ(replayed.induced, live.induced);
+            EXPECT_EQ(replayed.issued, live.issued);
+            EXPECT_EQ(replayed.filled, live.filled);
+            EXPECT_EQ(replayed.used, live.used);
+            for (unsigned lv = 0; lv < kNumCacheLevels; ++lv)
+                used_at[lv] += live.used[lv];
+        }
+    }
+    for (unsigned lv = 0; lv < kNumCacheLevels; ++lv)
+        EXPECT_GT(used_at[lv], 0u) << "no prefetch was first used at L"
+                                   << lv + 1;
+}
+
 /** What a cell's alternate reality feeds: its shadow misses, its
  *  induced misses, the baseline traffic, every scope, and effective
  *  accuracy and coverage. */
@@ -172,14 +300,14 @@ scoreCell(const WorkloadSpec &spec, const SimConfig &config,
     MemoryImage image;
     auto kernel = spec.factory(image);
     auto prefetcher = makePrefetcher(prefetcher_name, &image, adaptive);
-    auto sim =
-        replay ? std::make_unique<Simulator>(config, *kernel,
-                                             prefetcher.get(),
-                                             base.shadow, base.footprint)
-               : std::make_unique<Simulator>(config, *kernel,
-                                             prefetcher.get());
-    sim->setStratifier(base.stratifier.get());
-    sim->accounting().setExcludeSet(exclude);
+    PrefetchAccounting acct(replay ? base.footprint : nullptr);
+    acct.setStratifier(base.stratifier.get());
+    acct.setExcludeSet(exclude);
+    auto sim = replay ? std::make_unique<Simulator>(
+                            config, *kernel, prefetcher.get(), base.shadow)
+                      : std::make_unique<Simulator>(config, *kernel,
+                                                    prefetcher.get());
+    sim->addListener(&acct);
     auto *composite = dynamic_cast<CompositePrefetcher *>(prefetcher.get());
     if (adaptive && composite) {
         MemorySystem &mem = sim->mem();
@@ -198,7 +326,7 @@ scoreCell(const WorkloadSpec &spec, const SimConfig &config,
         score.inducedMisses[lv] = stats.level[lv].inducedMisses;
     }
     score.baselineDramLines = sim->mem().shared().baselineDramLines();
-    score.scopes = sim->accounting().scopes();
+    score.scopes = acct.scopes();
     const double issued = static_cast<double>(stats.prefetchesIssued());
     for (unsigned lv : {kL1, kL2}) {
         const double shadow =
@@ -210,7 +338,7 @@ scoreCell(const WorkloadSpec &spec, const SimConfig &config,
     }
     if (!replay) {
         score.shadow = sim->mem().takeShadowRecord();
-        score.footprint = sim->accounting().freezeFootprint();
+        score.footprint = acct.freezeFootprint();
     }
     return score;
 }
@@ -279,10 +407,9 @@ TEST(ShadowOnce, ReplayMatchesLiveWalk)
 }
 
 /**
- * A replayed alternate reality is only right on the demand path it was
- * recorded on, so a runner whose budget or cache geometry differs
- * from the shared baseline's must refuse it. The DRAM seed and
- * arbitration may differ.
+ * A replayed alternate reality is only right on the cache geometry it
+ * was recorded on, so a runner whose L1 differs from the shared
+ * baseline's must refuse it. Only the DRAM drop-RNG seed may differ.
  */
 TEST(ShadowOnce, SharedBaselineRejectsAnotherL1Size)
 {
@@ -293,7 +420,6 @@ TEST(ShadowOnce, SharedBaselineRejectsAnotherL1Size)
 
     SimConfig reseeded = config;
     reseeded.mem.dram.rngSeed = 7;
-    reseeded.mem.dram.arbitration = ArbitrationPolicy::kFifo;
     EXPECT_NO_THROW(ExperimentRunner(reseeded, cache).run(spec, "SPP"));
 
     SimConfig smaller = config;
@@ -305,8 +431,62 @@ TEST(ShadowOnce, SharedBaselineRejectsAnotherL1Size)
     } catch (const std::invalid_argument &error) {
         const std::string what = error.what();
         EXPECT_NE(what.find("mcf.syn"), std::string::npos) << what;
-        EXPECT_NE(what.find("L1 65536 B"), std::string::npos) << what;
-        EXPECT_NE(what.find("L1 32768 B"), std::string::npos) << what;
+        EXPECT_NE(what.find("L1D size 65536 B, not this runner's L1D size "
+                            "32768 B"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(cache->size(), 1u);
+}
+
+/**
+ * The baseline's IPC, the denominator of every speedup, depends on
+ * every timing parameter, so a runner that differs from the shared
+ * baseline in DRAM arbitration, a cache latency, the core or a DRAM
+ * timing must refuse it too, and name what differs.
+ */
+TEST(ShadowOnce, SharedBaselineRejectsAnotherTiming)
+{
+    const WorkloadSpec &spec = findWorkload("mcf.syn");
+    auto cache = std::make_shared<BaselineCache>();
+    const SimConfig config = testConfig(20000);
+    ExperimentRunner(config, cache).run(spec, "SPP");
+
+    const auto differs = [](const std::string &field, auto theirs,
+                            auto ours) {
+        return field + " " + std::to_string(theirs) +
+               ", not this runner's " + field + " " +
+               std::to_string(ours);
+    };
+    const std::pair<std::string, std::function<void(SimConfig &)>>
+        changes[] = {
+            {"DRAM arbitration demand-first, not this runner's DRAM "
+             "arbitration fifo",
+             [](SimConfig &c) {
+                 c.mem.dram.arbitration = ArbitrationPolicy::kFifo;
+             }},
+            {differs("L1D latency", config.mem.l1.latency,
+                     config.mem.l1.latency + 1),
+             [](SimConfig &c) { ++c.mem.l1.latency; }},
+            {differs("robSize", config.core.robSize, 96),
+             [](SimConfig &c) { c.core.robSize = 96; }},
+            {differs("DRAM tCAS", config.mem.dram.tCAS,
+                     config.mem.dram.tCAS + 10),
+             [](SimConfig &c) { c.mem.dram.tCAS += 10; }},
+        };
+    for (const auto &[difference, change] : changes) {
+        SimConfig other = config;
+        change(other);
+        ExperimentRunner runner(other, cache);
+        try {
+            runner.run(spec, "SPP");
+            ADD_FAILURE() << "replayed a baseline computed with "
+                          << difference;
+        } catch (const std::invalid_argument &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("mcf.syn"), std::string::npos) << what;
+            EXPECT_NE(what.find(difference), std::string::npos) << what;
+        }
     }
     EXPECT_EQ(cache->size(), 1u);
 }
