@@ -6,9 +6,10 @@
  * finding: as a coordinated component, each design's accuracy in that
  * region improves (e.g. SMS 27%% -> 43%%).
  *
- * Each (design, workload) is one parallel job running the dependent
- * chain TPC -> alone -> composed; the suite-weighted aggregation
- * happens after the sweep, in registration order.
+ * Each workload is one parallel job: it runs TPC once for the
+ * exclude set, then every design alone and composed inside it. The
+ * suite-weighted aggregation happens after the sweep, in registration
+ * order.
  */
 
 #include <cstdio>
@@ -43,24 +44,22 @@ collector()
 }
 
 void
-registerExtra(const std::string &extra)
+registerWorkload(const dol::WorkloadSpec &spec)
 {
     using namespace dol;
-    for (const WorkloadSpec &spec : speclikeSuite()) {
-        const std::string label =
-            "fig14/" + extra + "/" + spec.name;
-        collector().addJob(
-            label, [extra, spec](ExperimentRunner &runner) {
-                // TPC's prefetched lines define the uncovered region.
-                RunOptions focus;
-                focus.exclude = runner.prefetchedLines(spec, "TPC");
-                std::vector<RunOutput> out;
+    collector().addJob(
+        "fig14/" + spec.name, [spec](ExperimentRunner &runner) {
+            // TPC's prefetched lines define the uncovered region.
+            RunOptions focus;
+            focus.exclude = runner.prefetchedLines(spec, "TPC");
+            std::vector<RunOutput> out;
+            for (const char *extra : kExtras) {
                 out.push_back(runner.run(spec, extra, focus));
-                out.push_back(
-                    runner.run(spec, "TPC+" + extra, focus));
-                return out;
-            });
-    }
+                out.push_back(runner.run(
+                    spec, "TPC+" + std::string(extra), focus));
+            }
+            return out;
+        });
 }
 
 void
@@ -120,8 +119,8 @@ printSummary()
 int
 main(int argc, char **argv)
 {
-    for (const char *extra : kExtras)
-        registerExtra(extra);
+    for (const dol::WorkloadSpec &spec : dol::speclikeSuite())
+        registerWorkload(spec);
     return dol::bench::benchMain(argc, argv, &collector(),
                                  printSummary);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/reference_adaptive.hpp"
+#include "common/hash.hpp"
 #include "workloads/trace_ingest.hpp"
 
 namespace dol::check
@@ -123,9 +124,9 @@ describeSlotDiff(const AdaptiveSlotState &prod,
 AdaptiveParams
 makeAdaptiveParams(std::uint64_t case_seed)
 {
-    std::uint64_t state = splitMix(case_seed ^ 0xada9'7c0de5eedull);
+    std::uint64_t state = splitMix64(case_seed ^ 0xada9'7c0de5eedull);
     const auto draw = [&state](std::uint64_t bound) {
-        state = splitMix(state);
+        state = splitMix64(state);
         return state % bound;
     };
     AdaptiveParams params;

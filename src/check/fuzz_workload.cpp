@@ -2,30 +2,22 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace dol::check
 {
 
 std::uint64_t
-splitMix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
 caseSeed(std::uint64_t campaign_seed, std::uint64_t index)
 {
-    return splitMix(campaign_seed ^ splitMix(index + 1));
+    return splitMix64(campaign_seed ^ splitMix64(index + 1));
 }
 
 FuzzParams
 makeFuzzParams(std::uint64_t case_seed)
 {
-    Rng rng(splitMix(case_seed ^ 0xF00Dull));
+    Rng rng(splitMix64(case_seed ^ 0xF00Dull));
     FuzzParams params;
     params.t2.strideThreshold =
         static_cast<unsigned>(rng.range(2, 20));
@@ -41,7 +33,7 @@ makeFuzzParams(std::uint64_t case_seed)
     params.enableP1 = rng.chance(0.7);
     params.enableC1 = rng.chance(0.6);
     params.extraDegree2 = static_cast<unsigned>(rng.range(1, 3));
-    params.opSeed = splitMix(case_seed ^ 0xCACEull);
+    params.opSeed = splitMix64(case_seed ^ 0xCACEull);
     // Appended draws only below this line: earlier draws must keep
     // consuming the same rng prefix so a case seed's historical
     // parameters stay stable.
@@ -328,7 +320,7 @@ makeFuzzTrace(std::uint64_t case_seed, const FuzzParams &params)
             // territory.
             const Addr elem = slot.arrayBase + ptr_index * 8;
             const Addr target = 0x30000000 +
-                                splitMix(case_seed ^ ptr_index) %
+                                splitMix64(case_seed ^ ptr_index) %
                                     (1u << 20) * kLineBytes;
             const std::uint64_t value = static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(target) - slot.ptrDelta);

@@ -36,9 +36,6 @@
 namespace dol::check
 {
 
-/** SplitMix64: the campaign's per-case seed derivation. */
-std::uint64_t splitMix(std::uint64_t x);
-
 /** Seed of case @p index within a campaign. */
 std::uint64_t caseSeed(std::uint64_t campaign_seed, std::uint64_t index);
 

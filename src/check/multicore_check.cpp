@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "check/fuzz_workload.hpp"
+#include "common/hash.hpp"
 #include "sim/multicore.hpp"
 #include "trace/counters.hpp"
 
@@ -34,7 +34,7 @@ makeCase(std::uint64_t case_seed)
     CaseSetup setup;
     std::uint64_t state = case_seed;
     auto draw = [&state](std::uint64_t bound) {
-        state = splitMix(state);
+        state = splitMix64(state);
         return state % bound;
     };
 

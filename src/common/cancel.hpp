@@ -2,33 +2,30 @@
  * @file
  * Cooperative cancellation for long-running simulation work.
  *
- * A CancelToken combines a shared stop flag (set by a signal handler
- * or a supervisor when a sweep should drain) with an optional
- * per-attempt wall-clock deadline (the runner's per-cell timeout).
- * Work that wants to be cancellable polls cancelled() at natural
- * checkpoints — the simulator does so every few thousand instructions
- * — and throws CancelledError, which the runner's supervision layer
- * maps onto "timed out" (deadline hit) or "drained" (stop requested).
+ * A CancelToken carries a per-attempt wall-clock deadline: the
+ * runner's per-cell timeout. Work that wants to be cancellable polls
+ * expired() at natural checkpoints — the simulator does so every few
+ * thousand instructions — and throws CancelledError, which the
+ * runner's supervision layer records as "timed out".
  *
- * The token is created by the supervising thread and read on the
- * worker thread executing the attempt; only the stop flag is shared
- * across threads, and it is atomic.
+ * A sweep's stop flag (graceful drain) is not part of the token: a
+ * stop request skips queued jobs and lets running ones finish. Each
+ * token belongs to one attempt and is read only on the thread that
+ * runs it.
  */
 
 #ifndef DOL_COMMON_CANCEL_HPP
 #define DOL_COMMON_CANCEL_HPP
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 namespace dol
 {
 
 struct CancelToken
 {
-    /** Sweep-wide stop flag (graceful drain); nullptr = none. */
-    const std::atomic<bool> *stopFlag = nullptr;
     /** Per-attempt deadline; the epoch value means "no deadline". */
     std::chrono::steady_clock::time_point deadline{};
 
@@ -39,23 +36,14 @@ struct CancelToken
     }
 
     bool
-    stopRequested() const
-    {
-        return stopFlag != nullptr &&
-               stopFlag->load(std::memory_order_relaxed);
-    }
-
-    bool
     expired() const
     {
         return hasDeadline() &&
                std::chrono::steady_clock::now() >= deadline;
     }
-
-    bool cancelled() const { return stopRequested() || expired(); }
 };
 
-/** Thrown from a cancellation point once a token reports cancelled. */
+/** Thrown from a cancellation point once a token has expired. */
 class CancelledError : public std::runtime_error
 {
   public:

@@ -21,7 +21,7 @@
  *    stay byte-identical.
  *  - BoundedLruTable: fixed capacity, linear probe window,
  *    LRU-stamp eviction inside the window — the shape of a hardware
- *    set-indexed table (SPP's signature table, BOP's RR table).
+ *    set-indexed table (Triangel's pair history, PChase's chains).
  *
  * All variants are deterministic: layout depends only on the key
  * sequence, never on pointers or global state.
@@ -38,19 +38,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
+
 namespace dol
 {
 
-/** SplitMix64 finalizer: the integer-key mixer for every table. */
+/** The integer-key mixer for every table: SplitMix64's finalizer. */
 constexpr std::uint64_t
 flatHashMix(std::uint64_t x)
 {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
+    return mix64(x);
 }
 
 /**

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "common/hash.hpp"
+
 namespace dol
 {
 
@@ -22,14 +24,11 @@ class Rng
   public:
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
-        // SplitMix64 seeding, per the xoshiro authors' recommendation.
-        std::uint64_t x = seed;
+        // SplitMix64 seeding, per the xoshiro authors' recommendation:
+        // the state is SplitMix64's first four outputs from @p seed.
         for (auto &word : _state) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
+            word = splitMix64(seed);
+            seed += kSplitMix64Gamma;
         }
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics helpers: running means, geometric means, and
- * fixed-bucket histograms used by the experiment harnesses.
+ * Lightweight statistics helpers used by the experiment harnesses:
+ * running means, geometric means and a least-squares line fit.
  */
 
 #ifndef DOL_COMMON_STATS_HPP

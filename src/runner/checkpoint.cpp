@@ -1,6 +1,6 @@
 #include "runner/checkpoint.hpp"
 
-#include "runner/wire.hpp"
+#include "common/wire.hpp"
 
 namespace dol::runner
 {

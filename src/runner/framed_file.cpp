@@ -6,8 +6,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "runner/wire.hpp"
-#include "trace/trace_io.hpp"
+#include "common/hash.hpp"
+#include "common/wire.hpp"
 
 namespace dol::runner
 {
@@ -152,9 +152,8 @@ FramedReader::next(Record &out)
         _tornTail = true;
         return false;
     }
-    wire::Cursor env{envelope + 1, sizeof envelope - 1};
-    const std::uint32_t length = env.u32();
-    const std::uint64_t checksum = env.u64();
+    const std::uint32_t length = wire::loadU32(envelope + 1);
+    const std::uint64_t checksum = wire::loadU64(envelope + 5);
 
     // A length reaching past the end of the file is a torn or corrupt
     // envelope. Reject it before allocating: one flipped high byte

@@ -7,6 +7,8 @@
 #include <thread>
 
 #include "common/cancel.hpp"
+#include "common/hash.hpp"
+#include "common/wire.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/progress.hpp"
 #include "runner/thread_pool.hpp"
@@ -14,24 +16,27 @@
 namespace dol::runner
 {
 
+namespace
+{
+
+/** FNV-1a of @p text and a '\x1f' separator, continuing @p hash, so
+ *  ("ab","c") and ("a","bc") hash differently. */
+std::uint64_t
+hashField(std::uint64_t hash, std::string_view text)
+{
+    const unsigned char separator = 0x1f;
+    return fnv64(&separator, 1, fnv64(text.data(), text.size(), hash));
+}
+
+} // namespace
+
 std::uint64_t
 cellSeed(std::string_view workload, std::string_view prefetcher,
          std::string_view variant)
 {
-    // FNV-1a 64-bit, with '\x1f' separators so ("ab","c") and
-    // ("a","bc") hash differently.
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto mix = [&hash](std::string_view text) {
-        for (const char c : text) {
-            hash ^= static_cast<unsigned char>(c);
-            hash *= 0x100000001b3ull;
-        }
-        hash ^= 0x1f;
-        hash *= 0x100000001b3ull;
-    };
-    mix(workload);
-    mix(prefetcher);
-    mix(variant);
+    std::uint64_t hash = kFnv64Basis;
+    for (const std::string_view field : {workload, prefetcher, variant})
+        hash = hashField(hash, field);
     return hash;
 }
 
@@ -109,21 +114,12 @@ SweepRunner::addJob(const std::string &label, JobBody body,
 std::uint64_t
 SweepRunner::gridHash(const std::vector<PendingJob> &jobs) const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto mixByte = [&hash](unsigned char byte) {
-        hash ^= byte;
-        hash *= 0x100000001b3ull;
-    };
-    const auto mixString = [&](std::string_view text) {
-        for (const char c : text)
-            mixByte(static_cast<unsigned char>(c));
-        mixByte(0x1f);
-    };
+    std::uint64_t hash = kFnv64Basis;
     for (const PendingJob &job : jobs) {
-        mixString(job.label);
-        mixString(job.variant);
-        for (unsigned shift = 0; shift < 64; shift += 8)
-            mixByte(static_cast<unsigned char>(job.seed >> shift));
+        unsigned char seed[8];
+        wire::storeU64(seed, job.seed);
+        hash = fnv64(seed, sizeof seed,
+                     hashField(hashField(hash, job.label), job.variant));
     }
     return hash;
 }

@@ -28,10 +28,9 @@
  *    around it; the default kPropagate rethrows after the drain. A
  *    cell's result is a pure function of its key, so there is no
  *    in-process retry — `--resume` is how a quarantined cell re-runs.
- *  - stopFlag is polled before each job starts and at simulator
- *    cancellation points: once raised (signal handler, fault plan, or
- *    test), in-flight jobs finish — or unwind at the next poll — and
- *    are journaled, queued jobs are skipped, and run() returns an
+ *  - stopFlag is polled before each job starts: once raised (signal
+ *    handler, fault plan, or test), in-flight jobs finish and are
+ *    journaled, queued jobs are skipped, and run() returns an
  *    interrupted, resumable report.
  *  - faultPlan deterministically injects throw/hang/abort/stop faults
  *    into worker jobs for the crash-safety tests.

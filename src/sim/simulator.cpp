@@ -131,7 +131,7 @@ Simulator::run(const CancelToken *cancel)
         // instructions.
         if (cancel && (_instrs & ~std::uint64_t{0xFFF}) !=
                           ((_instrs - got) & ~std::uint64_t{0xFFF}) &&
-            cancel->cancelled()) {
+            cancel->expired()) {
             throw CancelledError("simulation cancelled after " +
                                  std::to_string(_instrs) +
                                  " instructions");

@@ -75,7 +75,7 @@ class Simulator
     /**
      * Run until the instruction budget is exhausted. A cancel token
      * (borrowed; may be null) is polled every few thousand
-     * instructions: once it reports cancelled, run() throws
+     * instructions: once it has expired, run() throws
      * CancelledError, leaving the sim in a consistent but incomplete
      * state. This is the cooperative cancellation point the runner's
      * per-cell timeout relies on.

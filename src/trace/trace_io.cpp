@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "common/hash.hpp"
+#include "common/wire.hpp"
+
 namespace dol
 {
 
@@ -11,40 +14,6 @@ namespace
 /** Flush granularity: large enough to amortize fwrite, small enough
  *  to keep short traces cheap. */
 constexpr std::size_t kFlushBytes = 64 * 1024;
-
-void
-putU32(unsigned char *out, std::uint32_t value)
-{
-    out[0] = static_cast<unsigned char>(value);
-    out[1] = static_cast<unsigned char>(value >> 8);
-    out[2] = static_cast<unsigned char>(value >> 16);
-    out[3] = static_cast<unsigned char>(value >> 24);
-}
-
-std::uint32_t
-getU32(const unsigned char *in)
-{
-    return static_cast<std::uint32_t>(in[0]) |
-           static_cast<std::uint32_t>(in[1]) << 8 |
-           static_cast<std::uint32_t>(in[2]) << 16 |
-           static_cast<std::uint32_t>(in[3]) << 24;
-}
-
-void
-putU64(unsigned char *out, std::uint64_t value)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<unsigned char>(value >> (8 * i));
-}
-
-std::uint64_t
-getU64(const unsigned char *in)
-{
-    std::uint64_t value = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return value;
-}
 
 } // namespace
 
@@ -81,18 +50,6 @@ traceEventName(TraceEventType type)
     return "unknown";
 }
 
-std::uint64_t
-fnv64(const void *data, std::size_t size, std::uint64_t seed)
-{
-    std::uint64_t hash = seed;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 void
 encodeTraceEvent(const TraceEvent &event, unsigned char *out)
 {
@@ -100,9 +57,9 @@ encodeTraceEvent(const TraceEvent &event, unsigned char *out)
     out[1] = event.comp;
     out[2] = event.level;
     out[3] = event.arg;
-    putU64(out + 4, event.cycle);
-    putU64(out + 12, event.addr);
-    putU64(out + 20, event.aux);
+    wire::storeU64(out + 4, event.cycle);
+    wire::storeU64(out + 12, event.addr);
+    wire::storeU64(out + 20, event.aux);
 }
 
 bool
@@ -114,9 +71,9 @@ decodeTraceEvent(const unsigned char *in, TraceEvent &out)
     out.comp = in[1];
     out.level = in[2];
     out.arg = in[3];
-    out.cycle = getU64(in + 4);
-    out.addr = getU64(in + 12);
-    out.aux = getU64(in + 20);
+    out.cycle = wire::loadU64(in + 4);
+    out.addr = wire::loadU64(in + 12);
+    out.aux = wire::loadU64(in + 20);
     return true;
 }
 
@@ -127,7 +84,7 @@ TraceWriter::open(const std::string &path)
 {
     close();
     _count = 0;
-    _digest = 0xcbf29ce484222325ull;
+    _digest = kFnv64Basis;
     _ok = true;
     _error.clear();
     if (path.empty()) {
@@ -143,8 +100,8 @@ TraceWriter::open(const std::string &path)
     }
     unsigned char header[kTraceHeaderBytes];
     std::memcpy(header, kTraceMagic, sizeof kTraceMagic);
-    putU32(header + 8, kTraceVersion);
-    putU32(header + 12, 0);
+    wire::storeU32(header + 8, kTraceVersion);
+    wire::storeU32(header + 12, 0);
     _buffer.assign(reinterpret_cast<const char *>(header),
                    sizeof header);
     return true;
@@ -231,7 +188,7 @@ TraceReader::open(const std::string &path)
         _error = "bad trace magic (not a dol event trace file)";
         return false;
     }
-    if (const std::uint32_t version = getU32(header + 8);
+    if (const std::uint32_t version = wire::loadU32(header + 8);
         version != kTraceVersion) {
         _error = "unsupported trace version " + std::to_string(version);
         return false;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "trace/event.hpp"
 
 namespace dol
@@ -38,10 +39,6 @@ constexpr char kInstrTraceMagic[8] = {'D', 'O', 'L', 'I',
 constexpr std::uint32_t kTraceVersion = 1;
 constexpr std::size_t kTraceHeaderBytes = 16;
 constexpr std::size_t kTraceRecordBytes = 28;
-
-/** FNV-1a over a byte range (trace digests in golden snapshots). */
-std::uint64_t fnv64(const void *data, std::size_t size,
-                    std::uint64_t seed = 0xcbf29ce484222325ull);
 
 /** Serialize one event into exactly kTraceRecordBytes at @p out. */
 void encodeTraceEvent(const TraceEvent &event, unsigned char *out);
@@ -85,7 +82,7 @@ class TraceWriter
     std::FILE *_file = nullptr;
     std::string _buffer;
     std::uint64_t _count = 0;
-    std::uint64_t _digest = 0xcbf29ce484222325ull;
+    std::uint64_t _digest = kFnv64Basis;
     bool _ok = true;
     std::string _error;
 };

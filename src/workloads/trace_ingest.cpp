@@ -5,6 +5,9 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "common/hash.hpp"
+#include "common/wire.hpp"
+
 namespace dol
 {
 
@@ -15,32 +18,6 @@ namespace
  *  and catches garbage files whose size merely happens to be a
  *  multiple of the record size. */
 constexpr std::uint64_t kMaxRecords = 1u << 22;
-
-std::uint64_t
-rd64le(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-wr64le(std::uint8_t *p, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-/** splitmix64 finalizer: the deterministic value model's hash. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 bool
 fail(std::string *error, const std::string &message)
@@ -114,30 +91,30 @@ void
 ChampSimInstr::pack(std::uint8_t out[kBytes]) const
 {
     std::memset(out, 0, kBytes);
-    wr64le(out, ip);
+    wire::storeU64(out, ip);
     out[8] = isBranch;
     out[9] = branchTaken;
     std::memcpy(out + 10, destRegs, kNumDestRegs);
     std::memcpy(out + 12, srcRegs, kNumSrcRegs);
     for (unsigned i = 0; i < kNumDestMem; ++i)
-        wr64le(out + 16 + 8 * i, destMem[i]);
+        wire::storeU64(out + 16 + 8 * i, destMem[i]);
     for (unsigned i = 0; i < kNumSrcMem; ++i)
-        wr64le(out + 32 + 8 * i, srcMem[i]);
+        wire::storeU64(out + 32 + 8 * i, srcMem[i]);
 }
 
 ChampSimInstr
 ChampSimInstr::unpack(const std::uint8_t in[kBytes])
 {
     ChampSimInstr record;
-    record.ip = rd64le(in);
+    record.ip = wire::loadU64(in);
     record.isBranch = in[8];
     record.branchTaken = in[9];
     std::memcpy(record.destRegs, in + 10, kNumDestRegs);
     std::memcpy(record.srcRegs, in + 12, kNumSrcRegs);
     for (unsigned i = 0; i < kNumDestMem; ++i)
-        record.destMem[i] = rd64le(in + 16 + 8 * i);
+        record.destMem[i] = wire::loadU64(in + 16 + 8 * i);
     for (unsigned i = 0; i < kNumSrcMem; ++i)
-        record.srcMem[i] = rd64le(in + 32 + 8 * i);
+        record.srcMem[i] = wire::loadU64(in + 32 + 8 * i);
     return record;
 }
 
@@ -217,7 +194,7 @@ expandChampSimTrace(const std::vector<ChampSimInstr> &records,
     // The deterministic heap model: current value per 8-byte slot.
     std::unordered_map<Addr, std::uint64_t> heap;
     const auto read_heap = [&](Addr addr) {
-        return heap.try_emplace(addr, mix64(addr)).first->second;
+        return heap.try_emplace(addr, splitMix64(addr)).first->second;
     };
 
     for (std::size_t i = 0; i < records.size(); ++i) {
@@ -254,7 +231,7 @@ expandChampSimTrace(const std::vector<ChampSimInstr> &records,
             if (addr == 0)
                 continue;
             const std::uint64_t value =
-                mix64(record.ip ^ mix64(addr ^ i));
+                splitMix64(record.ip ^ splitMix64(addr ^ i));
             heap.insert_or_assign(addr, value);
             instrs.push_back(
                 makeStore(record.ip, addr, value, data, base));

@@ -27,12 +27,13 @@
 #include <gtest/gtest.h>
 
 #include "check/campaign.hpp"
+#include "common/hash.hpp"
+#include "common/wire.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/fault.hpp"
 #include "runner/framed_file.hpp"
 #include "runner/progress.hpp"
 #include "runner/sweep.hpp"
-#include "runner/wire.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/suite.hpp"
 
@@ -402,11 +403,8 @@ TEST(FaultTolerance, FaultIndexDerivedFromSeedIsDeterministic)
 {
     // SplitMix64 step: the kill point is a pure function of the seed,
     // so this scenario replays bit-identically from "seed 0xD01".
-    std::uint64_t z = 0xD01 + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     const std::size_t kill_cell = static_cast<std::size_t>(
-        (z ^ (z >> 31)) % 3 + 1); // in [1, 3]: never the first cell
+        dol::splitMix64(0xD01) % 3 + 1); // in [1, 3]: never the first cell
 
     auto baseline_sweep = makeGridSweep({});
     const std::string baseline_results =
@@ -831,13 +829,13 @@ TEST(CheckpointJournal, CellFailedRecordsRoundTrip)
     // (here: 3 attempts) still decodes to the same cell.
     const auto payloadWithAttempts = [&](std::uint64_t attempts) {
         std::string payload;
-        runner::wire::putU64(payload, failed.jobIndex);
-        runner::wire::putString(payload, failed.cell.label);
-        runner::wire::putString(payload, failed.cell.variant);
-        runner::wire::putU64(payload, failed.cell.seed);
-        runner::wire::putU64(payload, attempts);
-        runner::wire::putString(payload, failed.cell.kind);
-        runner::wire::putString(payload, failed.cell.error);
+        wire::putU64(payload, failed.jobIndex);
+        wire::putString(payload, failed.cell.label);
+        wire::putString(payload, failed.cell.variant);
+        wire::putU64(payload, failed.cell.seed);
+        wire::putU64(payload, attempts);
+        wire::putString(payload, failed.cell.kind);
+        wire::putString(payload, failed.cell.error);
         return payload;
     };
     EXPECT_EQ(runner::encodeCellFailedPayload(failed),
@@ -1107,7 +1105,7 @@ TEST(FaultTolerance, CampaignResumeRefusesAForeignJournal)
     }
     {
         std::string index;
-        runner::wire::putU64(index, 0);
+        wire::putU64(index, 0);
         runner::FramedWriter writer;
         ASSERT_TRUE(writer.openAppend(ckpt, fileSize(ckpt), nullptr));
         ASSERT_TRUE(writer.appendRecord(3, index));

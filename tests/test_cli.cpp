@@ -2,10 +2,9 @@
  * @file
  * Input-hardening tests: the strict CLI parsing helpers behind
  * dolsim's flags (splitCommas, parseUnsigned, --shard, per-cell trace
- * paths), fuzzing of the dol-sweep-v1 JSON reader on truncated and
- * garbage documents, and the trace files dolsim reads (--replay,
- * --dump-trace) handed the other trace format — malformed input must
- * produce clean errors, never crashes or silently wrapped values.
+ * paths) and the trace files dolsim reads (--replay, --dump-trace)
+ * handed the other trace format — malformed input must produce clean
+ * errors, never crashes or silently wrapped values.
  */
 
 #include <climits>
@@ -17,7 +16,6 @@
 
 #include "mem/memory_image.hpp"
 #include "runner/cli.hpp"
-#include "runner/json_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/trace_file.hpp"
 
@@ -142,108 +140,6 @@ TEST(CellTracePath, ComposesPerCellNames)
               "run2.trc.replay:dir-x.trc.TPC");
     EXPECT_EQ(cellTracePath("out/run.trc", "mcf.syn", "TPC+SPP", ":l2"),
               "out/run.trc.mcf.syn.TPC+SPP:l2");
-}
-
-// --- dol-sweep-v1 JSON reader fuzz --------------------------------
-
-const char kSweepDoc[] = R"({
-  "schema": "dol-sweep-v1",
-  "generator": "dolsim",
-  "config": {"max_instrs": 20000},
-  "results": [
-    {"workload": "mcf.syn", "prefetcher": "TPC", "variant": "",
-     "seed": 123,
-     "metrics": {"ipc": 0.51, "speedup": 1.25},
-     "counters": {"T2.streams_confirmed": 14,
-                  "trace.bytes_fnv64": 17635784611008994966}}
-  ],
-  "timing": {"jobs": 4, "elapsed_seconds": 0.5, "wall_ms": [1.5]}
-})";
-
-TEST(JsonReaderFuzz, ParsesSweepDocument)
-{
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(parseJson(kSweepDoc, doc, &error)) << error;
-    EXPECT_EQ(doc.stringOr("schema", ""), "dol-sweep-v1");
-    const JsonValue *results = doc.find("results");
-    ASSERT_NE(results, nullptr);
-    ASSERT_EQ(results->array().size(), 1u);
-    const JsonValue *counters = results->array()[0].find("counters");
-    ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->numberOr("T2.streams_confirmed", 0), 14.0);
-}
-
-TEST(JsonReaderFuzz, TruncatedAtEveryPrefixNeverCrashes)
-{
-    const std::string doc = kSweepDoc;
-    for (std::size_t len = 0; len < doc.size(); ++len) {
-        JsonValue out;
-        std::string error;
-        const bool ok = parseJson(doc.substr(0, len), out, &error);
-        // Every proper prefix of this document is invalid JSON.
-        EXPECT_FALSE(ok) << "prefix length " << len;
-        EXPECT_FALSE(error.empty()) << "prefix length " << len;
-    }
-}
-
-TEST(JsonReaderFuzz, GarbageDocumentsGiveCleanErrors)
-{
-    const char *garbage[] = {
-        "",
-        "   ",
-        "{",
-        "}",
-        "[1,2",
-        "{\"a\": }",
-        "{\"a\": 1,}",
-        "{\"a\" 1}",
-        "nul",
-        "truefalse",
-        "\"unterminated",
-        "\"bad escape \\q\"",
-        "\"bad unicode \\u12g4\"",
-        "0x10",
-        "1e",
-        "--4",
-        "{\"a\": [{\"b\": {]}}",
-        "\x80\xff\xfe garbage bytes",
-    };
-    for (const char *text : garbage) {
-        JsonValue out;
-        std::string error;
-        EXPECT_FALSE(parseJson(text, out, &error))
-            << "accepted: " << text;
-        EXPECT_FALSE(error.empty()) << text;
-    }
-}
-
-TEST(JsonReaderFuzz, DeepNestingDoesNotOverflowTheStack)
-{
-    // 100k unclosed arrays: must fail cleanly (depth limit or
-    // truncation error), not crash on recursion.
-    std::string deep(100000, '[');
-    JsonValue out;
-    std::string error;
-    EXPECT_FALSE(parseJson(deep, out, &error));
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(JsonReaderFuzz, TrailingGarbageRejected)
-{
-    JsonValue out;
-    std::string error;
-    EXPECT_FALSE(parseJson("{\"a\": 1} tail", out, &error));
-    EXPECT_FALSE(parseJson("1 2", out, &error));
-}
-
-TEST(JsonReaderFuzz, MissingFileIsCleanError)
-{
-    JsonValue out;
-    std::string error;
-    EXPECT_FALSE(
-        parseJsonFile("/nonexistent/dol-sweep.json", out, &error));
-    EXPECT_FALSE(error.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/fuzz_workload.hpp"
+#include "common/hash.hpp"
 #include "common/flat_table.hpp"
 #include "common/ring_buffer.hpp"
 
@@ -164,7 +164,7 @@ TEST(FlatHashMap, DifferentialAgainstUnorderedMap)
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
 
     std::uint64_t rng = 0xD01Fu;
-    const auto next = [&rng] { return rng = check::splitMix(rng); };
+    const auto next = [&rng] { return rng = splitMix64(rng); };
 
     for (int step = 0; step < 20000; ++step) {
         const std::uint64_t op = next() % 100;

@@ -20,11 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/wire.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/framed_file.hpp"
 #include "runner/merge.hpp"
 #include "runner/sweep.hpp"
-#include "runner/wire.hpp"
 
 namespace
 {
@@ -240,8 +240,8 @@ TEST(Merge, UndecodableRecordEndsThatJournalsCleanPrefix)
     writeJournal(a, plan3(), {markedJob(0, 1.5)});
     {
         std::string undecodable;
-        runner::wire::putU64(undecodable, 1);
-        runner::wire::putU32(undecodable, 1000); // label past the end
+        wire::putU64(undecodable, 1);
+        wire::putU32(undecodable, 1000); // label past the end
         runner::FramedWriter writer;
         ASSERT_TRUE(
             writer.openAppend(a, std::filesystem::file_size(a)));

@@ -3,20 +3,22 @@
  * Runner subsystem tests: thread-pool semantics (drain-on-shutdown,
  * exception propagation), sweep determinism (`--jobs 1` vs `--jobs 8`
  * produce byte-identical metric rows), the shared baseline cache, and
- * the JSON writer/reader round trip.
+ * the dol-sweep-v1 JSON writer's exact text.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <iterator>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "common/rng.hpp"
-#include "runner/json_reader.hpp"
 #include "runner/progress.hpp"
 #include "runner/json_writer.hpp"
 #include "runner/result_store.hpp"
@@ -249,6 +251,133 @@ TEST(Json, WriterEscapesAndStructures)
               "\"ratio\":0.25,\"flag\":true,\"list\":[1,2]}");
 }
 
+/**
+ * The test's own JSON string rule, one character at a time: '"' and
+ * '\' take a backslash, the five named control characters their
+ * letter, every other byte below 0x20 a \u00XX escape, and anything
+ * else (raw UTF-8 included) passes through.
+ */
+std::string
+jsonString(std::string_view text)
+{
+    static const char kHex[] = "0123456789abcdef";
+    const std::string_view named = "\"\\\b\f\n\r\t";
+    const std::string_view letter = "\"\\bfnrt";
+    std::string out = "\"";
+    for (const char c : text) {
+        const auto byte = static_cast<unsigned char>(c);
+        if (const std::size_t i = named.find(c); i != named.npos) {
+            out += '\\';
+            out += letter[i];
+        } else if (byte < 0x20) {
+            out += "\\u00";
+            out += kHex[byte >> 4];
+            out += kHex[byte & 0xf];
+        } else {
+            out += c;
+        }
+    }
+    return out + '"';
+}
+
+/** Printed with %.10g: equal up to 10 significant digits. */
+bool
+nearPrinted(double a, double b)
+{
+    if (a == b)
+        return true;
+    const double scale = std::max(std::fabs(a), std::fabs(b));
+    return std::fabs(a - b) <= 5e-10 * scale;
+}
+
+/**
+ * Reads a document against the text it must hold: each literal piece
+ * matches byte for byte, and each double is read back with
+ * std::strtod. The first mismatch stops the walk, so one wrong byte
+ * reports once.
+ */
+class DocWalk
+{
+  public:
+    explicit DocWalk(const std::string &text) : _text(text) {}
+
+    void
+    text(const std::string &piece)
+    {
+        if (!_ok)
+            return;
+        _ok = _text.compare(_pos, piece.size(), piece) == 0;
+        EXPECT_TRUE(_ok) << "at byte " << _pos << ": want \"" << piece
+                         << "\", have \""
+                         << _text.substr(_pos, piece.size()) << "\"";
+        _pos += piece.size();
+    }
+
+    void
+    number(double want)
+    {
+        if (!_ok)
+            return;
+        const char *begin = _text.c_str() + _pos;
+        char *end = nullptr;
+        const double got = std::strtod(begin, &end);
+        _ok = end != begin && nearPrinted(got, want);
+        EXPECT_TRUE(_ok) << "at byte " << _pos << ": want " << want
+                         << ", have \"" << _text.substr(_pos, 24)
+                         << "\"";
+        _pos += static_cast<std::size_t>(end - begin);
+    }
+
+    bool atEnd() const { return _ok && _pos == _text.size(); }
+
+  private:
+    const std::string &_text;
+    std::size_t _pos = 0;
+    bool _ok = true;
+};
+
+/** One "results" element, laid out as ResultStore::toJson prints it. */
+void
+walkRow(DocWalk &doc, const MetricsRow &row)
+{
+    doc.text("\n    {\n      \"workload\": " + jsonString(row.workload) +
+             ",\n      \"prefetcher\": " + jsonString(row.prefetcher) +
+             ",\n      \"variant\": " + jsonString(row.variant) +
+             ",\n      \"seed\": " + std::to_string(row.seed) +
+             ",\n      \"metrics\": {");
+    const auto metric = [&doc](const char *name, double value) {
+        doc.text(std::string("\n        \"") + name + "\": ");
+        doc.number(value);
+        doc.text(",");
+    };
+    metric("baseline_ipc", row.baselineIpc);
+    metric("ipc", row.ipc);
+    metric("speedup", row.speedup);
+    metric("baseline_mpki_l1", row.baselineMpkiL1);
+    doc.text("\n        \"prefetches_issued\": " +
+             std::to_string(row.prefetchesIssued) + ",");
+    metric("scope", row.scope);
+    metric("eff_accuracy_l1", row.effAccuracyL1);
+    metric("eff_coverage_l1", row.effCoverageL1);
+    metric("eff_accuracy_l2", row.effAccuracyL2);
+    metric("eff_coverage_l2", row.effCoverageL2);
+    metric("traffic_normalized", row.trafficNormalized);
+    doc.text("\n        \"instructions\": " +
+             std::to_string(row.instructions) + "\n      }");
+    // Counters: absent when empty, exact integers when present.
+    if (!row.counters.empty()) {
+        doc.text(",\n      \"counters\": {");
+        const char *separator = "";
+        for (const auto &[name, value] : row.counters.sorted()) {
+            doc.text(separator + std::string("\n        ") +
+                     jsonString(name) + ": " + std::to_string(value));
+            separator = ",";
+        }
+        doc.text("\n      }");
+    }
+    doc.text("\n    }");
+}
+
 TEST(Json, ReaderParsesWriterOutput)
 {
     JsonWriter json;
@@ -260,29 +389,22 @@ TEST(Json, ReaderParsesWriterOutput)
     json.key("arr").beginArray().value(false).null().endArray();
     json.endObject();
 
-    JsonValue value;
-    std::string error;
-    ASSERT_TRUE(parseJson(json.str(), value, &error)) << error;
-    EXPECT_EQ(value.stringOr("text", ""),
-              "line1\nline2 \"quoted\" back\\slash");
-    EXPECT_DOUBLE_EQ(value.numberOr("num", 0.0), 3.140000001);
-    EXPECT_DOUBLE_EQ(value.numberOr("neg", 0.0), -7.0);
-    ASSERT_NE(value.find("nested"), nullptr);
-    EXPECT_EQ(value.find("nested")->stringOr("deep", ""), "x");
-    ASSERT_NE(value.find("arr"), nullptr);
-    ASSERT_EQ(value.find("arr")->array().size(), 2u);
-    EXPECT_FALSE(value.find("arr")->array()[0].boolean());
-    EXPECT_TRUE(value.find("arr")->array()[1].isNull());
-}
-
-TEST(Json, ReaderRejectsGarbage)
-{
-    JsonValue value;
-    std::string error;
-    EXPECT_FALSE(parseJson("{\"a\": }", value, &error));
-    EXPECT_FALSE(parseJson("[1, 2", value, &error));
-    EXPECT_FALSE(parseJson("{} trailing", value, &error));
-    EXPECT_FALSE(parseJson("\"unterminated", value, &error));
+    EXPECT_EQ(json.str(),
+              "{\n"
+              "  \"text\": \"line1\\nline2 \\\"quoted\\\" back\\\\slash\",\n"
+              "  \"num\": 3.140000001,\n"
+              "  \"neg\": -7,\n"
+              "  \"nested\": {\n"
+              "    \"deep\": \"x\"\n"
+              "  },\n"
+              "  \"arr\": [\n"
+              "    false,\n"
+              "    null\n"
+              "  ]\n"
+              "}");
+    EXPECT_EQ(jsonString("line1\nline2 \"quoted\" back\\slash"),
+              "\"line1\\nline2 \\\"quoted\\\" back\\\\slash\"");
+    EXPECT_EQ(std::strtod("3.140000001", nullptr), 3.140000001);
 }
 
 TEST(ResultStore, JsonRoundTripPreservesRows)
@@ -314,67 +436,61 @@ TEST(ResultStore, JsonRoundTripPreservesRows)
     meta.elapsedSeconds = 1.5;
     meta.wallMs = {42.0};
 
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(parseJson(store.toJson(meta), doc, &error)) << error;
-
-    EXPECT_EQ(doc.stringOr("schema", ""), "dol-sweep-v1");
-    EXPECT_EQ(doc.stringOr("generator", ""), "test");
-    const JsonValue *results = doc.find("results");
-    ASSERT_NE(results, nullptr);
-    ASSERT_EQ(results->array().size(), 1u);
-
-    const JsonValue &parsed = results->array()[0];
-    EXPECT_EQ(parsed.stringOr("workload", ""), row.workload);
-    EXPECT_EQ(parsed.stringOr("prefetcher", ""), row.prefetcher);
-    EXPECT_EQ(parsed.stringOr("variant", ""), row.variant);
-    EXPECT_DOUBLE_EQ(parsed.numberOr("seed", 0),
-                     static_cast<double>(row.seed));
-    const JsonValue *metrics = parsed.find("metrics");
-    ASSERT_NE(metrics, nullptr);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("baseline_ipc", 0),
-                     row.baselineIpc);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("ipc", 0), row.ipc);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("baseline_mpki_l1", 0),
-                     row.baselineMpkiL1);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("prefetches_issued", 0),
-                     static_cast<double>(row.prefetchesIssued));
-    EXPECT_DOUBLE_EQ(metrics->numberOr("scope", 0), row.scope);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("eff_accuracy_l1", 0),
-                     row.effAccuracyL1);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("eff_accuracy_l2", 0),
-                     row.effAccuracyL2);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("traffic_normalized", 0),
-                     row.trafficNormalized);
-    EXPECT_DOUBLE_EQ(metrics->numberOr("instructions", 0),
-                     static_cast<double>(row.instructions));
-
-    const JsonValue *timing = doc.find("timing");
-    ASSERT_NE(timing, nullptr);
-    EXPECT_DOUBLE_EQ(timing->numberOr("jobs", 0), 8.0);
-    ASSERT_NE(timing->find("wall_ms"), nullptr);
-    EXPECT_EQ(timing->find("wall_ms")->array().size(), 1u);
+    EXPECT_EQ(store.toJson(meta),
+              "{\n"
+              "  \"schema\": \"dol-sweep-v1\",\n"
+              "  \"generator\": \"test\",\n"
+              "  \"config\": {\n"
+              "    \"max_instrs\": 200000\n"
+              "  },\n"
+              "  \"results\": [\n"
+              "    {\n"
+              "      \"workload\": \"weird \\\"name\\\"\\n\",\n"
+              "      \"prefetcher\": \"TPC+SMS\",\n"
+              "      \"variant\": \":L1\",\n"
+              "      \"seed\": 244837814094590,\n"
+              "      \"metrics\": {\n"
+              "        \"baseline_ipc\": 1.2345,\n"
+              "        \"ipc\": 1.5,\n"
+              "        \"speedup\": 1.215066829,\n"
+              "        \"baseline_mpki_l1\": 12.75,\n"
+              "        \"prefetches_issued\": 123456789,\n"
+              "        \"scope\": 0.625,\n"
+              "        \"eff_accuracy_l1\": 0.875,\n"
+              "        \"eff_coverage_l1\": 0.5,\n"
+              "        \"eff_accuracy_l2\": -0.125,\n"
+              "        \"eff_coverage_l2\": 0.25,\n"
+              "        \"traffic_normalized\": 1.0625,\n"
+              "        \"instructions\": 200000\n"
+              "      }\n"
+              "    }\n"
+              "  ],\n"
+              "  \"timing\": {\n"
+              "    \"jobs\": 8,\n"
+              "    \"elapsed_seconds\": 1.5,\n"
+              "    \"resumed_jobs\": 0,\n"
+              "    \"wall_ms\": [\n"
+              "      42\n"
+              "    ]\n"
+              "  }\n"
+              "}\n");
+    EXPECT_TRUE(nearPrinted(std::strtod("1.215066829", nullptr),
+                            row.speedup));
 }
 
 /**
- * Property test: a dol-sweep-v1 document survives the writer->reader
- * round trip for randomized rows — awkward strings (quotes,
- * backslashes, control characters forced through \uXXXX escapes, raw
+ * Property test: a dol-sweep-v1 document holds exactly the rows it
+ * was given, for randomized rows — awkward strings (quotes,
+ * backslashes, control characters forced through \u00XX escapes, raw
  * UTF-8), extreme doubles at the edges of the %.10g format, and rows
  * with and without a counters object.
  *
- * The writer prints doubles with 10 significant digits, so numeric
- * equality is up to that precision (exact when the value needs no
- * more digits); strings and integers must round-trip exactly.
+ * The oracles are the test's own: jsonString() for strings, std::strtod
+ * for doubles (equal up to the 10 significant digits printed), and
+ * decimal text for integers and counters, which must match exactly.
  */
 TEST(ResultStore, JsonRoundTripPropertyRandomizedRows)
 {
-    const auto near = [](double a, double b) {
-        if (a == b)
-            return true;
-        const double scale = std::max(std::fabs(a), std::fabs(b));
-        return std::fabs(a - b) <= 5e-10 * scale;
-    };
     const double palette[] = {0.0,     -0.0,   1.0 / 3.0,
                               17.25,   -2.5e-9, 1e300,
                               -1e300,  1e-300,  3.141592653589793,
@@ -382,7 +498,10 @@ TEST(ResultStore, JsonRoundTripPropertyRandomizedRows)
     const std::string names[] = {
         "plain",        "with space",  "qu\"ote",
         "back\\slash",  "new\nline",   "tab\tand\rcr",
-        "ctl\x01\x1f!", "unicode \xce\xbb\xe2\x88\x80"};
+        "ctl\x01\x1f!\b\f", "unicode \xce\xbb\xe2\x88\x80"};
+    EXPECT_EQ(jsonString(names[6]), "\"ctl\\u0001\\u001f!\\b\\f\"");
+    EXPECT_EQ(jsonString(names[5]), "\"tab\\tand\\rcr\"");
+    EXPECT_EQ(jsonString(names[7]), "\"" + names[7] + "\"");
 
     Rng rng(20260807);
     const auto pick_double = [&] {
@@ -393,6 +512,7 @@ TEST(ResultStore, JsonRoundTripPropertyRandomizedRows)
     };
 
     for (int iteration = 0; iteration < 30; ++iteration) {
+        SCOPED_TRACE("iteration " + std::to_string(iteration));
         const std::size_t count = 1 + rng.below(4);
         ResultStore store;
         std::vector<MetricsRow> rows;
@@ -432,63 +552,23 @@ TEST(ResultStore, JsonRoundTripPropertyRandomizedRows)
 
         // Serialization is deterministic: two calls, identical bytes.
         const std::string text = store.toJson(meta);
-        ASSERT_EQ(text, store.toJson(meta)) << "iteration " << iteration;
+        ASSERT_EQ(text, store.toJson(meta));
 
-        JsonValue doc;
-        std::string error;
-        ASSERT_TRUE(parseJson(text, doc, &error))
-            << "iteration " << iteration << ": " << error;
-        EXPECT_EQ(doc.stringOr("schema", ""), "dol-sweep-v1");
-        const JsonValue *results = doc.find("results");
-        ASSERT_NE(results, nullptr);
-        ASSERT_EQ(results->array().size(), rows.size());
-
+        DocWalk doc(text);
+        doc.text("{\n  \"schema\": \"dol-sweep-v1\",\n  \"generator\": "
+                 "\"dolsim\",\n  \"config\": {\n    \"max_instrs\": " +
+                 std::to_string(meta.maxInstrs) +
+                 "\n  },\n  \"results\": [");
         for (std::size_t i = 0; i < rows.size(); ++i) {
-            const MetricsRow &row = rows[i];
-            const JsonValue &parsed = results->array()[i];
-            EXPECT_EQ(parsed.stringOr("workload", "?"), row.workload);
-            EXPECT_EQ(parsed.stringOr("prefetcher", "?"),
-                      row.prefetcher);
-            EXPECT_EQ(parsed.stringOr("variant", "?"), row.variant);
-            EXPECT_DOUBLE_EQ(parsed.numberOr("seed", -1),
-                             static_cast<double>(row.seed));
-
-            const JsonValue *metrics = parsed.find("metrics");
-            ASSERT_NE(metrics, nullptr);
-            EXPECT_TRUE(near(metrics->numberOr("ipc", -1), row.ipc));
-            EXPECT_TRUE(near(metrics->numberOr("baseline_ipc", -1),
-                             row.baselineIpc));
-            EXPECT_TRUE(near(metrics->numberOr("speedup", -1),
-                             row.speedup));
-            EXPECT_TRUE(near(metrics->numberOr("scope", -1),
-                             row.scope));
-            EXPECT_TRUE(near(metrics->numberOr("eff_accuracy_l1", -1),
-                             row.effAccuracyL1));
-            EXPECT_TRUE(near(metrics->numberOr("eff_coverage_l2", -1),
-                             row.effCoverageL2));
-            EXPECT_TRUE(near(metrics->numberOr("traffic_normalized", -1),
-                             row.trafficNormalized));
-            EXPECT_DOUBLE_EQ(
-                metrics->numberOr("prefetches_issued", -1),
-                static_cast<double>(row.prefetchesIssued));
-            EXPECT_DOUBLE_EQ(metrics->numberOr("instructions", -1),
-                             static_cast<double>(row.instructions));
-
-            // Counters: absent when empty, exact when present.
-            const JsonValue *counters = parsed.find("counters");
-            if (row.counters.empty()) {
-                EXPECT_EQ(counters, nullptr);
-            } else {
-                ASSERT_NE(counters, nullptr);
-                const auto expected = row.counters.sorted();
-                ASSERT_EQ(counters->object().size(), expected.size());
-                for (const auto &[name, value] : expected) {
-                    EXPECT_DOUBLE_EQ(counters->numberOr(name, -1),
-                                     static_cast<double>(value))
-                        << "counter " << name;
-                }
-            }
+            if (i > 0)
+                doc.text(",");
+            walkRow(doc, rows[i]);
         }
+        doc.text("\n  ],\n  \"timing\": {\n    \"jobs\": " +
+                 std::to_string(meta.jobs) +
+                 ",\n    \"elapsed_seconds\": 0,\n    \"resumed_jobs\": "
+                 "0,\n    \"wall_ms\": []\n  }\n}\n");
+        EXPECT_TRUE(doc.atEnd());
     }
 }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "trace/context.hpp"
 #include "trace/counters.hpp"
 #include "trace/trace_io.hpp"
