@@ -2,13 +2,14 @@
  * @file
  * Shared scaffolding for the experiment benchmarks.
  *
- * Every bench binary queues its (workload, prefetcher) cells — or
- * custom jobs for dependent/multicore flows — on a Collector, then
- * calls benchMain(), which runs the whole grid in parallel on the
- * runner subsystem (SweepRunner): deterministic per-cell seeding, a
- * shared baseline cache, per-job wall time and a live progress line.
- * Results land in registration order regardless of worker count, so
- * the paper-style summary tables are bit-identical for any --jobs N.
+ * Each bench binary runs one instruction budget: it queues its
+ * (workload, prefetcher, variant) cells — or custom jobs for
+ * dependent/multicore flows — on a Collector, then calls benchMain(),
+ * which runs the whole grid in parallel on the runner subsystem
+ * (SweepRunner): deterministic per-cell seeding, a shared baseline
+ * cache, per-job wall time and a live progress line. Results land in
+ * registration order regardless of worker count, so the paper-style
+ * summary tables are bit-identical for any --jobs N.
  *
  * Common flags: --jobs N (default: hardware threads, or DOL_JOBS),
  * --json FILE (dol-sweep-v1 structured results), --quiet.
@@ -57,12 +58,13 @@ class Collector
      * Queue a custom job (multicore mixes, dependent run chains).
      * The body runs on a worker with a job-private ExperimentRunner
      * sharing this binary's baseline cache; returned outputs are
-     * recorded in registration order.
+     * recorded in registration order under @p variant.
      */
     void
-    addJob(const std::string &label, runner::JobBody body)
+    addJob(const std::string &label, runner::JobBody body,
+           const std::string &variant = "")
     {
-        _sweep.addJob(label, std::move(body));
+        _sweep.addJob(label, std::move(body), variant);
     }
 
     /** Execute every queued job; fills results(). */
@@ -81,14 +83,17 @@ class Collector
     const runner::ResultStore &store() const { return _store; }
     const runner::SweepMeta &meta() const { return _meta; }
 
-    /** All results of one prefetcher, in registration order. */
+    /** All results of one (prefetcher, variant), in registration
+     *  order. results()[i] is the run behind store().rows()[i]. */
     std::vector<const RunOutput *>
-    byPrefetcher(const std::string &name) const
+    byPrefetcher(const std::string &name,
+                 const std::string &variant = "") const
     {
         std::vector<const RunOutput *> out;
-        for (const RunOutput &result : _outputs) {
-            if (result.prefetcher == name)
-                out.push_back(&result);
+        for (std::size_t i = 0; i < _outputs.size(); ++i) {
+            if (_outputs[i].prefetcher == name &&
+                _store.rows()[i].variant == variant)
+                out.push_back(&_outputs[i]);
         }
         return out;
     }
@@ -137,9 +142,8 @@ class Collector
 
 /**
  * Standard bench main: run the queued sweep in parallel, then print
- * the summary table. @p collector may be null for binaries with no
- * sweep. Unknown arguments, and a --json file that cannot be written,
- * are an error (exit status 1).
+ * the summary tables. Unknown arguments, and a --json file that
+ * cannot be written, are an error (exit status 1).
  */
 inline int
 benchMain(int argc, char **argv, Collector *collector,
@@ -184,10 +188,9 @@ benchMain(int argc, char **argv, Collector *collector,
         }
     }
 
-    if (collector)
-        collector->runAll(sweep_options);
+    collector->runAll(sweep_options);
 
-    if (collector && !json_path.empty()) {
+    if (!json_path.empty()) {
         if (!collector->store().writeJsonFile(json_path,
                                               collector->meta())) {
             std::fprintf(stderr, "cannot write %s\n",
@@ -198,13 +201,6 @@ benchMain(int argc, char **argv, Collector *collector,
 
     summary();
     return 0;
-}
-
-/** Overload for binaries with no sweep (static tables only). */
-inline int
-benchMain(int argc, char **argv, const std::function<void()> &summary)
-{
-    return benchMain(argc, argv, nullptr, summary);
 }
 
 } // namespace dol::bench

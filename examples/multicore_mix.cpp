@@ -56,7 +56,8 @@ main(int argc, char **argv)
     table.print();
 
     std::printf("\nweighted speedup: %.3f\n",
-                result.weightedSpeedup(baseline));
+                computeFairness(baseline.ipc, result.ipc)
+                    .weightedSpeedup);
     std::printf("DRAM lines moved: %lu (baseline hierarchy: %lu)\n",
                 static_cast<unsigned long>(result.dramLines),
                 static_cast<unsigned long>(result.baselineDramLines));

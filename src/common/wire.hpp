@@ -1,7 +1,8 @@
 /**
  * @file
  * Little-endian byte codec of every binary format: the DOLCKPT1
- * journal, DOLTRC01 event traces and ChampSim records.
+ * journal, DOLTRC01 event traces, DOLINS01 instruction traces and
+ * ChampSim records.
  *
  * Every integer is stored byte by byte, independent of host order,
  * and doubles travel bit-exact through u64 so no text round trip can

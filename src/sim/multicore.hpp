@@ -44,36 +44,15 @@ struct MulticoreResult
     std::uint64_t arbDelayCycles = 0;
     std::uint64_t demandsDelayedByPrefetch = 0;
     std::uint64_t windowDeferrals = 0;
-
-    /**
-     * Weighted speedup against a baseline mix run: mean of per-core
-     * IPC ratios over the cores comparable in both runs (same index,
-     * baseline IPC > 0). Returns 0.0 when no core is comparable —
-     * an explicit "no data" sentinel rather than a fake parity of
-     * 1.0 — so degenerate inputs (empty vectors, all-zero baseline,
-     * disjoint lengths) cannot masquerade as a neutral result.
-     */
-    double
-    weightedSpeedup(const MulticoreResult &baseline) const
-    {
-        double sum = 0.0;
-        unsigned n = 0;
-        for (std::size_t i = 0;
-             i < ipc.size() && i < baseline.ipc.size(); ++i) {
-            if (baseline.ipc[i] > 0.0) {
-                sum += ipc[i] / baseline.ipc[i];
-                ++n;
-            }
-        }
-        return n ? sum / n : 0.0;
-    }
 };
 
 /**
  * Fairness metrics over a mix run and its solo baselines
  * (slowdown_i = soloIpc_i / mixIpc_i, the classic definition).
  * Cores with zero solo or mix IPC are excluded; all aggregate
- * metrics are 0.0 when no core qualifies.
+ * metrics are 0.0 when no core qualifies. The weighted speedup of a
+ * mix over its no-prefetch run is this weightedSpeedup, with the
+ * no-prefetch run's per-core IPC as the solo IPC.
  */
 struct FairnessMetrics
 {

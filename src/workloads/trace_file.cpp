@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "common/log.hpp"
+#include "common/wire.hpp"
 #include "trace/trace_io.hpp"
 
 namespace dol
@@ -12,22 +13,42 @@ namespace dol
 namespace
 {
 
-/** On-disk header: the format magic, then the record count. */
-struct TraceHeader
-{
-    char magic[8];
-    std::uint64_t instructionCount;
-};
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kRecordBytes = 40;
 
-static_assert(sizeof(TraceHeader) == 16, "stable on-disk layout");
+/** Bits of TraceRecord::flags: taken, mispredicted. */
+constexpr std::uint8_t kKnownFlags = 3;
 
-TraceHeader
-makeHeader(std::uint64_t instruction_count)
+void
+encodeRecord(const TraceRecord &record, unsigned char *out)
 {
-    TraceHeader header{};
-    std::memcpy(header.magic, kInstrTraceMagic, sizeof header.magic);
-    header.instructionCount = instruction_count;
-    return header;
+    wire::storeU64(out, record.pc);
+    wire::storeU64(out + 8, record.addr);
+    wire::storeU64(out + 16, record.value);
+    wire::storeU64(out + 24, record.target);
+    const std::uint8_t tail[8] = {record.op,   record.flags,
+                                  record.dst,  record.src1,
+                                  record.src2, record.size,
+                                  record.latency, 0};
+    std::memcpy(out + 32, tail, sizeof tail);
+}
+
+TraceRecord
+decodeRecord(const unsigned char *in)
+{
+    TraceRecord record;
+    record.pc = wire::loadU64(in);
+    record.addr = wire::loadU64(in + 8);
+    record.value = wire::loadU64(in + 16);
+    record.target = wire::loadU64(in + 24);
+    record.op = in[32];
+    record.flags = in[33];
+    record.dst = in[34];
+    record.src1 = in[35];
+    record.src2 = in[36];
+    record.size = in[37];
+    record.latency = in[38];
+    return record;
 }
 
 } // namespace
@@ -90,11 +111,14 @@ writeTraceRecords(const std::string &path,
     std::FILE *file = std::fopen(path.c_str(), "wb");
     if (!file)
         return false;
-    const TraceHeader header = makeHeader(records.size());
-    bool ok = std::fwrite(&header, sizeof header, 1, file) == 1;
-    if (ok && !records.empty()) {
-        ok = std::fwrite(records.data(), sizeof(TraceRecord),
-                         records.size(), file) == records.size();
+    unsigned char header[kHeaderBytes];
+    std::memcpy(header, kInstrTraceMagic, sizeof kInstrTraceMagic);
+    wire::storeU64(header + 8, records.size());
+    bool ok = std::fwrite(header, sizeof header, 1, file) == 1;
+    unsigned char bytes[kRecordBytes];
+    for (std::size_t i = 0; ok && i < records.size(); ++i) {
+        encodeRecord(records[i], bytes);
+        ok = std::fwrite(bytes, sizeof bytes, 1, file) == 1;
     }
     return std::fclose(file) == 0 && ok;
 }
@@ -104,49 +128,58 @@ readTraceRecords(const std::string &path, std::vector<TraceRecord> &out,
                  std::string *error)
 {
     out.clear();
+    std::FILE *file = nullptr;
     const auto fail = [&](const std::string &what) {
+        if (file)
+            std::fclose(file);
+        out.clear();
         if (error)
             *error = what;
         return false;
     };
     std::error_code ec;
     const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    std::FILE *file = ec ? nullptr : std::fopen(path.c_str(), "rb");
+    file = ec ? nullptr : std::fopen(path.c_str(), "rb");
     if (!file)
         return fail("cannot open trace file: " + path);
 
-    TraceHeader header{};
-    const bool whole =
-        std::fread(&header, sizeof header, 1, file) == 1;
-    if (!whole || std::memcmp(header.magic, kInstrTraceMagic,
-                              sizeof header.magic) != 0) {
-        std::fclose(file);
-        if (whole && std::memcmp(header.magic, kTraceMagic,
-                                 sizeof header.magic) == 0) {
+    unsigned char header[kHeaderBytes];
+    const bool whole = std::fread(header, sizeof header, 1, file) == 1;
+    if (!whole || std::memcmp(header, kInstrTraceMagic,
+                              sizeof kInstrTraceMagic) != 0) {
+        if (whole &&
+            std::memcmp(header, kTraceMagic, sizeof kTraceMagic) == 0) {
             return fail(path + " is an event trace (DOLTRC01, written "
                                "by --trace), not an instruction trace "
                                "(DOLINS01); print it with --dump-trace");
         }
         return fail("not a dol instruction trace (DOLINS01): " + path);
     }
-    if (header.instructionCount == 0) {
-        std::fclose(file);
+    const std::uint64_t count = wire::loadU64(header + 8);
+    if (count == 0)
         return fail("empty trace: " + path);
-    }
     // Check the count against the file before allocating for it.
-    if (header.instructionCount >
-        (size - sizeof header) / sizeof(TraceRecord)) {
-        std::fclose(file);
+    if (count > (size - kHeaderBytes) / kRecordBytes)
         return fail("truncated trace file: " + path);
+    out.reserve(count);
+    unsigned char bytes[kRecordBytes];
+    for (std::uint64_t i = 0; i < count; ++i) {
+        if (std::fread(bytes, sizeof bytes, 1, file) != 1)
+            return fail("truncated trace file: " + path);
+        const TraceRecord record = decodeRecord(bytes);
+        // An unknown op would match no case of Core::step and retire
+        // as an instruction that does nothing; no writer sets a flag
+        // bit other than taken/mispredicted.
+        if (record.op > static_cast<std::uint8_t>(Op::kReturn) ||
+            (record.flags & ~kKnownFlags)) {
+            return fail(path + ": record " + std::to_string(i) +
+                        " is corrupt (op byte " +
+                        std::to_string(record.op) + ", flags byte " +
+                        std::to_string(record.flags) + ")");
+        }
+        out.push_back(record);
     }
-    out.resize(header.instructionCount);
-    const std::size_t read = std::fread(out.data(), sizeof(TraceRecord),
-                                        out.size(), file);
     std::fclose(file);
-    if (read != out.size()) {
-        out.clear();
-        return fail("truncated trace file: " + path);
-    }
     return true;
 }
 

@@ -14,8 +14,10 @@
  * a kernel that relinks its heap as it runs (shuflist.syn) can still
  * drift on long runs.
  *
- * Layout: the 8-byte magic "DOLINS01", a u64 instruction count, then
- * that many 40-byte TraceRecords, in host byte order. The event
+ * Layout, little-endian through common/wire.hpp: the 8-byte magic
+ * "DOLINS01", a u64 instruction count, then that many 40-byte
+ * records: pc, addr, value and target as u64, then the bytes op,
+ * flags, dst, src1, src2, size, latency and a zero pad. The event
  * traces of trace/trace_io.hpp ("DOLTRC01") are a different format;
  * each reader rejects the other's files by name.
  */
@@ -32,7 +34,7 @@
 namespace dol
 {
 
-/** On-disk record: a fixed-width packing of Instr. */
+/** One DOLINS01 record: the fields of Instr a replay needs. */
 struct TraceRecord
 {
     std::uint64_t pc;
@@ -46,13 +48,10 @@ struct TraceRecord
     std::uint8_t src2;
     std::uint8_t size;
     std::uint8_t latency;
-    std::uint8_t pad;
 
     static TraceRecord pack(const Instr &instr);
     Instr unpack() const;
 };
-
-static_assert(sizeof(TraceRecord) == 40, "stable on-disk layout");
 
 /**
  * Record the next @p max_instrs instructions of @p kernel (its first
@@ -77,8 +76,10 @@ bool writeTraceRecords(const std::string &path,
  * Read every record of a DOLINS01 trace file.
  * @return false (with @p error set) on I/O or format problems: a
  *         missing file, another format's magic (an event trace is
- *         named as such), no records at all, or fewer records than
- *         the header claims.
+ *         named as such), no records at all, fewer records than the
+ *         header claims, or a record whose op byte is not an Op or
+ *         whose flags byte has a bit other than taken/mispredicted
+ *         (named by its index).
  */
 bool readTraceRecords(const std::string &path,
                       std::vector<TraceRecord> &out,

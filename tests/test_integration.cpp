@@ -169,7 +169,8 @@ TEST(Multicore, MixRunsAndProducesWeightedSpeedup)
 
     MulticoreSimulator with_tpc(config, makeMixes(1, 7, "TPC")[0]);
     const MulticoreResult result = with_tpc.run();
-    const double ws = result.weightedSpeedup(base);
+    const double ws =
+        computeFairness(base.ipc, result.ipc).weightedSpeedup;
     EXPECT_GT(ws, 0.7);
     EXPECT_LT(ws, 8.0);
 }

@@ -43,48 +43,6 @@ runMix(const std::string &mix, std::uint64_t max_instrs,
 }
 
 // ---------------------------------------------------------------
-// MulticoreResult::weightedSpeedup degenerate-input sentinel
-// ---------------------------------------------------------------
-
-TEST(WeightedSpeedup, EmptyInputsReturnZeroSentinel)
-{
-    MulticoreResult mix;
-    MulticoreResult baseline;
-    // No comparable core: 0.0, never a fake parity of 1.0.
-    EXPECT_EQ(mix.weightedSpeedup(baseline), 0.0);
-}
-
-TEST(WeightedSpeedup, AllZeroBaselineReturnsZeroSentinel)
-{
-    MulticoreResult mix;
-    mix.ipc = {1.0, 2.0};
-    MulticoreResult baseline;
-    baseline.ipc = {0.0, 0.0};
-    EXPECT_EQ(mix.weightedSpeedup(baseline), 0.0);
-}
-
-TEST(WeightedSpeedup, LengthMismatchUsesCommonPrefix)
-{
-    MulticoreResult mix;
-    mix.ipc = {1.0, 3.0, 9.0};
-    MulticoreResult baseline;
-    baseline.ipc = {2.0}; // only core 0 comparable
-    EXPECT_DOUBLE_EQ(mix.weightedSpeedup(baseline), 0.5);
-
-    MulticoreResult empty_baseline;
-    EXPECT_EQ(mix.weightedSpeedup(empty_baseline), 0.0);
-}
-
-TEST(WeightedSpeedup, SkipsZeroBaselineCores)
-{
-    MulticoreResult mix;
-    mix.ipc = {1.0, 5.0};
-    MulticoreResult baseline;
-    baseline.ipc = {2.0, 0.0}; // core 1 has no baseline signal
-    EXPECT_DOUBLE_EQ(mix.weightedSpeedup(baseline), 0.5);
-}
-
-// ---------------------------------------------------------------
 // computeFairness boundary cases
 // ---------------------------------------------------------------
 
@@ -138,6 +96,8 @@ TEST(Fairness, LengthMismatchUsesLongerVectorForSlowdownSize)
     ASSERT_EQ(m.slowdown.size(), 2u);
     EXPECT_DOUBLE_EQ(m.slowdown[0], 2.0);
     EXPECT_EQ(m.slowdown[1], 0.0);
+    // Only the common prefix (core 0) is comparable.
+    EXPECT_DOUBLE_EQ(m.weightedSpeedup, 0.5);
 }
 
 // ---------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -307,6 +308,33 @@ TEST(TraceFileFormat, OverstatedCountIsTruncationNotAnAllocation)
     std::string error;
     EXPECT_FALSE(readTraceRecords(path, records, &error));
     EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileFormat, CorruptOpOrFlagsByteIsRejected)
+{
+    // A one-record file, then its op byte (record offset 32) set to 6,
+    // one past Op::kReturn, or its flags byte (offset 33) given a bit
+    // other than taken/mispredicted: a file this format never holds.
+    const std::string path = tempPath("instr_corrupt.trc");
+    ASSERT_TRUE(writeTraceRecords(path, std::vector<TraceRecord>(1)));
+    const std::string clean = readBytes(path);
+    ASSERT_EQ(clean.size(), 16u + 40u);
+    for (const auto &[offset, value] :
+         {std::pair<std::size_t, char>{16 + 32, 6},
+          std::pair<std::size_t, char>{16 + 33, 4}}) {
+        std::string bytes = clean;
+        bytes[offset] = value;
+        writeBytes(path, bytes);
+        std::vector<TraceRecord> records;
+        std::string error;
+        EXPECT_FALSE(readTraceRecords(path, records, &error))
+            << "byte " << offset;
+        EXPECT_TRUE(records.empty());
+        EXPECT_NE(error.find(path + ": record 0 is corrupt"),
+                  std::string::npos)
+            << error;
+    }
     std::remove(path.c_str());
 }
 

@@ -8,7 +8,9 @@
 #  - a fuzz campaign given a mutation its checker cannot plant (it
 #    must not report "0 failures" for a self-test that never ran);
 #  - an instruction trace with no records given to --replay or
-#    --fuzz-replay (it must not print a 0-instruction row or "ok").
+#    --fuzz-replay (it must not print a 0-instruction row or "ok");
+#  - a contention mix given an option that only single-core runs
+#    honour (it must not run the mix and drop the option).
 #
 # Last, a bench binary whose --json file cannot be written must exit 1
 # naming the file once its (quick) sweep has run, not report success,
@@ -62,6 +64,27 @@ expect_usage_error("empty trace: ${empty_trace}"
 expect_usage_error("empty trace: ${empty_trace}"
                    "${DOLSIM}" --fuzz-replay "${empty_trace}"
                    --fuzz-case-seed 1)
+# A readable instruction trace, so --replay fails only for the mix.
+set(mix_trace "${CMAKE_CURRENT_BINARY_DIR}/usage_errors_mix.ins")
+execute_process(COMMAND "${DOLSIM}" --record "${mix_trace}" --instrs 100
+                RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "usage_errors: cannot record ${mix_trace}")
+endif()
+set(mix "${DOLSIM}" --mix hetero_quad --instrs 5000 --quiet)
+expect_usage_error("--mix does not take --trace"
+                   ${mix} --trace "${mix_trace}.trc")
+expect_usage_error("--mix does not take --record"
+                   ${mix} --record "${mix_trace}.again")
+expect_usage_error("--mix does not take --replay"
+                   ${mix} --replay "${mix_trace}")
+expect_usage_error("--mix does not take --trace-in"
+                   ${mix} --trace-in
+                   "${CMAKE_CURRENT_LIST_DIR}/traces/stream_gups.champsim")
+expect_usage_error("--mix does not take --dest" ${mix} --dest l2)
+expect_usage_error("--mix does not take --coordinator adaptive"
+                   ${mix} --coordinator adaptive)
+file(REMOVE "${mix_trace}")
 expect_usage_error("cannot write /dev/full"
                    "${BENCH}" --quiet --json /dev/full)
 # CMake splits arguments at ';', so the shell steps join with '&&'.

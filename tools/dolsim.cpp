@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <csignal>
@@ -383,6 +384,23 @@ parse(int argc, char **argv)
     if (options.seedVariants && grid_only_conflict)
         dol::fatal("--seed-variants applies to plain grid sweeps "
                    "only");
+    if (!options.mixes.empty()) {
+        // A mix names every core's workload and prefetcher and runs
+        // them hardwired with natural destinations.
+        const std::pair<bool, const char *> mix_ignores[] = {
+            {!options.trace.empty(), "--trace"},
+            {!options.record.empty(), "--record"},
+            {!options.replay.empty(), "--replay"},
+            {!options.traceIn.empty(), "--trace-in"},
+            {!options.dest.empty(), "--dest"},
+            {options.adaptiveCoordinator, "--coordinator adaptive"},
+        };
+        for (const auto &[given, option] : mix_ignores) {
+            if (given)
+                dol::fatal(std::string("--mix does not take ") +
+                           option + " (a mix defines its own cores)");
+        }
+    }
     return options;
 }
 
