@@ -1,25 +1,23 @@
 /**
  * @file
- * Shared scaffolding for the experiment benchmarks.
+ * Scaffolding for the bench program.
  *
- * Each bench binary runs one instruction budget: it queues its
- * (workload, prefetcher, variant) cells — or custom jobs for
- * dependent/multicore flows — on a Collector, then calls benchMain(),
- * which runs the whole grid in parallel on the runner subsystem
- * (SweepRunner): deterministic per-cell seeding, a shared baseline
- * cache, per-job wall time and a live progress line. Results land in
- * registration order regardless of worker count, so the paper-style
- * summary tables are bit-identical for any --jobs N.
+ * The program queues its (workload, prefetcher, variant) cells — or
+ * custom jobs for dependent/multicore flows — on a Collector, then
+ * calls benchMain(), which runs the whole grid in parallel on the
+ * runner subsystem (SweepRunner): deterministic per-cell seeding, a
+ * shared baseline cache, per-job wall time and a live progress line.
+ * Results land in registration order regardless of worker count, so
+ * the paper-style summary tables are bit-identical for any --jobs N.
  *
- * Common flags: --jobs N (default: hardware threads, or DOL_JOBS),
- * --json FILE (dol-sweep-v1 structured results), --quiet.
+ * Flags: --jobs N (default: hardware threads), --json FILE
+ * (dol-sweep-v1 structured results), --quiet.
  */
 
 #ifndef DOL_BENCH_HARNESS_HPP
 #define DOL_BENCH_HARNESS_HPP
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -34,15 +32,12 @@
 namespace dol::bench
 {
 
-/** Queued sweep + result store for one bench binary. */
+/** Queued sweep + result store; single-core cells run 200k
+ *  instructions (DOL_QUICK=1: 60k). */
 class Collector
 {
   public:
-    explicit Collector(std::uint64_t max_instrs = 200000)
-        : _config(makeBenchConfig(max_instrs)), _sweep(_config)
-    {}
-
-    const SimConfig &config() const { return _config; }
+    Collector() : _sweep(makeBenchConfig(200000)) {}
 
     /** Queue one plain (workload, prefetcher) cell. */
     void
@@ -57,7 +52,7 @@ class Collector
     /**
      * Queue a custom job (multicore mixes, dependent run chains).
      * The body runs on a worker with a job-private ExperimentRunner
-     * sharing this binary's baseline cache; returned outputs are
+     * sharing the sweep's baseline cache; returned outputs are
      * recorded in registration order under @p variant.
      */
     void
@@ -67,7 +62,7 @@ class Collector
         _sweep.addJob(label, std::move(body), variant);
     }
 
-    /** Execute every queued job; fills results(). */
+    /** Execute every queued job. */
     void
     runAll(runner::SweepOptions options)
     {
@@ -79,12 +74,11 @@ class Collector
         _meta.generator = "bench";
     }
 
-    const std::vector<RunOutput> &results() const { return _outputs; }
     const runner::ResultStore &store() const { return _store; }
     const runner::SweepMeta &meta() const { return _meta; }
 
     /** All results of one (prefetcher, variant), in registration
-     *  order. results()[i] is the run behind store().rows()[i]. */
+     *  order. _outputs[i] is the run behind store().rows()[i]. */
     std::vector<const RunOutput *>
     byPrefetcher(const std::string &name,
                  const std::string &variant = "") const
@@ -98,11 +92,25 @@ class Collector
         return out;
     }
 
+    /** byPrefetcher(name)'s runs of the SPEC-like suite, the grid of
+     *  Figures 1, 8, 9, 10, 12 and 13, in speclikeSuite() order. */
+    std::vector<const RunOutput *>
+    specRuns(const std::string &name) const
+    {
+        std::vector<const RunOutput *> out;
+        for (const RunOutput *run : byPrefetcher(name)) {
+            if (findWorkload(run->workload).suite == "spec")
+                out.push_back(run);
+        }
+        return out;
+    }
+
+    /** SPEC-like suite geomean speedup (Fig. 8). */
     double
     geomeanSpeedup(const std::string &name) const
     {
         std::vector<double> speedups;
-        for (const RunOutput *run : byPrefetcher(name))
+        for (const RunOutput *run : specRuns(name))
             speedups.push_back(std::max(run->speedup(), 1e-6));
         return geomean(speedups);
     }
@@ -112,7 +120,7 @@ class Collector
     weightedAccuracy(const std::string &name) const
     {
         double num = 0.0, den = 0.0;
-        for (const RunOutput *run : byPrefetcher(name)) {
+        for (const RunOutput *run : specRuns(name)) {
             num += run->effAccuracyL1 *
                    static_cast<double>(run->prefetchesIssued);
             den += static_cast<double>(run->prefetchesIssued);
@@ -125,7 +133,7 @@ class Collector
     weightedScope(const std::string &name) const
     {
         double num = 0.0, den = 0.0;
-        for (const RunOutput *run : byPrefetcher(name)) {
+        for (const RunOutput *run : specRuns(name)) {
             num += run->scope * run->baselineMpkiL1;
             den += run->baselineMpkiL1;
         }
@@ -133,7 +141,6 @@ class Collector
     }
 
   private:
-    SimConfig _config;
     runner::SweepRunner _sweep;
     std::vector<RunOutput> _outputs;
     runner::ResultStore _store;
@@ -152,29 +159,20 @@ benchMain(int argc, char **argv, Collector *collector,
     runner::SweepOptions sweep_options;
     std::string json_path;
 
-    // Strict, like dolsim: "-1" must not wrap to four billion
-    // workers, nor "abc" silently mean "all cores".
-    const auto parseJobs = [&](const std::string &value,
-                               const char *source) {
-        std::uint64_t jobs = 0;
-        if (!runner::parseUnsignedInRange(value, 0, 4096, jobs)) {
-            std::fprintf(stderr, "%s: bad %s value: '%s' (0-4096)\n",
-                         argv[0], source, value.c_str());
-            return false;
-        }
-        sweep_options.jobs = static_cast<unsigned>(jobs);
-        return true;
-    };
-    if (const char *env = std::getenv("DOL_JOBS")) {
-        if (!parseJobs(env, "DOL_JOBS"))
-            return 1;
-    }
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            if (!parseJobs(argv[++i], "--jobs"))
+            // Strict, like dolsim: "-1" must not wrap to four billion
+            // workers, nor "abc" silently mean "all cores".
+            const std::string value = argv[++i];
+            std::uint64_t jobs = 0;
+            if (!runner::parseUnsignedInRange(value, 0, 4096, jobs)) {
+                std::fprintf(stderr,
+                             "%s: bad --jobs value: '%s' (0-4096)\n",
+                             argv[0], value.c_str());
                 return 1;
+            }
+            sweep_options.jobs = static_cast<unsigned>(jobs);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--quiet") {

@@ -2,24 +2,27 @@
 #
 # Each command below is malformed and must exit 1 with an error that
 # names the bad value, before any simulation starts:
-#  - a bench binary given a negative or non-numeric --jobs, or a
-#    non-numeric DOL_JOBS (it must not wrap "-1" to four billion
-#    workers or read "abc" as "all cores");
+#  - the bench program given a negative or non-numeric --jobs (it must
+#    not wrap "-1" to four billion workers or read "abc" as "all
+#    cores");
 #  - a fuzz campaign given a mutation its checker cannot plant (it
 #    must not report "0 failures" for a self-test that never ran);
 #  - an instruction trace with no records given to --replay or
 #    --fuzz-replay (it must not print a 0-instruction row or "ok");
 #  - a contention mix given an option that only single-core runs
-#    honour (it must not run the mix and drop the option).
+#    honour (it must not run the mix and drop the option);
+#  - a contention mix or a fuzz campaign given --workload, --suite or
+#    --prefetcher (each defines its own cores or cases, and must not
+#    run them and drop the selection).
 #
-# Last, a bench binary whose --json file cannot be written must exit 1
-# naming the file once its (quick) sweep has run, not report success,
-# and so must a shard whose checkpoint journal stops growing (a
-# one-block file-size limit stands in for a full disk): the journal is
-# a shard's only output.
+# Last, the bench program whose --json file cannot be written must
+# exit 1 naming the file once its (quick) sweep has run, not report
+# success, and so must a shard whose checkpoint journal stops growing
+# (a one-block file-size limit stands in for a full disk): the journal
+# is a shard's only output.
 #
 # Usage:
-#   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-a-bench-binary>
+#   cmake -DDOLSIM=<path-to-dolsim> -DBENCH=<path-to-fig_suite_grid>
 #         -P usage_errors.cmake
 
 foreach(required DOLSIM BENCH)
@@ -28,7 +31,7 @@ foreach(required DOLSIM BENCH)
     endif()
 endforeach()
 
-# A bench binary that wrongly accepts a value runs its quick sweep.
+# The bench program runs its quick sweep if it wrongly accepts a value.
 set(ENV{DOL_QUICK} 1)
 
 # expect_usage_error(<expected stderr substring> <command...>)
@@ -49,9 +52,6 @@ endfunction()
 
 expect_usage_error("bad --jobs value: '-1'" "${BENCH}" --jobs -1)
 expect_usage_error("bad --jobs value: 'abc'" "${BENCH}" --jobs abc)
-set(ENV{DOL_JOBS} abc)
-expect_usage_error("bad DOL_JOBS value: 'abc'" "${BENCH}")
-unset(ENV{DOL_JOBS})
 expect_usage_error("--fuzz cannot plant mutation arbdrift"
                    "${DOLSIM}" --fuzz 5 --fuzz-mutate arbdrift)
 expect_usage_error("--fuzz-multicore cannot plant mutation lru"
@@ -85,6 +85,19 @@ expect_usage_error("--mix does not take --dest" ${mix} --dest l2)
 expect_usage_error("--mix does not take --coordinator adaptive"
                    ${mix} --coordinator adaptive)
 file(REMOVE "${mix_trace}")
+foreach(mode "--mix hetero_quad" "--fuzz 2" "--fuzz-adaptive 2"
+             "--fuzz-multicore 2")
+    separate_arguments(mode_args UNIX_COMMAND "${mode}")
+    list(GET mode_args 0 mode_flag)
+    foreach(selection "--workload mcf.syn" "--suite spec"
+                      "--prefetcher SPP")
+        separate_arguments(selection_args UNIX_COMMAND "${selection}")
+        list(GET selection_args 0 selection_flag)
+        expect_usage_error("${mode_flag} does not take ${selection_flag}"
+                           "${DOLSIM}" ${mode_args} ${selection_args}
+                           --instrs 5000 --quiet)
+    endforeach()
+endforeach()
 expect_usage_error("cannot write /dev/full"
                    "${BENCH}" --quiet --json /dev/full)
 # CMake splits arguments at ';', so the shell steps join with '&&'.

@@ -53,8 +53,8 @@ using dol::runner::splitCommas;
 
 struct Options
 {
-    std::vector<std::string> workloads;
-    std::vector<std::string> prefetchers{"TPC"};
+    std::vector<std::string> workloads; ///< libquantum.syn if none
+    std::vector<std::string> prefetchers; ///< TPC if none
     std::uint64_t instrs = 200000;
     unsigned jobs = 0; ///< 0 = hardware concurrency
     bool csv = false;
@@ -189,6 +189,9 @@ Options
 parse(int argc, char **argv)
 {
     Options options;
+    // The last of --workload/--suite and of the fuzz flags given.
+    const char *workload_option = nullptr;
+    std::string fuzz_option;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -205,9 +208,11 @@ parse(int argc, char **argv)
         if (arg == "--list") {
             options.list = true;
         } else if (arg == "--workload") {
+            workload_option = "--workload";
             for (const auto &name : splitCommas(next()))
                 options.workloads.push_back(name);
         } else if (arg == "--suite") {
+            workload_option = "--suite";
             const std::string suite = next();
             if (suite == "trace") {
                 // The trace suite scans $DOL_TRACE_DIR and is kept out
@@ -277,6 +282,7 @@ parse(int argc, char **argv)
                 dol::fatal("empty --arbitration list");
         } else if (arg == "--fuzz" || arg == "--fuzz-adaptive" ||
                    arg == "--fuzz-multicore") {
+            fuzz_option = arg;
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
                                       options.fuzz)) {
@@ -349,8 +355,6 @@ parse(int argc, char **argv)
             dol::fatal("unknown option: " + arg);
         }
     }
-    if (options.workloads.empty())
-        options.workloads.push_back("libquantum.syn");
     if (options.resume && options.checkpoint.empty())
         dol::fatal("--resume needs --checkpoint FILE");
     if (!options.traceIn.empty() &&
@@ -384,10 +388,16 @@ parse(int argc, char **argv)
     if (options.seedVariants && grid_only_conflict)
         dol::fatal("--seed-variants applies to plain grid sweeps "
                    "only");
+    // --workload, --suite and --prefetcher select a sweep's grid.
+    const char *selection = workload_option ? workload_option
+                            : options.prefetchers.empty()
+                                ? nullptr
+                                : "--prefetcher";
     if (!options.mixes.empty()) {
         // A mix names every core's workload and prefetcher and runs
         // them hardwired with natural destinations.
         const std::pair<bool, const char *> mix_ignores[] = {
+            {selection != nullptr, selection},
             {!options.trace.empty(), "--trace"},
             {!options.record.empty(), "--record"},
             {!options.replay.empty(), "--replay"},
@@ -401,6 +411,13 @@ parse(int argc, char **argv)
                            option + " (a mix defines its own cores)");
         }
     }
+    if (options.fuzz && selection)
+        dol::fatal(fuzz_option + " does not take " + selection +
+                   " (a campaign draws its own cases)");
+    if (options.workloads.empty())
+        options.workloads.push_back("libquantum.syn");
+    if (options.prefetchers.empty())
+        options.prefetchers = {"TPC"};
     return options;
 }
 
