@@ -13,7 +13,13 @@
 #    honour (it must not run the mix and drop the option);
 #  - a contention mix or a fuzz campaign given --workload, --suite or
 #    --prefetcher (each defines its own cores or cases, and must not
-#    run them and drop the selection).
+#    run them and drop the selection);
+#  - every dolsim mode given a flag its path does not read, or a second
+#    mode flag: the message names the mode and the flag, and no such
+#    command may leave a file behind;
+#  - an empty --workload or --mix list, a --suite that names no
+#    workload after a --workload, and a --record of more than one
+#    workload.
 #
 # Last, the bench program whose --json file cannot be written must
 # exit 1 naming the file once its (quick) sweep has run, not report
@@ -84,7 +90,6 @@ expect_usage_error("--mix does not take --trace-in"
 expect_usage_error("--mix does not take --dest" ${mix} --dest l2)
 expect_usage_error("--mix does not take --coordinator adaptive"
                    ${mix} --coordinator adaptive)
-file(REMOVE "${mix_trace}")
 foreach(mode "--mix hetero_quad" "--fuzz 2" "--fuzz-adaptive 2"
              "--fuzz-multicore 2")
     separate_arguments(mode_args UNIX_COMMAND "${mode}")
@@ -98,6 +103,95 @@ foreach(mode "--mix hetero_quad" "--fuzz 2" "--fuzz-adaptive 2"
                            --instrs 5000 --quiet)
     endforeach()
 endforeach()
+
+# One refused flag per mode, each a command that ran and dropped it
+# before. Their outputs would land in ${out}, which must stay empty.
+set(out "${CMAKE_CURRENT_BINARY_DIR}/usage_errors_out")
+file(REMOVE_RECURSE "${out}")
+file(MAKE_DIRECTORY "${out}")
+set(event_trace "${CMAKE_CURRENT_BINARY_DIR}/usage_errors.trc")
+set(journal "${CMAKE_CURRENT_BINARY_DIR}/usage_errors_j.ckpt")
+set(repro_dir "${CMAKE_CURRENT_BINARY_DIR}/usage_errors_repro")
+execute_process(COMMAND "${DOLSIM}" --instrs 1000 --quiet
+                        --trace "${event_trace}"
+                RESULT_VARIABLE trace_rc OUTPUT_QUIET)
+execute_process(COMMAND "${DOLSIM}" --instrs 1000 --quiet
+                        --shard 0/1 --checkpoint "${journal}"
+                RESULT_VARIABLE journal_rc)
+# A planted bug makes this campaign fail and write a reproducer.
+execute_process(COMMAND "${DOLSIM}" --fuzz 1 --fuzz-seed 7 --quiet
+                        --fuzz-mutate lru --fuzz-dir "${repro_dir}"
+                OUTPUT_QUIET)
+set(repro "${repro_dir}/repro_case0.trc")
+if(NOT trace_rc EQUAL 0 OR NOT journal_rc EQUAL 0 OR NOT EXISTS "${repro}")
+    message(FATAL_ERROR "usage_errors: cannot make the mode fixtures")
+endif()
+set(champsim "${CMAKE_CURRENT_LIST_DIR}/traces/stream_gups.champsim")
+expect_usage_error("--list does not take --workload mcf.syn"
+                   "${DOLSIM}" --list --workload mcf.syn)
+expect_usage_error("--list does not take --list-mixes"
+                   "${DOLSIM}" --list --list-mixes)
+expect_usage_error("--list-mixes does not take --instrs 5000"
+                   "${DOLSIM}" --list-mixes --instrs 5000)
+expect_usage_error("--dump-trace does not take --counters"
+                   "${DOLSIM}" --dump-trace "${event_trace}" --counters)
+expect_usage_error("--merge does not take --jobs 2"
+                   "${DOLSIM}" --merge "${journal}"
+                   --json "${out}/merged.json" --jobs 2)
+expect_usage_error("--fuzz-replay does not take --checkpoint"
+                   "${DOLSIM}" --fuzz-replay "${repro}" --fuzz-case-seed 1
+                   --checkpoint "${out}/replay.ckpt")
+expect_usage_error("--fuzz does not take --json"
+                   "${DOLSIM}" --fuzz 2 --json "${out}/fuzz.json")
+expect_usage_error("--fuzz does not take --instrs 5000"
+                   "${DOLSIM}" --fuzz 2 --instrs 5000)
+expect_usage_error("--fuzz does not take --fuzz-adaptive 2"
+                   "${DOLSIM}" --fuzz 2 --fuzz-adaptive 2)
+expect_usage_error("--fuzz-adaptive does not take --fuzz-dir"
+                   "${DOLSIM}" --fuzz-adaptive 2 --fuzz-dir "${out}/d")
+expect_usage_error("--fuzz-multicore does not take --fuzz-dir"
+                   "${DOLSIM}" --fuzz-multicore 2 --fuzz-dir "${out}/d")
+expect_usage_error("--mix does not take --fuzz-seed 3"
+                   ${mix} --fuzz-seed 3)
+expect_usage_error("--record does not take --prefetcher SPP"
+                   "${DOLSIM}" --record "${out}/rec.ins" --instrs 100
+                   --prefetcher SPP)
+expect_usage_error("--record does not take --suite npb"
+                   "${DOLSIM}" --suite npb --record "${out}/rec.ins"
+                   --instrs 100)
+expect_usage_error("--record takes one workload, not 2"
+                   "${DOLSIM}" --record "${out}/rec.ins" --instrs 100
+                   --workload mcf.syn,milc.syn)
+expect_usage_error("--shard does not take --arbitration fifo"
+                   "${DOLSIM}" --shard 0/1 --checkpoint "${out}/shard.ckpt"
+                   --instrs 5000 --arbitration fifo)
+expect_usage_error("--replay does not take --workload mcf.syn"
+                   "${DOLSIM}" --replay "${mix_trace}" --instrs 50
+                   --workload mcf.syn)
+expect_usage_error("--trace-in does not take --suite npb"
+                   "${DOLSIM}" --trace-in "${champsim}" --instrs 5000
+                   --suite npb)
+expect_usage_error("--trace does not take --arbitration rr"
+                   "${DOLSIM}" --trace "${out}/run.trc" --instrs 5000
+                   --arbitration rr)
+expect_usage_error("a sweep does not take --arbitration fifo"
+                   "${DOLSIM}" --workload mcf.syn --instrs 5000
+                   --arbitration fifo --csv)
+# CMake drops empty arguments, so the shell passes the empty lists.
+expect_usage_error("empty --workload list"
+    sh -c "exec '${DOLSIM}' --workload '' --instrs 1000 --csv")
+expect_usage_error("empty --mix list"
+    sh -c "exec '${DOLSIM}' --mix '' --instrs 1000 --csv")
+expect_usage_error("unknown suite: bogus"
+                   "${DOLSIM}" --workload mcf.syn --suite bogus
+                   --instrs 1000 --csv)
+file(GLOB_RECURSE left "${out}/*")
+if(left)
+    message(FATAL_ERROR "usage_errors: refused commands wrote ${left}")
+endif()
+file(REMOVE_RECURSE "${out}" "${repro_dir}")
+file(REMOVE "${mix_trace}" "${event_trace}" "${journal}")
+
 expect_usage_error("cannot write /dev/full"
                    "${BENCH}" --quiet --json /dev/full)
 # CMake splits arguments at ';', so the shell steps join with '&&'.

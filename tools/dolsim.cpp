@@ -19,8 +19,8 @@
  *   dolsim --merge s0.ckpt,s1.ckpt --json results.json
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -62,7 +62,7 @@ struct Options
     bool quiet = false; ///< suppress the progress line
     bool counters = false; ///< collect per-component counters
     std::string json; ///< write dol-sweep-v1 JSON to this file
-    std::string record; ///< record first workload's trace to a file
+    std::string record; ///< record the one workload's trace to a file
     std::string replay; ///< replay a trace file as the workload
     std::string trace; ///< write binary event trace(s) to this path
     std::string dumpTrace; ///< dump a binary event trace as text
@@ -77,7 +77,7 @@ struct Options
 
     // Differential fuzzing (src/check/).
     std::uint64_t fuzz = 0; ///< campaign size; 0 = no campaign
-    /** --fuzz, --fuzz-adaptive or --fuzz-multicore (the last given). */
+    /** --fuzz, --fuzz-adaptive or --fuzz-multicore. */
     dol::check::CampaignKind fuzzKind =
         dol::check::CampaignKind::kDifferential;
     std::uint64_t fuzzSeed = 1;
@@ -85,7 +85,6 @@ struct Options
     std::string fuzzMutate; ///< reference-model mutation (self-test)
     std::string fuzzReplay; ///< shrunk reproducer trace to re-check
     std::uint64_t fuzzCaseSeed = 0;
-    bool fuzzCaseSeedSet = false;
 
     // Fault tolerance (README "Fault tolerance").
     std::string checkpoint; ///< journal completed cells here
@@ -179,25 +178,91 @@ usage()
         "variants :s0..:sK-1\n"
         "  --csv                      machine-readable output\n"
         "  --quiet                    no progress line on stderr\n"
+        "mode: the first of these given, else a sweep: --list --list-mixes\n"
+        "  --dump-trace --merge --fuzz-replay --fuzz --fuzz-adaptive\n"
+        "  --fuzz-multicore --mix --record --shard --replay --trace-in\n"
+        "  --trace; a mode refuses every flag it does not read but --quiet\n"
         "exit codes: 0 ok, 1 usage/fatal error, 3 cells quarantined "
         "in failed_cells,\n"
         "            128+signal interrupted (drained; re-run with "
         "--resume)\n");
 }
 
+using Given = std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * Exit 1 on a command line its mode does not fully read, or on a flag
+ * given without the flag it needs. @p given holds every flag given,
+ * in command-line order, with its value ("" for a switch).
+ */
+void
+checkFlags(const Given &given)
+{
+    const auto has = [&](const std::string &flag) {
+        return std::any_of(given.begin(), given.end(),
+                           [&](const auto &g) { return g.first == flag; });
+    };
+
+    // Each mode with the flags its path in main() reads, in the order
+    // that picks the mode: the first of these mode flags given, else
+    // a plain sweep (the last row). A mode also takes its own flag and
+    // --quiet; --help exits before this check. `run` is what every
+    // SweepRunner run reads, `cell` what single-core cells add to it,
+    // and `grid` the cells' selection by name.
+    const std::string run =
+        " --jobs --checkpoint --resume --cell-timeout --fault-plan";
+    const std::string cell =
+        " --prefetcher --instrs --counters --dest --coordinator" + run;
+    const std::string grid = " --workload --suite" + cell;
+    const std::pair<std::string, std::string> modes[] = {
+        {"--list", ""},
+        {"--list-mixes", ""},
+        {"--dump-trace", ""},
+        {"--merge", " --json"},
+        {"--fuzz-replay", " --fuzz-case-seed --fuzz-mutate"},
+        {"--fuzz", " --fuzz-seed --fuzz-dir --fuzz-mutate" + run},
+        {"--fuzz-adaptive", " --fuzz-seed --fuzz-mutate" + run},
+        {"--fuzz-multicore", " --fuzz-seed --fuzz-mutate" + run},
+        {"--mix", " --arbitration --instrs --counters --json --csv" + run},
+        {"--record", " --workload --instrs"},
+        {"--shard", " --seed-variants" + grid},
+        {"--replay", " --trace --json --csv" + cell},
+        {"--trace-in", " --trace --json --csv" + cell},
+        {"--trace", " --json --csv" + grid},
+        {"a sweep", " --seed-variants --json --csv" + grid},
+    };
+    const auto &[mode, reads] = *std::find_if(
+        std::begin(modes), std::end(modes) - 1,
+        [&](const auto &row) { return has(row.first); });
+    const std::string takes = reads + " --quiet ";
+    for (const auto &[flag, value] : given) {
+        if (flag != mode && takes.find(" " + flag + " ") == std::string::npos)
+            dol::fatal(mode + " does not take " + flag +
+                       (value.empty() ? "" : " " + value));
+    }
+
+    // What the table cannot say: a flag that needs another.
+    const std::pair<std::string, std::string> needs[] = {
+        {"--resume", "--checkpoint"}, {"--shard", "--checkpoint"},
+        {"--merge", "--json"}, {"--fuzz-replay", "--fuzz-case-seed"}};
+    for (const auto &[flag, needed] : needs) {
+        if (has(flag) && !has(needed))
+            dol::fatal(flag + " needs " + needed);
+    }
+}
+
 Options
 parse(int argc, char **argv)
 {
     Options options;
-    // The last of --workload/--suite and of the fuzz flags given.
-    const char *workload_option = nullptr;
-    std::string fuzz_option;
+    Given given;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        given.push_back({arg, ""});
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 dol::fatal("missing value for " + arg);
-            return argv[++i];
+            return given.back().second = argv[++i];
         };
         auto nextPath = [&]() -> std::string {
             const std::string value = next();
@@ -205,33 +270,34 @@ parse(int argc, char **argv)
                 dol::fatal("empty path for " + arg);
             return value;
         };
+        auto nextList = [&]() -> std::vector<std::string> {
+            std::vector<std::string> names = splitCommas(next());
+            if (names.empty())
+                dol::fatal("empty " + arg + " list");
+            return names;
+        };
         if (arg == "--list") {
             options.list = true;
         } else if (arg == "--workload") {
-            workload_option = "--workload";
-            for (const auto &name : splitCommas(next()))
+            for (const auto &name : nextList())
                 options.workloads.push_back(name);
         } else if (arg == "--suite") {
-            workload_option = "--suite";
+            // The trace suite scans $DOL_TRACE_DIR and is kept out of
+            // allWorkloads() (and "all") on purpose — see
+            // workloads/suite.hpp.
             const std::string suite = next();
-            if (suite == "trace") {
-                // The trace suite scans $DOL_TRACE_DIR and is kept out
-                // of allWorkloads() (and "all") on purpose — see
-                // workloads/suite.hpp.
-                for (const auto &spec : dol::traceSuite())
+            const std::size_t before = options.workloads.size();
+            for (const auto &spec : suite == "trace" ? dol::traceSuite()
+                                                     : dol::allWorkloads()) {
+                if (suite == "all" || spec.suite == suite)
                     options.workloads.push_back(spec.name);
-                if (options.workloads.empty())
-                    dol::fatal("no ChampSim traces found for --suite "
-                               "trace (set DOL_TRACE_DIR or add "
-                               "*.champsim files under tests/traces)");
-            } else {
-                for (const auto &spec : dol::allWorkloads()) {
-                    if (suite == "all" || spec.suite == suite)
-                        options.workloads.push_back(spec.name);
-                }
-                if (options.workloads.empty())
-                    dol::fatal("unknown suite: " + suite);
             }
+            if (options.workloads.size() == before && suite == "trace")
+                dol::fatal("no ChampSim traces found for --suite trace "
+                           "(set DOL_TRACE_DIR or add *.champsim files "
+                           "under tests/traces)");
+            if (options.workloads.size() == before)
+                dol::fatal("unknown suite: " + suite);
         } else if (arg == "--coordinator") {
             const std::string mode = next();
             if (!dol::runner::parseCoordinatorMode(
@@ -242,9 +308,7 @@ parse(int argc, char **argv)
         } else if (arg == "--trace-in") {
             options.traceIn = nextPath();
         } else if (arg == "--prefetcher") {
-            options.prefetchers = splitCommas(next());
-            if (options.prefetchers.empty())
-                dol::fatal("empty --prefetcher list");
+            options.prefetchers = nextList();
         } else if (arg == "--instrs") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
@@ -274,15 +338,12 @@ parse(int argc, char **argv)
         } else if (arg == "--list-mixes") {
             options.listMixes = true;
         } else if (arg == "--mix") {
-            for (const auto &name : splitCommas(next()))
+            for (const auto &name : nextList())
                 options.mixes.push_back(name);
         } else if (arg == "--arbitration") {
-            options.arbitrations = splitCommas(next());
-            if (options.arbitrations.empty())
-                dol::fatal("empty --arbitration list");
+            options.arbitrations = nextList();
         } else if (arg == "--fuzz" || arg == "--fuzz-adaptive" ||
                    arg == "--fuzz-multicore") {
-            fuzz_option = arg;
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
                                       options.fuzz)) {
@@ -311,7 +372,6 @@ parse(int argc, char **argv)
                                       options.fuzzCaseSeed)) {
                 dol::fatal("bad --fuzz-case-seed value: " + value);
             }
-            options.fuzzCaseSeedSet = true;
         } else if (arg == "--checkpoint") {
             options.checkpoint = nextPath();
         } else if (arg == "--resume") {
@@ -332,9 +392,7 @@ parse(int argc, char **argv)
                            " (want I/N with 0 <= I < N)");
             }
         } else if (arg == "--merge") {
-            options.merge = splitCommas(next());
-            if (options.merge.empty())
-                dol::fatal("empty --merge list");
+            options.merge = nextList();
         } else if (arg == "--seed-variants") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, 65536,
@@ -355,65 +413,7 @@ parse(int argc, char **argv)
             dol::fatal("unknown option: " + arg);
         }
     }
-    if (options.resume && options.checkpoint.empty())
-        dol::fatal("--resume needs --checkpoint FILE");
-    if (!options.traceIn.empty() &&
-        (!options.replay.empty() || !options.record.empty())) {
-        dol::fatal("--trace-in conflicts with --record/--replay (all "
-                   "three define the workload source)");
-    }
-    const bool grid_only_conflict =
-        options.fuzz || !options.mixes.empty() ||
-        !options.trace.empty() || !options.record.empty() ||
-        !options.replay.empty() || !options.fuzzReplay.empty() ||
-        !options.traceIn.empty();
-    if (options.shardCount) {
-        if (options.checkpoint.empty())
-            dol::fatal("--shard needs --checkpoint FILE (a shard's "
-                       "journal is its output)");
-        if (grid_only_conflict || !options.json.empty() ||
-            options.csv || !options.merge.empty())
-            dol::fatal("--shard supports plain grid sweeps only (no "
-                       "mixes, traces, fuzzing, --json, --csv or "
-                       "--merge; merge the journals afterwards)");
-    }
-    if (!options.merge.empty()) {
-        if (options.json.empty())
-            dol::fatal("--merge needs --json FILE (the merged "
-                       "document)");
-        if (grid_only_conflict || !options.checkpoint.empty())
-            dol::fatal("--merge takes shard journals and --json only "
-                       "(the grid comes from the journals)");
-    }
-    if (options.seedVariants && grid_only_conflict)
-        dol::fatal("--seed-variants applies to plain grid sweeps "
-                   "only");
-    // --workload, --suite and --prefetcher select a sweep's grid.
-    const char *selection = workload_option ? workload_option
-                            : options.prefetchers.empty()
-                                ? nullptr
-                                : "--prefetcher";
-    if (!options.mixes.empty()) {
-        // A mix names every core's workload and prefetcher and runs
-        // them hardwired with natural destinations.
-        const std::pair<bool, const char *> mix_ignores[] = {
-            {selection != nullptr, selection},
-            {!options.trace.empty(), "--trace"},
-            {!options.record.empty(), "--record"},
-            {!options.replay.empty(), "--replay"},
-            {!options.traceIn.empty(), "--trace-in"},
-            {!options.dest.empty(), "--dest"},
-            {options.adaptiveCoordinator, "--coordinator adaptive"},
-        };
-        for (const auto &[given, option] : mix_ignores) {
-            if (given)
-                dol::fatal(std::string("--mix does not take ") +
-                           option + " (a mix defines its own cores)");
-        }
-    }
-    if (options.fuzz && selection)
-        dol::fatal(fuzz_option + " does not take " + selection +
-                   " (a campaign draws its own cases)");
+    checkFlags(given);
     if (options.workloads.empty())
         options.workloads.push_back("libquantum.syn");
     if (options.prefetchers.empty())
@@ -498,10 +498,6 @@ main(int argc, char **argv)
         fatal("bad --fuzz-mutate value: " + options.fuzzMutate);
 
     if (!options.fuzzReplay.empty()) {
-        if (!options.fuzzCaseSeedSet) {
-            fatal("--fuzz-replay needs --fuzz-case-seed (see the "
-                  "reproducer's .txt sidecar)");
-        }
         if (!check::canPlant(check::CampaignKind::kDifferential,
                              *mutation)) {
             fatal("--fuzz-replay cannot plant mutation " +
@@ -587,6 +583,9 @@ main(int argc, char **argv)
     config.maxInstrs = options.instrs;
 
     if (!options.record.empty()) {
+        if (options.workloads.size() != 1)
+            fatal("--record takes one workload, not " +
+                  std::to_string(options.workloads.size()));
         const WorkloadSpec &spec = findWorkload(options.workloads[0]);
         MemoryImage image;
         auto kernel = spec.factory(image);
