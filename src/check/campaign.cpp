@@ -242,8 +242,8 @@ runCampaign(const CampaignOptions &options)
             caseLabel(options.kind, i),
             [&, i](ExperimentRunner &) {
                 std::vector<TraceRecord> trace;
-                std::optional<CaseFailure> failure = runCase(
-                    options, i, reproduce && options.shrink, trace);
+                std::optional<CaseFailure> failure =
+                    runCase(options, i, reproduce, trace);
                 if (!failure) {
                     passed.fetch_add(1, std::memory_order_relaxed);
                     return std::vector<RunOutput>{};

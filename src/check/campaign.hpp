@@ -5,7 +5,7 @@
  * A campaign of N cases queues one runner::SweepRunner job per case,
  * whatever its kind — the differential checker (`--fuzz`), the
  * adaptive coordinator (`--fuzz-adaptive`) or multicore contention
- * (`--fuzz-multicore`) — so every kind runs on the sweep's worker pool
+ * (`--fuzz-multicore`) — so every kind runs on the sweep's workers
  * with its checkpoint journal, graceful drain and fault injection.
  *
  * Case i's seed derives from the campaign seed by SplitMix64, so every
@@ -58,13 +58,13 @@ struct CampaignOptions
     /** Directory for shrunk differential reproducers (created on the
      *  first failure). */
     std::string reproDir = "fuzz-repro";
-    /** Shrink differential failures before writing them out. */
-    bool shrink = true;
+    /** Shrinker budget for each differential failure, which is always
+     *  shrunk before it is written out. */
     std::size_t maxShrinkEvaluations = 2000;
     /** How the cases run: workers, progress line, checkpoint/resume,
-     *  stop flag, fault plan, cell timeout. onError is ignored: a
-     *  failing case is always quarantined so the campaign completes
-     *  around it. */
+     *  stop flag, fault plan. No case polls a cell timeout. onError is
+     *  ignored: a failing case is always quarantined so the campaign
+     *  completes around it. */
     runner::SweepOptions sweep;
 };
 

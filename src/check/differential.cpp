@@ -491,19 +491,17 @@ checkTrace(const std::vector<TraceRecord> &records,
     if (!result.ok)
         return result;
 
-    if (config.determinism) {
-        std::string counters_second;
-        DiffResult second =
-            runSimDifferential(records, config, &counters_second);
-        if (!second.ok)
-            return second;
-        if (counters_first != counters_second) {
-            result.ok = false;
-            result.check = "determinism";
-            result.index = 0;
-            result.message = "counter registry text differs between "
-                             "two identical runs";
-        }
+    std::string counters_second;
+    DiffResult second =
+        runSimDifferential(records, config, &counters_second);
+    if (!second.ok)
+        return second;
+    if (counters_first != counters_second) {
+        result.ok = false;
+        result.check = "determinism";
+        result.index = 0;
+        result.message = "counter registry text differs between "
+                         "two identical runs";
     }
     return result;
 }

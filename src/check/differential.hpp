@@ -93,8 +93,6 @@ struct CheckConfig
 {
     FuzzParams params{};
     Mutation mutation = Mutation::kNone;
-    /** Run the double-execution byte-determinism check. */
-    bool determinism = true;
 };
 
 /** Run every differential check over @p records. */

@@ -4,7 +4,7 @@
  * dol-sweep-v1 JSON document).
  *
  * A ResultStore is a plain list of rows in append order. Its callers
- * append in grid order — SweepRunner::run() after its pool drained,
+ * append in grid order — SweepRunner::run() after its workers finish,
  * the journal merge in cell order — so the serializations are
  * byte-identical between `--jobs 1` and `--jobs N` runs and between
  * a merged and a single-process sweep. Wall-clock timings are

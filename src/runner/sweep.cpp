@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -11,7 +12,6 @@
 #include "common/wire.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/progress.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace dol::runner
 {
@@ -66,7 +66,10 @@ SweepRunner::SweepRunner(const SimConfig &base, SweepOptions options)
 unsigned
 SweepRunner::workerCount() const
 {
-    return _options.jobs ? _options.jobs : hardwareJobs();
+    if (_options.jobs)
+        return _options.jobs;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 void
@@ -253,8 +256,13 @@ SweepRunner::run()
     std::vector<FailedCell> failed(jobs.size());
     std::vector<std::exception_ptr> errors(jobs.size());
 
+    // The jobs this run executes, in submission order: neither
+    // journaled nor outside this shard's range.
+    std::vector<std::size_t> runnable;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (state[i] == kResumed || state[i] == kForeign)
+        if (state[i] == kPending)
+            runnable.push_back(i);
+        else
             meter.onJobSkipped(jobs[i].label);
     }
 
@@ -345,26 +353,34 @@ SweepRunner::run()
         failed[i] = std::move(cell);
     };
 
-    std::vector<std::future<void>> futures;
-    futures.reserve(jobs.size());
+    // Workers take jobs in submission order from one counter, and a
+    // sweep starts no more workers than it has jobs to run.
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> escaped(runnable.size());
     {
-        ThreadPool pool(workerCount());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (state[i] == kResumed || state[i] == kForeign)
-                continue;
-            futures.push_back(pool.submit([&supervise, i] {
-                supervise(i);
-            }));
-        }
-        pool.wait();
+        const auto work = [&] {
+            for (std::size_t k; (k = next.fetch_add(1)) < runnable.size();) {
+                try {
+                    supervise(runnable[k]);
+                } catch (...) {
+                    escaped[k] = std::current_exception();
+                }
+            }
+        };
+        std::vector<std::jthread> workers(
+            std::min<std::size_t>(workerCount(), runnable.size()));
+        for (std::jthread &worker : workers)
+            worker = std::jthread(work);
     }
     meter.finish();
     journal.close();
 
-    // Supervision catches job errors itself; anything escaping to a
-    // future is an infrastructure bug — surface the first one.
-    for (std::future<void> &future : futures)
-        future.get();
+    // Supervision catches job errors itself; anything escaping it is
+    // an infrastructure bug — surface the first one.
+    for (const std::exception_ptr &error : escaped) {
+        if (error)
+            std::rethrow_exception(error);
+    }
     if (journal_failed)
         throw std::runtime_error("checkpoint " +
                                  _options.checkpointPath +

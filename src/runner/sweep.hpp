@@ -1,8 +1,9 @@
 /**
  * @file
  * SweepRunner: expands a declarative (workload × prefetcher ×
- * config) grid into jobs, shards them across a fixed thread pool,
- * and aggregates results in grid order.
+ * config) grid into jobs, runs them on worker threads that take jobs
+ * in submission order from one counter, and aggregates results in
+ * grid order.
  *
  * Determinism contract: each job's seed derives from its cell key
  * (workload, prefetcher, variant) — never from the thread schedule —
@@ -77,7 +78,8 @@ partitionRange(std::uint64_t count, unsigned parts);
 
 struct SweepOptions
 {
-    /** Worker threads; 0 = hardware concurrency. */
+    /** Worker threads; 0 = hardware concurrency. run() starts no
+     *  more workers than it has jobs to run. */
     unsigned jobs = 0;
     /** Print the live progress line to stderr. */
     bool progress = true;
@@ -169,7 +171,7 @@ class SweepRunner
          *  not full simulator state). */
         std::vector<RunOutput> outputs;
         /** Flattened metric rows, appended in grid order once the
-         *  pool drained — executed and resumed jobs alike. */
+         *  workers finished — executed and resumed jobs alike. */
         ResultStore store;
         /** Header/timing info for ResultStore::toJson(), including
          *  failedCells and the resumed-job count. */

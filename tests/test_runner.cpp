@@ -1,9 +1,9 @@
 /**
  * @file
- * Runner subsystem tests: thread-pool semantics (drain-on-shutdown,
- * exception propagation), sweep determinism (`--jobs 1` vs `--jobs 8`
- * produce byte-identical metric rows), the shared baseline cache, and
- * the dol-sweep-v1 JSON writer's exact text.
+ * Runner subsystem tests: sweep determinism (`--jobs 1` vs `--jobs 8`
+ * produce byte-identical metric rows), the sweep's worker count and
+ * error propagation, the shared baseline cache, and the dol-sweep-v1
+ * JSON writer's exact text.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <iterator>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -23,7 +23,6 @@
 #include "runner/json_writer.hpp"
 #include "runner/result_store.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 #include "workloads/suite.hpp"
 
 namespace
@@ -31,67 +30,6 @@ namespace
 
 using namespace dol;
 using namespace dol::runner;
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, RunsEveryTaskAcrossWorkers)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::mutex mutex;
-    std::set<std::thread::id> threads;
-
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 64; ++i) {
-        futures.push_back(pool.submit([&] {
-            counter.fetch_add(1);
-            std::lock_guard lock(mutex);
-            threads.insert(std::this_thread::get_id());
-        }));
-    }
-    for (auto &future : futures)
-        future.get();
-    EXPECT_EQ(counter.load(), 64);
-    EXPECT_GE(threads.size(), 1u);
-    EXPECT_LE(threads.size(), 4u);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] { counter.fetch_add(1); });
-        // No wait(): destruction must finish the queue, not drop it.
-    }
-    EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto ok = pool.submit([] {});
-    auto bad = pool.submit(
-        [] { throw std::runtime_error("job exploded"); });
-    EXPECT_NO_THROW(ok.get());
-    EXPECT_THROW(bad.get(), std::runtime_error);
-
-    // The pool survives a throwing task and keeps executing.
-    std::atomic<bool> ran{false};
-    pool.submit([&] { ran = true; }).get();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, WaitBlocksUntilIdle)
-{
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 24; ++i)
-        pool.submit([&] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 24);
-}
 
 // --------------------------------------------------------------- sweep
 
@@ -180,6 +118,40 @@ TEST(SweepRunner, JobExceptionPropagatesAfterDraining)
     EXPECT_THROW(sweep.run(), std::runtime_error);
     // Every non-failing job still ran to completion.
     EXPECT_EQ(completed.load(), 2);
+}
+
+/** Threads of this process: the entries of /proc/self/task. */
+std::size_t
+threadCount()
+{
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"), {}));
+}
+
+TEST(SweepRunner, StartsNoMoreWorkersThanJobs)
+{
+    // A sanitizer runtime may start a thread of its own with the
+    // first thread; start one first so the baseline holds it. Without
+    // one, the baseline is the test thread alone.
+    std::thread([] {}).join();
+    const std::size_t before = threadCount();
+
+    SweepOptions options;
+    options.jobs = 64;
+    options.progress = false;
+    SweepRunner sweep(SimConfig{}, options);
+    std::vector<std::size_t> seen(2);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        sweep.addJob("count-" + std::to_string(i),
+                     [&seen, i](ExperimentRunner &) {
+                         seen[i] = threadCount();
+                         return std::vector<RunOutput>{};
+                     });
+    }
+    EXPECT_TRUE(sweep.run().ok());
+    // Two jobs, two workers at most, however many --jobs allows.
+    for (const std::size_t threads : seen)
+        EXPECT_LE(threads, before + 2);
 }
 
 // ------------------------------------------------------------ progress

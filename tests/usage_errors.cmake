@@ -19,7 +19,12 @@
 #    command may leave a file behind;
 #  - an empty --workload or --mix list, a --suite that names no
 #    workload after a --workload, and a --record of more than one
-#    workload.
+#    workload;
+#  - a name given twice in the workload list (every --workload and
+#    --suite together), --prefetcher, --mix or --arbitration (it must
+#    not run the same cells twice under one seed);
+#  - --cell-timeout given to a contention mix or a fuzz campaign,
+#    whose jobs never poll its deadline.
 #
 # Last, the bench program whose --json file cannot be written must
 # exit 1 naming the file once its (quick) sweep has run, not report
@@ -90,6 +95,13 @@ expect_usage_error("--mix does not take --trace-in"
 expect_usage_error("--mix does not take --dest" ${mix} --dest l2)
 expect_usage_error("--mix does not take --coordinator adaptive"
                    ${mix} --coordinator adaptive)
+foreach(mode "--mix hetero_quad --instrs 5000" "--fuzz 2" "--fuzz-adaptive 2"
+             "--fuzz-multicore 2")
+    separate_arguments(mode_args UNIX_COMMAND "${mode}")
+    list(GET mode_args 0 mode_flag)
+    expect_usage_error("${mode_flag} does not take --cell-timeout 1"
+                       "${DOLSIM}" ${mode_args} --cell-timeout 1 --quiet)
+endforeach()
 foreach(mode "--mix hetero_quad" "--fuzz 2" "--fuzz-adaptive 2"
              "--fuzz-multicore 2")
     separate_arguments(mode_args UNIX_COMMAND "${mode}")
@@ -185,6 +197,19 @@ expect_usage_error("empty --mix list"
 expect_usage_error("unknown suite: bogus"
                    "${DOLSIM}" --workload mcf.syn --suite bogus
                    --instrs 1000 --csv)
+expect_usage_error("workload mcf.syn given twice"
+                   "${DOLSIM}" --workload mcf.syn,mcf.syn --instrs 1000 --csv)
+expect_usage_error("workload cg.syn given twice"
+                   "${DOLSIM}" --suite npb --workload cg.syn --instrs 1000
+                   --csv)
+expect_usage_error("prefetcher TPC given twice"
+                   "${DOLSIM}" --prefetcher TPC,TPC --instrs 1000 --csv)
+expect_usage_error("mix hetero_quad given twice"
+                   "${DOLSIM}" --mix hetero_quad,hetero_quad --instrs 1000
+                   --csv)
+expect_usage_error("arbitration fifo given twice"
+                   "${DOLSIM}" --mix stream_starves_pchase
+                   --arbitration fifo,fifo --instrs 1000 --csv)
 file(GLOB_RECURSE left "${out}/*")
 if(left)
     message(FATAL_ERROR "usage_errors: refused commands wrote ${left}")

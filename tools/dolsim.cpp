@@ -37,7 +37,6 @@
 #include "runner/fault.hpp"
 #include "runner/merge.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/contention.hpp"
 #include "sim/experiment.hpp"
 #include "trace/trace_io.hpp"
@@ -165,7 +164,8 @@ usage()
         "(crash-safe)\n"
         "  --resume                   skip cells FILE already "
         "journaled\n"
-        "  --cell-timeout MS          wall-clock budget per cell\n"
+        "  --cell-timeout MS          wall-clock budget per single-core "
+        "cell\n"
         "  --fault-plan SPEC          inject faults: "
         "throw|hang|abort|stop@CELL,...\n"
         "  --shard I/N                run cell range I of N into "
@@ -207,12 +207,12 @@ checkFlags(const Given &given)
     // that picks the mode: the first of these mode flags given, else
     // a plain sweep (the last row). A mode also takes its own flag and
     // --quiet; --help exits before this check. `run` is what every
-    // SweepRunner run reads, `cell` what single-core cells add to it,
-    // and `grid` the cells' selection by name.
-    const std::string run =
-        " --jobs --checkpoint --resume --cell-timeout --fault-plan";
-    const std::string cell =
-        " --prefetcher --instrs --counters --dest --coordinator" + run;
+    // SweepRunner run reads, `cell` what single-core cells add to it
+    // (only they poll the --cell-timeout deadline), and `grid` the
+    // cells' selection by name.
+    const std::string run = " --jobs --checkpoint --resume --fault-plan";
+    const std::string cell = " --prefetcher --instrs --counters --dest"
+                             " --coordinator --cell-timeout" + run;
     const std::string grid = " --workload --suite" + cell;
     const std::pair<std::string, std::string> modes[] = {
         {"--list", ""},
@@ -414,6 +414,18 @@ parse(int argc, char **argv)
         }
     }
     checkFlags(given);
+    // A name given twice would run its cells twice, under one seed.
+    const std::pair<std::string, const std::vector<std::string> &> lists[] = {
+        {"workload", options.workloads},
+        {"prefetcher", options.prefetchers},
+        {"mix", options.mixes},
+        {"arbitration", options.arbitrations}};
+    for (const auto &[kind, names] : lists) {
+        for (auto it = names.begin(); it != names.end(); ++it) {
+            if (std::find(names.begin(), it, *it) != it)
+                dol::fatal(kind + " " + *it + " given twice");
+        }
+    }
     if (options.workloads.empty())
         options.workloads.push_back("libquantum.syn");
     if (options.prefetchers.empty())
