@@ -142,8 +142,11 @@ class Core
     unsigned _laneUsed = 0;
     Cycle _retireCursor = 0;
     Cycle _maxFinish = 0;
-    std::uint64_t _instrIndex = 0;
-    std::uint64_t _memIndex = 0;
+    /** Slot of the current instruction in _retireRing, i.e. its
+     *  index modulo robSize, kept as a wrapping cursor. */
+    std::size_t _robPos = 0;
+    /** Slot of the next memory op in _lsqRing (index mod lsqSize). */
+    std::size_t _lsqPos = 0;
 
     TraceContext *_trace = nullptr;
     CoreStats _stats;

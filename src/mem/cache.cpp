@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <bit>
+#include <numeric>
 
 #include "common/log.hpp"
 
@@ -19,6 +20,8 @@ Cache::Cache(const Params &params) : _params(params)
     _tags.assign(lines, kNoAddr);
     _stamps.assign(lines, 0);
     _mshrs.resize(params.mshrs);
+    _mshrHeap.resize(params.mshrs);
+    std::iota(_mshrHeap.begin(), _mshrHeap.end(), 0u);
 }
 
 std::size_t
@@ -77,17 +80,14 @@ Cache::insert(Addr line_addr, Line **out_line)
     Line *victim_line = &_lines[base + victim_way];
 
     std::optional<Victim> victim;
-    if (victim_line->valid) {
-        victim = Victim{victim_line->tag, victim_line->dirty,
+    if (tags[victim_way] != kNoAddr) {
+        victim = Victim{tags[victim_way], victim_line->dirty,
                         victim_line->prefetched, victim_line->used,
                         victim_line->comp, victim_line->owner};
     }
 
     *victim_line = Line{};
-    victim_line->tag = lineAddr(line_addr);
-    victim_line->valid = true;
-    _tags[static_cast<std::size_t>(victim_line - _lines.data())] =
-        victim_line->tag;
+    _tags[base + victim_way] = lineAddr(line_addr);
     touch(*victim_line);
     if (out_line)
         *out_line = victim_line;
@@ -116,16 +116,16 @@ Cache::prefetchedCompsInSet(Addr line_addr,
     const std::size_t base = setIndex(line_addr);
     for (std::uint32_t way = 0; way < _params.assoc; ++way) {
         const Line &line = _lines[base + way];
-        if (line.valid && line.prefetched)
+        if (_tags[base + way] != kNoAddr && line.prefetched)
             out.push_back(line.comp);
     }
 }
 
-Cache::MshrEntry *
-Cache::pendingEntry(Addr line_addr, Cycle now)
+const Cache::MshrEntry *
+Cache::pendingEntry(Addr line_addr, Cycle now) const
 {
     const Addr tag = lineAddr(line_addr);
-    for (MshrEntry &entry : _mshrs) {
+    for (const MshrEntry &entry : _mshrs) {
         if (entry.lineAddr == tag && entry.completion > now)
             return &entry;
     }
@@ -135,20 +135,13 @@ Cache::pendingEntry(Addr line_addr, Cycle now)
 bool
 Cache::mshrFull(Cycle now) const
 {
-    for (const MshrEntry &entry : _mshrs) {
-        if (entry.completion <= now)
-            return false;
-    }
-    return !_mshrs.empty();
+    return !_mshrHeap.empty() && _mshrs[_mshrHeap[0]].completion > now;
 }
 
 Cycle
 Cache::earliestMshrFree() const
 {
-    Cycle earliest = kNoCycle;
-    for (const MshrEntry &entry : _mshrs)
-        earliest = std::min(earliest, entry.completion);
-    return earliest;
+    return _mshrHeap.empty() ? kNoCycle : _mshrs[_mshrHeap[0]].completion;
 }
 
 void
@@ -156,15 +149,29 @@ Cache::addMshr(Addr line_addr, Cycle completion)
 {
     if (_mshrs.empty())
         return;
-    // Reuse the slot that frees soonest; the caller has already
-    // guaranteed availability (or accepted the overwrite for shadow
-    // structures that do not model MSHR pressure).
-    MshrEntry *slot = &_mshrs[0];
-    for (MshrEntry &entry : _mshrs) {
-        if (entry.completion < slot->completion)
-            slot = &entry;
+    // Reuse the slot that frees soonest (the lowest such slot); the
+    // caller has already guaranteed availability (or accepted the
+    // overwrite for shadow structures that do not model MSHR
+    // pressure). The heap's top is that slot: overwrite it, then sift
+    // it down to its new place.
+    const auto before = [this](std::uint32_t a, std::uint32_t b) {
+        const Cycle ca = _mshrs[a].completion;
+        const Cycle cb = _mshrs[b].completion;
+        return ca < cb || (ca == cb && a < b);
+    };
+    const std::uint32_t slot = _mshrHeap[0];
+    _mshrs[slot] = MshrEntry{lineAddr(line_addr), completion};
+    const std::size_t size = _mshrHeap.size();
+    std::size_t pos = 0;
+    for (std::size_t child = 1; child < size; child = 2 * pos + 1) {
+        if (child + 1 < size && before(_mshrHeap[child + 1], _mshrHeap[child]))
+            ++child;
+        if (!before(_mshrHeap[child], slot))
+            break;
+        _mshrHeap[pos] = _mshrHeap[child];
+        pos = child;
     }
-    *slot = MshrEntry{lineAddr(line_addr), completion};
+    _mshrHeap[pos] = slot;
 }
 
 } // namespace dol

@@ -44,10 +44,10 @@ class Cache
         bool operator==(const Params &) const = default;
     };
 
+    /** Per-line metadata. The line's address and validity live in
+     *  the _tags mirror alone (lineAddrOf()). */
     struct Line
     {
-        Addr tag = kNoAddr; ///< full line address (kNoAddr = invalid)
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false; ///< installed by a prefetch
         bool used = false;       ///< has served a demand access
@@ -56,6 +56,7 @@ class Cache
         std::uint8_t owner = 0;
         Cycle readyAt = 0; ///< fill completion time
     };
+    static_assert(sizeof(Line) == 16, "Line carries no tag or valid bit");
 
     /** Description of a line pushed out by an insertion. */
     struct Victim
@@ -76,6 +77,12 @@ class Cache
 
     /** Promote a line to MRU. */
     void touch(Line &line);
+
+    /** Address of a line find() or insert() returned. */
+    Addr lineAddrOf(const Line &line) const
+    {
+        return _tags[static_cast<std::size_t>(&line - _lines.data())];
+    }
 
     /**
      * Insert a line, evicting the LRU way if the set is full.
@@ -105,7 +112,7 @@ class Cache
      * Outstanding fetch of this line as of @p now, or nullptr when
      * none is pending.
      */
-    MshrEntry *pendingEntry(Addr line_addr, Cycle now);
+    const MshrEntry *pendingEntry(Addr line_addr, Cycle now) const;
 
     /** True when no MSHR can accept a new miss at @p now. */
     bool mshrFull(Cycle now) const;
@@ -130,15 +137,21 @@ class Cache
     Params _params;
     std::uint32_t _numSets;
     std::vector<Line> _lines;
-    /** Tag-only mirror of _lines (kNoAddr = invalid): find() scans 8
-     *  bytes per way instead of the 40-byte Line, so a set fits in one
-     *  cache line. Maintained by insert()/invalidate() — callers
-     *  mutate every other Line field but never tag/valid. */
+    /** Each way's line address, kNoAddr when the way is invalid: the
+     *  only record of both. find() scans 8 bytes per way instead of
+     *  the 16-byte Line, so a set fits in one cache line. Written by
+     *  insert() and invalidate() only. */
     std::vector<Addr> _tags;
     /** LRU stamps, same index space as _lines/_tags: the insert()
      *  victim scan reads only _tags + _stamps (two dense arrays). */
     std::vector<std::uint64_t> _stamps;
+    /** The MSHR file in slot order (pendingEntry() scans it). */
     std::vector<MshrEntry> _mshrs;
+    /** Binary min-heap of _mshrs slots ordered by (completion, slot):
+     *  the top is the lowest slot among those that free soonest, the
+     *  slot a linear scan would pick. Every completion starts at 0, so
+     *  slot order is the initial heap. */
+    std::vector<std::uint32_t> _mshrHeap;
     std::uint64_t _stampCounter = 0;
 };
 

@@ -13,8 +13,9 @@
  * building a pointer-chase image used to cost one malloc per touched
  * 4 KB page, re-paid on every bench repetition. The aligned fast path
  * resolves a 64-bit read or write with one table probe and one
- * memcpy; only accesses straddling a page boundary fall back to the
- * byte loop.
+ * memcpy, and a write to the page last written needs no probe at
+ * all; only accesses straddling a page boundary fall back to the byte
+ * loop.
  */
 
 #ifndef DOL_MEM_MEMORY_IMAGE_HPP
@@ -82,13 +83,23 @@ class MemoryImage : public ValueSource
      *  individually (the image only grows until destruction). */
     using Page = std::uint8_t *;
 
+    /** Writers fill in address order (the bucket and CSR kernels'
+     *  constructors write a word at a time), so the last page resolved
+     *  answers most calls without a table probe. The cached pointer is
+     *  the arena's, not the table slot's, so rehashing never stales
+     *  it. */
     Page
     pageFor(Addr addr)
     {
-        auto [page, inserted] = _pages.tryEmplace(addr >> kPageBits);
+        const std::uint64_t number = addr >> kPageBits;
+        if (number == _lastNumber)
+            return _lastPage;
+        auto [page, inserted] = _pages.tryEmplace(number);
         if (inserted)
             *page = _arena.allocate(); // zero-filled by the arena
-        return *page;
+        _lastNumber = number;
+        _lastPage = *page;
+        return _lastPage;
     }
 
     std::uint8_t
@@ -107,8 +118,14 @@ class MemoryImage : public ValueSource
     }
 
     FlatHashMap<std::uint64_t, Page> _pages;
-    /** Backing store: one malloc per 64 pages instead of per page. */
+    /** Backing store: one malloc per 64 pages instead of per page.
+     *  The arena can be neither copied nor moved, so neither can the
+     *  image, and _lastPage always points into this image's pages. */
     SlabArena _arena{kPageBytes, 64};
+    /** Page number and page of the last pageFor() (no page number
+     *  is all ones: it is an address shifted right). */
+    std::uint64_t _lastNumber = ~std::uint64_t{0};
+    Page _lastPage = nullptr;
 };
 
 } // namespace dol

@@ -72,6 +72,10 @@ class Kernel
      * generation (shuflist relinks nodes as it walks), and P1/PChase
      * read image values at fill time: generating ahead of execution
      * would change the values in flight and break trace goldens.
+     * A composite kernel (PhasedKernel) keeps the contract by
+     * forwarding its current phase's batch: its generate() calls
+     * the sub-kernel's nextBatch() once, so the sub-kernel generates
+     * only when both queues are empty.
      *
      * @return instructions written; 0 means the kernel is exhausted.
      */

@@ -40,12 +40,18 @@ PhasedKernel::generate()
     if (_phases.empty())
         panic("PhasedKernel without phases");
 
-    Instr instr;
     // Skip exhausted phases (rare: most kernels are infinite).
     for (std::size_t tries = 0; tries <= _phases.size(); ++tries) {
-        if (_phases[_current]->next(instr)) {
-            push(instr);
-            if (++_phaseCount >= _phaseLengths[_current]) {
+        const std::uint64_t left = _phaseLengths[_current] - _phaseCount;
+        const std::size_t got = _phases[_current]->nextBatch(
+            _handOver.data(),
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                left, _handOver.size())));
+        if (got != 0) {
+            for (std::size_t i = 0; i < got; ++i)
+                push(_handOver[i]);
+            _phaseCount += got;
+            if (_phaseCount == _phaseLengths[_current]) {
                 _phaseCount = 0;
                 _current = (_current + 1) % _phases.size();
             }

@@ -9,6 +9,7 @@
 #ifndef DOL_WORKLOADS_MIXED_KERNELS_HPP
 #define DOL_WORKLOADS_MIXED_KERNELS_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,6 +50,12 @@ class AluKernel : public Kernel
 /**
  * Runs its sub-kernels in round-robin phases of a fixed instruction
  * count each.
+ *
+ * Each generate() hands over, in one piece, what the current phase's
+ * kernel has already generated, up to the phase boundary, through
+ * one call to that kernel's nextBatch(), which keeps the ordering
+ * contract (Kernel::nextBatch): the sub-kernel's image writes land at
+ * the instruction a one-at-a-time multiplexer would put them.
  */
 class PhasedKernel : public Kernel
 {
@@ -66,18 +73,25 @@ class PhasedKernel : public Kernel
     addPhase(std::unique_ptr<Kernel> kernel, std::uint64_t instrs = 0)
     {
         _phases.push_back(std::move(kernel));
-        _phaseLengths.push_back(instrs ? instrs : _instrsPerPhase);
+        // A phase runs at least one instruction: a zero length would
+        // ask nextBatch() for none, which reads as an exhausted kernel.
+        _phaseLengths.push_back(
+            std::max<std::uint64_t>(1, instrs ? instrs : _instrsPerPhase));
     }
 
   protected:
     bool generate() override;
 
   private:
+    /** Most instructions one generate() hands over. */
+    static constexpr std::size_t kHandOver = 256;
+
     std::uint64_t _instrsPerPhase;
     std::vector<std::unique_ptr<Kernel>> _phases;
     std::vector<std::uint64_t> _phaseLengths;
     std::size_t _current = 0;
     std::uint64_t _phaseCount = 0;
+    std::vector<Instr> _handOver = std::vector<Instr>(kHandOver);
 };
 
 } // namespace dol

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "mem/cache.hpp"
 
 namespace dol
@@ -33,7 +37,7 @@ TEST(Cache, MissThenHit)
     auto victim = cache.insert(0x1000, &line);
     EXPECT_FALSE(victim.has_value());
     ASSERT_NE(cache.find(0x1000), nullptr);
-    EXPECT_EQ(cache.find(0x1000)->tag, 0x1000u);
+    EXPECT_EQ(cache.lineAddrOf(*cache.find(0x1000)), 0x1000u);
     // Any byte within the line hits.
     EXPECT_NE(cache.find(0x103f), nullptr);
     EXPECT_EQ(cache.find(0x1040), nullptr);
@@ -126,6 +130,73 @@ TEST(Cache, MshrFullAndLiveCount)
     EXPECT_TRUE(cache.mshrFull(100));
     EXPECT_EQ(cache.earliestMshrFree(), 200u);
     EXPECT_FALSE(cache.mshrFull(200));
+}
+
+/**
+ * The MSHR file against a linear-scan model of it: addMshr overwrites
+ * the first slot holding the smallest completion, mshrFull and
+ * earliestMshrFree read that smallest completion, and pendingEntry
+ * returns the first live entry for the line in slot order. Completions
+ * come from eight values, so most adds face a tie; after every add
+ * each line of the pool is looked up at cycle 0, which tells exactly
+ * which slot the add overwrote.
+ */
+TEST(Cache, MshrFileMatchesLinearScanModel)
+{
+    for (const std::uint32_t entries : {8u, 32u, 64u}) {
+        Cache::Params params = smallCache();
+        params.mshrs = entries;
+        Cache cache(params);
+        std::vector<Cache::MshrEntry> model(entries);
+        Rng rng(0x5eed + entries);
+        const Addr pool = 3 * entries;
+
+        auto modelPending = [&](Addr line, Cycle now) {
+            const Cache::MshrEntry *found = nullptr;
+            for (const Cache::MshrEntry &entry : model) {
+                if (entry.lineAddr == line && entry.completion > now) {
+                    found = &entry;
+                    break;
+                }
+            }
+            return found;
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            const Addr line = rng.below(pool) * kLineBytes;
+            const Cycle completion = 10 * (1 + rng.below(8));
+            cache.addMshr(line, completion);
+            Cache::MshrEntry *slot = &model[0];
+            for (Cache::MshrEntry &entry : model) {
+                if (entry.completion < slot->completion)
+                    slot = &entry;
+            }
+            *slot = Cache::MshrEntry{line, completion};
+
+            Cycle earliest = kNoCycle;
+            for (const Cache::MshrEntry &entry : model)
+                earliest = std::min(earliest, entry.completion);
+            ASSERT_EQ(cache.earliestMshrFree(), earliest)
+                << entries << " entries, step " << step;
+            for (Cycle now = 0; now <= 90; now += 5) {
+                ASSERT_EQ(cache.mshrFull(now), earliest > now)
+                    << entries << " entries, step " << step;
+            }
+            const Cycle now = rng.below(2) ? 0 : rng.below(90);
+            for (Addr l = 0; l < pool; ++l) {
+                const Cache::MshrEntry *want =
+                    modelPending(l * kLineBytes, now);
+                const Cache::MshrEntry *got =
+                    cache.pendingEntry(l * kLineBytes, now);
+                ASSERT_EQ(got != nullptr, want != nullptr)
+                    << entries << " entries, step " << step << ", line "
+                    << l;
+                if (got) {
+                    ASSERT_EQ(got->completion, want->completion);
+                }
+            }
+        }
+    }
 }
 
 /** LRU order property across associativities. */

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "workloads/pointer_kernels.hpp"
 #include "workloads/stream_kernels.hpp"
 #include "workloads/suite.hpp"
+#include "workloads/temporal_kernels.hpp"
 #include "workloads/trace_file.hpp"
 
 namespace dol
@@ -220,6 +223,196 @@ TEST(PhasedKernel, RespectsPerPhaseLengths)
     // 3:1 phase ratio.
     EXPECT_NEAR(static_cast<double>(a_instrs) / (b_instrs + 1), 3.0,
                 0.5);
+}
+
+/** Every Instr field, not only the ones sameInstr() compares. */
+void
+expectSameFields(const Instr &a, const Instr &b, std::uint64_t index)
+{
+    EXPECT_TRUE(a.pc == b.pc && a.op == b.op && a.addr == b.addr &&
+                a.value == b.value && a.size == b.size &&
+                a.target == b.target && a.taken == b.taken &&
+                a.mispredicted == b.mispredicted && a.dst == b.dst &&
+                a.src1 == b.src1 && a.src2 == b.src2 &&
+                a.latency == b.latency)
+        << "instruction " << index;
+}
+
+/**
+ * Drains two kernels built by @p factory in lockstep, one through
+ * next() and one through nextBatch(@p block), for @p instrs
+ * instructions. After each nextBatch call both have delivered the same
+ * prefix: the batch must match next()'s instructions field by field,
+ * and both images must hold the same value at each load address of
+ * the batch, and, every 2048 instructions, at every load address seen
+ * so far. Kernels write their image while they generate, so a
+ * nextBatch() that generated further ahead than next() would fail
+ * here. (Both drains reach a composite's sub-kernels through
+ * nextBatch(); HandOverSplitsAtPhaseBoundaries checks those.)
+ */
+void
+expectBatchedDrainMatchesNext(
+    const std::function<std::unique_ptr<Kernel>(MemoryImage &)> &factory,
+    std::size_t block, std::uint64_t instrs)
+{
+    MemoryImage image_a, image_b;
+    auto kernel_a = factory(image_a);
+    auto kernel_b = factory(image_b);
+    std::vector<Instr> batch(block);
+    std::vector<Addr> loads;
+    std::set<Addr> seen;
+    std::uint64_t done = 0;
+    while (done < instrs) {
+        const std::size_t got = kernel_b->nextBatch(
+            batch.data(),
+            static_cast<std::size_t>(
+                std::min<std::uint64_t>(block, instrs - done)));
+        ASSERT_GT(got, 0u) << "exhausted at " << done;
+        loads.clear();
+        for (std::size_t i = 0; i < got; ++i) {
+            Instr one;
+            ASSERT_TRUE(kernel_a->next(one)) << done + i;
+            expectSameFields(one, batch[i], done + i);
+            if (one.isLoad()) {
+                loads.push_back(one.addr);
+                seen.insert(one.addr);
+            }
+        }
+        const std::uint64_t before = done;
+        done += got;
+        for (Addr addr : loads)
+            ASSERT_EQ(image_a.read64(addr), image_b.read64(addr))
+                << "load address 0x" << std::hex << addr << std::dec
+                << " after " << done << " instructions";
+        if (before / 2048 != done / 2048) {
+            for (Addr addr : seen)
+                ASSERT_EQ(image_a.read64(addr), image_b.read64(addr))
+                    << "address 0x" << std::hex << addr << std::dec
+                    << " after " << done << " instructions";
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+/**
+ * A PhasedKernel hands its current phase's queue over in one piece;
+ * every phased workload must still deliver, through any block size,
+ * the stream and image states of a next() drain.
+ */
+TEST(PhasedKernel, BatchedHandOverMatchesNextOnEveryPhasedWorkload)
+{
+    unsigned phased = 0;
+    for (const WorkloadSpec &spec : allWorkloads()) {
+        MemoryImage probe;
+        if (!dynamic_cast<PhasedKernel *>(spec.factory(probe).get()))
+            continue;
+        ++phased;
+        for (const std::size_t block : {1u, 7u, 256u}) {
+            SCOPED_TRACE(spec.name + " block " + std::to_string(block));
+            expectBatchedDrainMatchesNext(spec.factory, block, 20000);
+            if (HasFailure())
+                return;
+        }
+    }
+    // The 15 phased workloads of the paper's grid and markovmix.syn.
+    EXPECT_EQ(phased, 16u);
+}
+
+/**
+ * Reference multiplexer: one instruction per generate(), pulled from
+ * the current phase through next(), so a sub-kernel generates only
+ * when everything it generated has been consumed.
+ */
+class OneAtATimePhased : public Kernel
+{
+  public:
+    OneAtATimePhased(MemoryImage &memory,
+                     std::vector<std::unique_ptr<Kernel>> phases,
+                     std::vector<std::uint64_t> lengths)
+        : Kernel("one-at-a-time", memory), _phases(std::move(phases)),
+          _lengths(std::move(lengths))
+    {}
+
+  protected:
+    bool
+    generate() override
+    {
+        Instr instr;
+        if (!_phases[_current]->next(instr))
+            return false;
+        push(instr);
+        if (++_count >= _lengths[_current]) {
+            _count = 0;
+            _current = (_current + 1) % _phases.size();
+        }
+        return true;
+    }
+
+  private:
+    std::vector<std::unique_ptr<Kernel>> _phases;
+    std::vector<std::uint64_t> _lengths;
+    std::size_t _current = 0;
+    std::uint64_t _count = 0;
+};
+
+/**
+ * Phases of 5 and 13 instructions over kernels that generate 15 and 9
+ * per iteration, so hand-overs split iterations at phase boundaries.
+ * The second kernel relinks its lists (a shuffle) after every
+ * traversal of 16 nodes, so a sub-kernel that generated ahead of what
+ * it had handed over would show in the image. The stream and the
+ * image must match the one-instruction-at-a-time multiplexer's.
+ */
+TEST(PhasedKernel, HandOverSplitsAtPhaseBoundaries)
+{
+    const AluKernel::Params alu{.aluPerIter = 12, .seed = 1}; // 15
+    const ShuffledListKernel::Params list{
+        .chains = 2, .nodes = 16, .traversalsPerShuffle = 1,
+        .swapsPerShuffle = 4, .aluPerIter = 2, .payloadLoads = 1,
+        .seed = 3}; // 2 x (1 + 1 + 2) + 1 = 9
+
+    MemoryImage image;
+    PhasedKernel phased("split", image);
+    phased.addPhase(std::make_unique<AluKernel>(image, alu), 5);
+    phased.addPhase(std::make_unique<ShuffledListKernel>(image, list), 13);
+
+    MemoryImage ref_image;
+    std::vector<std::unique_ptr<Kernel>> ref_phases;
+    ref_phases.push_back(std::make_unique<AluKernel>(ref_image, alu));
+    ref_phases.push_back(
+        std::make_unique<ShuffledListKernel>(ref_image, list));
+    OneAtATimePhased reference(ref_image, std::move(ref_phases), {5, 13});
+
+    // Each call returns one hand-over: the rest of the phase or what
+    // the sub-kernel has queued, whichever is shorter.
+    const std::vector<std::size_t> pinned = {5, 9, 4, 5, 5, 8, 5,
+                                             1, 9, 3, 5, 6, 7};
+    std::vector<std::size_t> sizes;
+    std::vector<Instr> batch(256);
+    std::set<Addr> seen;
+    std::uint64_t done = 0;
+    while (done < 5000) {
+        const std::size_t got = phased.nextBatch(batch.data(), 256);
+        ASSERT_GT(got, 0u);
+        sizes.push_back(got);
+        for (std::size_t i = 0; i < got; ++i) {
+            Instr want;
+            ASSERT_TRUE(reference.next(want));
+            expectSameFields(want, batch[i], done + i);
+            if (want.isLoad())
+                seen.insert(want.addr);
+        }
+        done += got;
+        for (Addr addr : seen)
+            ASSERT_EQ(image.read64(addr), ref_image.read64(addr))
+                << "address 0x" << std::hex << addr << std::dec
+                << " after " << done << " instructions";
+    }
+    ASSERT_GE(sizes.size(), pinned.size());
+    EXPECT_EQ(std::vector<std::size_t>(sizes.begin(),
+                                       sizes.begin() + pinned.size()),
+              pinned);
 }
 
 TEST(TraceFile, RecordAndReplayRoundTrips)

@@ -21,7 +21,8 @@
 #    workload after a --workload, and a --record of more than one
 #    workload;
 #  - a name given twice in the workload list (every --workload and
-#    --suite together), --prefetcher, --mix or --arbitration (it must
+#    --suite together), --prefetcher, --mix or --arbitration, in one
+#    flag or across repeated flags, which add to one list (it must
 #    not run the same cells twice under one seed);
 #  - --cell-timeout given to a contention mix or a fuzz campaign,
 #    whose jobs never poll its deadline.
@@ -210,6 +211,13 @@ expect_usage_error("mix hetero_quad given twice"
 expect_usage_error("arbitration fifo given twice"
                    "${DOLSIM}" --mix stream_starves_pchase
                    --arbitration fifo,fifo --instrs 1000 --csv)
+expect_usage_error("prefetcher TPC given twice"
+                   "${DOLSIM}" --prefetcher TPC --prefetcher TPC
+                   --instrs 1000 --csv)
+expect_usage_error("arbitration fifo given twice"
+                   "${DOLSIM}" --mix stream_starves_pchase
+                   --arbitration fifo --arbitration fifo --instrs 1000
+                   --csv)
 file(GLOB_RECURSE left "${out}/*")
 if(left)
     message(FATAL_ERROR "usage_errors: refused commands wrote ${left}")

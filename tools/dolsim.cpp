@@ -71,7 +71,7 @@ struct Options
 
     // Multi-core contention scenarios (src/sim/contention.hpp).
     std::vector<std::string> mixes; ///< named contention mixes
-    std::vector<std::string> arbitrations{"demand-first"};
+    std::vector<std::string> arbitrations; ///< empty: demand-first
     bool listMixes = false;
 
     // Differential fuzzing (src/check/).
@@ -182,6 +182,8 @@ usage()
         "  --dump-trace --merge --fuzz-replay --fuzz --fuzz-adaptive\n"
         "  --fuzz-multicore --mix --record --shard --replay --trace-in\n"
         "  --trace; a mode refuses every flag it does not read but --quiet\n"
+        "lists: --workload, --suite, --prefetcher, --mix and --arbitration\n"
+        "  add up when repeated; a name given twice is an error\n"
         "exit codes: 0 ok, 1 usage/fatal error, 3 cells quarantined "
         "in failed_cells,\n"
         "            128+signal interrupted (drained; re-run with "
@@ -308,7 +310,8 @@ parse(int argc, char **argv)
         } else if (arg == "--trace-in") {
             options.traceIn = nextPath();
         } else if (arg == "--prefetcher") {
-            options.prefetchers = nextList();
+            for (const auto &name : nextList())
+                options.prefetchers.push_back(name);
         } else if (arg == "--instrs") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, UINT64_MAX,
@@ -341,7 +344,8 @@ parse(int argc, char **argv)
             for (const auto &name : nextList())
                 options.mixes.push_back(name);
         } else if (arg == "--arbitration") {
-            options.arbitrations = nextList();
+            for (const auto &name : nextList())
+                options.arbitrations.push_back(name);
         } else if (arg == "--fuzz" || arg == "--fuzz-adaptive" ||
                    arg == "--fuzz-multicore") {
             const std::string value = next();
@@ -430,6 +434,8 @@ parse(int argc, char **argv)
         options.workloads.push_back("libquantum.syn");
     if (options.prefetchers.empty())
         options.prefetchers = {"TPC"};
+    if (options.arbitrations.empty())
+        options.arbitrations = {"demand-first"};
     return options;
 }
 
