@@ -21,32 +21,67 @@ C1Prefetcher::C1Prefetcher(const Params &params)
     _rejected.reserve(params.maxMarked);
 }
 
+int
+C1Prefetcher::findInstr(Pc m_pc, int &free_slot) const
+{
+    free_slot = -1;
+    for (int i = 0; i < static_cast<int>(_instrs.size()); ++i) {
+        const InstrEntry &entry = _instrs[i];
+        if (!entry.valid) {
+            if (free_slot < 0)
+                free_slot = i;
+        } else if (entry.mPc == m_pc) {
+            return i;
+        }
+    }
+    return -1;
+}
+
 bool
 C1Prefetcher::isMonitored(Pc m_pc) const
 {
-    for (const InstrEntry &entry : _instrs) {
-        if (entry.valid && entry.mPc == m_pc)
-            return true;
-    }
-    return false;
+    int free_slot = -1;
+    return findInstr(m_pc, free_slot) >= 0;
+}
+
+int
+C1Prefetcher::admit(Pc m_pc, int free_slot)
+{
+    if (free_slot < 0 || _rejected.contains(m_pc))
+        return -1; // IM full (entries stay until their verdict)
+    InstrEntry &entry = _instrs[free_slot];
+    entry = InstrEntry{};
+    entry.valid = true;
+    entry.mPc = m_pc;
+    return free_slot;
 }
 
 bool
 C1Prefetcher::considerInstruction(Pc m_pc)
 {
-    if (_marked.contains(m_pc) || isMonitored(m_pc))
+    int free_slot = -1;
+    if (_marked.contains(m_pc) || findInstr(m_pc, free_slot) >= 0)
         return true;
-    if (_rejected.contains(m_pc))
-        return false;
-    for (InstrEntry &entry : _instrs) {
-        if (!entry.valid) {
-            entry = InstrEntry{};
-            entry.valid = true;
-            entry.mPc = m_pc;
-            return true;
-        }
-    }
-    return false; // IM full: entries stay until their verdict
+    return admit(m_pc, free_slot) >= 0;
+}
+
+bool
+C1Prefetcher::trainAndClaim(const AccessInfo &access,
+                            PrefetchEmitter &emitter)
+{
+    const bool marked = _marked.contains(access.mPc);
+    int free_slot = -1;
+    int slot = findInstr(access.mPc, free_slot);
+    if (access.l1PrimaryMiss && !marked && slot < 0)
+        slot = admit(access.mPc, free_slot);
+    const std::uint64_t marks = _verdictsMarked;
+    trainKnown(access, marked, slot, emitter);
+    // Training can vacate the slot (a verdict) but never refills one,
+    // and only a marking verdict changes _marked (it may clear it).
+    if (slot >= 0 && _instrs[slot].valid)
+        return true;
+    return _verdictsMarked == marks ? marked
+                                    : _marked.contains(access.mPc);
 }
 
 void
@@ -107,12 +142,21 @@ C1Prefetcher::evictRegion(RegionEntry &entry)
 void
 C1Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
 {
+    int free_slot = -1;
+    trainKnown(access, _marked.contains(access.mPc),
+               findInstr(access.mPc, free_slot), emitter);
+}
+
+void
+C1Prefetcher::trainKnown(const AccessInfo &access, bool marked, int slot,
+                         PrefetchEmitter &emitter)
+{
     const std::uint64_t region = regionNum(access.addr);
     const unsigned line_bit = lineInRegion(access.addr);
     _now = access.when;
 
     // Marked instructions trigger the region prefetch.
-    if (_marked.contains(access.mPc)) {
+    if (marked) {
         auto [last, inserted] =
             _lastPrefetchedRegion.tryEmplace(access.mPc);
         if (inserted)
@@ -157,13 +201,10 @@ C1Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
     found->lineVector |= static_cast<std::uint16_t>(1u << line_bit);
     found->lruStamp = ++_stamp;
 
-    // Cross-link the accessing instruction if it is being monitored.
-    for (unsigned i = 0; i < _instrs.size(); ++i) {
-        if (_instrs[i].valid && _instrs[i].mPc == access.mPc) {
-            found->pcVector |= static_cast<std::uint16_t>(1u << i);
-            break;
-        }
-    }
+    // Cross-link the accessing instruction if it is still monitored
+    // (the eviction may have vacated its slot with a verdict).
+    if (slot >= 0 && _instrs[slot].valid)
+        found->pcVector |= static_cast<std::uint16_t>(1u << slot);
 }
 
 std::size_t

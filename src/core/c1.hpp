@@ -57,11 +57,19 @@ class C1Prefetcher : public Prefetcher
     bool isMonitored(Pc m_pc) const;
 
     /**
-     * Offer an instruction for monitoring. The coordinator calls this
-     * for instructions T2 and P1 rejected; returns true if the IM
+     * Offer an instruction for monitoring: returns true if the IM
      * accepted (it never evicts — entries stay until a verdict).
      */
     bool considerInstruction(Pc m_pc);
+
+    /**
+     * The coordinator's one call per access T2 and P1 left unclaimed:
+     * considerInstruction() on a primary miss, then train(), then
+     * whether C1 claims the instruction (isMarked() || isMonitored()),
+     * with one IM scan and one marked-set probe for all three (and a
+     * second probe only after a marking verdict during training).
+     */
+    bool trainAndClaim(const AccessInfo &access, PrefetchEmitter &emitter);
 
     std::uint64_t regionsPrefetched() const { return _regionsPrefetched; }
 
@@ -83,6 +91,16 @@ class C1Prefetcher : public Prefetcher
         std::uint8_t denseRegions = 0;
     };
 
+    /** The IM slot monitoring @p m_pc, or -1; then @p free_slot is
+     *  the first free slot, or -1 when the IM is full. */
+    int findInstr(Pc m_pc, int &free_slot) const;
+    /** Monitor an instruction that is neither marked nor monitored in
+     *  @p free_slot, unless C1 rejected it; its slot, or -1. */
+    int admit(Pc m_pc, int free_slot);
+    /** train() for an instruction whose marked bit and IM slot (-1:
+     *  unmonitored) were looked up before training. */
+    void trainKnown(const AccessInfo &access, bool marked, int slot,
+                    PrefetchEmitter &emitter);
     void evictRegion(RegionEntry &entry);
     void decide(InstrEntry &entry);
 

@@ -161,9 +161,6 @@ void
 CompositePrefetcher::routeToExtras(const AccessInfo &access,
                                    PrefetchEmitter &emitter)
 {
-    if (_extras.empty())
-        return;
-
     // Rebinding: when a demand hits a line one of the extras
     // prefetched, that component owns the instruction from now on
     // (paper section IV-E).
@@ -206,41 +203,49 @@ CompositePrefetcher::train(const AccessInfo &access,
         if (slot >= 0)
             _adapt->recordUsed(static_cast<std::size_t>(slot));
     }
+    const auto demoted = [&](std::size_t slot) {
+        return _adapt && _adapt->demoted(slot);
+    };
 
     // T2 sees every access: it is the first expert consulted and the
     // sole owner of strided instructions. A demoted claimant still
     // trains (so it re-admits with warm state) but its claim is
     // ignored and its emission budget is zero, so the access falls
-    // through to lower-priority components.
-    bool claimed = false;
-    runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter,
-            [&] { _t2->train(access, emitter); });
-    if (!(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotT2))) {
-        const InstrState state = _t2->stateOf(access.mPc);
-        claimed = state == InstrState::kStrided ||
-                  state == InstrState::kObservation;
+    // through to lower-priority components. Each verdict below is
+    // asked once; ownerOf()'s answer is derived from them.
+    InstrState t2_state = InstrState::kUnknown;
+    runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter, [&] {
+        t2_state = _t2->trainAndGetState(access, emitter);
+    });
+    if (!_t2->params().useCallSiteXor) {
+        // T2 trained access.pc; the coordinator asks about the mPC.
+        t2_state = _t2->stateOf(access.mPc);
     }
+    const bool t2_claims = t2_state == InstrState::kStrided ||
+                           t2_state == InstrState::kObservation;
+    bool claimed = t2_claims && !demoted(AdaptiveCoordinator::kSlotT2);
 
     // P1 acts on the retire stream; here it only claims ownership so
-    // lower-priority components leave its instructions alone.
-    if (!claimed && _p1 &&
-        !(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotP1)) &&
-        _p1->handles(access.mPc)) {
-        claimed = true;
+    // lower-priority components leave its instructions alone. Nothing
+    // in train() changes its answer.
+    bool p1_asked = false;
+    bool p1_claims = false;
+    if (!claimed && _p1 && !demoted(AdaptiveCoordinator::kSlotP1)) {
+        p1_asked = true;
+        p1_claims = _p1->handles(access.mPc);
+        claimed = p1_claims;
     }
 
+    bool c1_claims = false;
     if (!claimed && _c1) {
-        if (access.l1PrimaryMiss)
-            _c1->considerInstruction(access.mPc);
-        runSlot(AdaptiveCoordinator::kSlotC1, *_c1, emitter,
-                [&] { _c1->train(access, emitter); });
-        if (!(_adapt && _adapt->demoted(AdaptiveCoordinator::kSlotC1))) {
-            claimed = _c1->isMarked(access.mPc) ||
-                      _c1->isMonitored(access.mPc);
-        }
+        runSlot(AdaptiveCoordinator::kSlotC1, *_c1, emitter, [&] {
+            c1_claims = _c1->trainAndClaim(access, emitter);
+        });
+        claimed = c1_claims && !demoted(AdaptiveCoordinator::kSlotC1);
     }
 
-    if (!claimed)
+    const bool routed = !claimed && !_extras.empty();
+    if (routed)
         routeToExtras(access, emitter);
 
     if (_adapt)
@@ -248,8 +253,20 @@ CompositePrefetcher::train(const AccessInfo &access,
 
     if (_trace) {
         // Ownership-transition events. The map is only populated while
-        // tracing, so the untraced path never touches it.
-        const auto owner = static_cast<std::uint8_t>(ownerOf(access.mPc));
+        // tracing, so the untraced path never touches it. The owner is
+        // ownerOf()'s, which ignores demotion. When neither T2's state
+        // nor P1 claims, C1 was consulted, and the access was routed
+        // unless C1 claims.
+        Owner current = Owner::kNone;
+        if (t2_claims)
+            current = Owner::kT2;
+        else if (_p1 && (p1_asked ? p1_claims : _p1->handles(access.mPc)))
+            current = Owner::kP1;
+        else if (c1_claims)
+            current = Owner::kC1;
+        else if (routed)
+            current = Owner::kExtra;
+        const auto owner = static_cast<std::uint8_t>(current);
         const std::uint8_t *last = _lastOwner.find(access.mPc);
         const std::uint8_t previous = last ? *last : 0;
         if (owner != previous) {
@@ -276,18 +293,13 @@ void
 CompositePrefetcher::onInstr(const Instr &instr, const RetireInfo &retire,
                              Pc m_pc, PrefetchEmitter &emitter)
 {
-    runSlot(AdaptiveCoordinator::kSlotT2, *_t2, emitter, [&] {
-        _t2->onInstr(instr, retire, m_pc, emitter);
-    });
+    // Only T2 and P1 read the retire stream. T2's hook feeds its loop
+    // detector and never emits, so it needs no slot; extras see only
+    // the accesses routed to them and their fills.
+    _t2->onInstr(instr, retire, m_pc, emitter);
     if (_p1) {
         runSlot(AdaptiveCoordinator::kSlotP1, *_p1, emitter, [&] {
             _p1->onInstr(instr, retire, m_pc, emitter);
-        });
-    }
-    for (std::size_t i = 0; i < _extras.size(); ++i) {
-        runSlot(AdaptiveCoordinator::kFirstExtraSlot + i, *_extras[i],
-                emitter, [&] {
-            _extras[i]->onInstr(instr, retire, m_pc, emitter);
         });
     }
 }

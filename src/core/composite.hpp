@@ -8,7 +8,9 @@
  * claims are routed to optional "extra" components (existing
  * monolithic prefetchers), bound round-robin per instruction and
  * rebound to whichever component's prefetched line the instruction
- * later hits. T2/P1 prefetch into L1; C1 into L2 (its lower accuracy
+ * later hits. An extra sees only the accesses routed to it and the
+ * prefetch fills, never the retire stream: only T2 and P1 read that.
+ * T2/P1 prefetch into L1; C1 into L2 (its lower accuracy
  * makes L2 the appropriate destination). Figure 16 overrides the
  * destination for every component at once, on the PrefetchEmitter.
  */
@@ -57,7 +59,8 @@ class CompositePrefetcher : public Prefetcher
     CompositePrefetcher(const ValueSource *memory, const Config &config,
                         std::string name = "TPC");
 
-    /** Append an existing prefetcher as an extra component. */
+    /** Append an existing prefetcher as an extra component. Its
+     *  onInstr() is never called (see the file comment). */
     void addComponent(std::unique_ptr<Prefetcher> extra);
 
     // Prefetcher interface -----------------------------------------

@@ -23,7 +23,7 @@ T2Prefetcher::stateOf(Pc m_pc) const
     return state ? *state : InstrState::kUnknown;
 }
 
-void
+InstrState
 T2Prefetcher::setState(Pc m_pc, InstrState state, Cycle when)
 {
     const InstrState previous = stateOf(m_pc);
@@ -46,6 +46,7 @@ T2Prefetcher::setState(Pc m_pc, InstrState state, Cycle when)
         _states.clear();
     }
     _states.insert(m_pc, state);
+    return state;
 }
 
 unsigned
@@ -124,18 +125,26 @@ T2Prefetcher::issueStream(SitEntry &entry, const AccessInfo &access,
 void
 T2Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
 {
+    trainAndGetState(access, emitter);
+}
+
+InstrState
+T2Prefetcher::trainAndGetState(const AccessInfo &access,
+                               PrefetchEmitter &emitter)
+{
     updateAmat(access);
 
     const Pc m_pc =
         _params.useCallSiteXor ? access.mPc : access.pc;
-    const InstrState state = stateOf(m_pc);
+    InstrState state = stateOf(m_pc);
 
     switch (state) {
       case InstrState::kUnknown:
         // Only instructions that trigger a primary miss are worth
         // tracking (paper: state 0 -> 1 on primary miss).
         if (access.l1PrimaryMiss) {
-            setState(m_pc, InstrState::kObservation, access.when);
+            state = setState(m_pc, InstrState::kObservation,
+                             access.when);
             _sit.allocate(m_pc, access.addr);
         }
         break;
@@ -155,14 +164,16 @@ T2Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
                 ++entry->sameDeltaCount;
             entry->diffDeltaCount = 0;
             if (entry->sameDeltaCount >= _params.strideThreshold) {
-                setState(m_pc, InstrState::kStrided, access.when);
+                state = setState(m_pc, InstrState::kStrided,
+                                 access.when);
                 _lastConfirmed = m_pc;
             }
         } else {
             entry->delta = delta;
             entry->sameDeltaCount = 0;
             if (++entry->diffDeltaCount >= _params.nonStrideThreshold) {
-                setState(m_pc, InstrState::kNonStrided, access.when);
+                state = setState(m_pc, InstrState::kNonStrided,
+                                 access.when);
                 entry->lastAddr = access.addr;
                 break;
             }
@@ -178,7 +189,8 @@ T2Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
         SitEntry *entry = _sit.find(m_pc);
         if (!entry) {
             entry = &_sit.allocate(m_pc, access.addr);
-            setState(m_pc, InstrState::kObservation, access.when);
+            state = setState(m_pc, InstrState::kObservation,
+                             access.when);
             break;
         }
         const std::int64_t delta =
@@ -191,7 +203,8 @@ T2Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
         } else if (++entry->diffDeltaCount >=
                    _params.nonStrideThreshold) {
             // The stream broke down; re-observe from scratch.
-            setState(m_pc, InstrState::kObservation, access.when);
+            state = setState(m_pc, InstrState::kObservation,
+                             access.when);
             entry->delta = delta;
             entry->sameDeltaCount = 0;
             entry->diffDeltaCount = 0;
@@ -214,6 +227,7 @@ T2Prefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
         // Not our pattern; P1/C1 take it from here.
         break;
     }
+    return state;
 }
 
 std::size_t

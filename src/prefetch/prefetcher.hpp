@@ -191,7 +191,9 @@ class Prefetcher
     /**
      * Observe one retired instruction (all classes). Components that
      * watch branches or register dependences (T2, P1) override this;
-     * cache-access-pattern prefetchers do not need to.
+     * cache-access-pattern prefetchers do not need to. A composite
+     * forwards the retire stream to T2 and P1 only: its extras see
+     * only the accesses routed to them and the prefetch fills.
      *
      * @param m_pc call-site-disambiguated PC (pc ^ RAS.top)
      */

@@ -1,7 +1,30 @@
 #include "prefetch/spp.hpp"
 
+#include <bit>
+#include <string>
+
+#include "common/log.hpp"
+
 namespace dol
 {
+
+namespace
+{
+
+/** @p entries - 1, after refusing a size that is not a power of two. */
+std::uint64_t
+maskOf(const char *field, unsigned entries, unsigned unit = 1)
+{
+    if (entries % unit != 0 || !std::has_single_bit(entries / unit)) {
+        fatal(std::string("SPP ") + field + " = " +
+              std::to_string(entries) + " is not " +
+              (unit == 1 ? "" : std::to_string(unit) + " times ") +
+              "a power of two");
+    }
+    return entries / unit - 1;
+}
+
+} // namespace
 
 SppPrefetcher::SppPrefetcher() : SppPrefetcher(Params()) {}
 
@@ -9,18 +32,20 @@ SppPrefetcher::SppPrefetcher(const Params &params)
     : Prefetcher("SPP"), _params(params),
       _signatures(params.signatureEntries),
       _patterns(params.patternEntries),
-      _filter(params.filterEntries, kNoAddr)
+      _filter(params.filterEntries, kNoAddr),
+      _setMask(maskOf("signatureEntries", params.signatureEntries,
+                      kSignatureWays)),
+      _patternMask(maskOf("patternEntries", params.patternEntries)),
+      _filterMask(maskOf("filterEntries", params.filterEntries))
 {}
 
 SppPrefetcher::SignatureEntry &
 SppPrefetcher::lookupSignature(std::uint64_t page)
 {
     // 4-way associative search over a small direct region.
-    const std::size_t ways = 4;
-    const std::size_t sets = _signatures.size() / ways;
-    const std::size_t base = (page % sets) * ways;
+    const std::size_t base = (page & _setMask) * kSignatureWays;
     SignatureEntry *victim = &_signatures[base];
-    for (std::size_t w = 0; w < ways; ++w) {
+    for (std::size_t w = 0; w < kSignatureWays; ++w) {
         SignatureEntry &entry = _signatures[base + w];
         if (entry.pageTag == page) {
             entry.lruStamp = ++_stamp;
@@ -38,7 +63,7 @@ SppPrefetcher::lookupSignature(std::uint64_t page)
 void
 SppPrefetcher::updatePattern(std::uint16_t sig, std::int16_t delta)
 {
-    PatternEntry &entry = _patterns[sig % _patterns.size()];
+    PatternEntry &entry = patternOf(sig);
     if (entry.totalCounter >= kCounterMax) {
         // Periodically age all counters to keep ratios meaningful.
         for (PatternSlot &slot : entry.slots)
@@ -63,14 +88,14 @@ SppPrefetcher::updatePattern(std::uint16_t sig, std::int16_t delta)
 bool
 SppPrefetcher::filterContains(Addr line_addr) const
 {
-    return _filter[lineNum(line_addr) % _filter.size()] ==
+    return _filter[lineNum(line_addr) & _filterMask] ==
            lineAddr(line_addr);
 }
 
 void
 SppPrefetcher::filterInsert(Addr line_addr)
 {
-    _filter[lineNum(line_addr) % _filter.size()] = lineAddr(line_addr);
+    _filter[lineNum(line_addr) & _filterMask] = lineAddr(line_addr);
 }
 
 void
@@ -102,7 +127,7 @@ SppPrefetcher::train(const AccessInfo &access, PrefetchEmitter &emitter)
     int current_offset = offset;
     unsigned path_conf = 100;
     for (unsigned depth = 0; depth < _params.maxLookahead; ++depth) {
-        const PatternEntry &pattern = _patterns[sig % _patterns.size()];
+        const PatternEntry &pattern = patternOf(sig);
         if (pattern.totalCounter == 0)
             break;
 

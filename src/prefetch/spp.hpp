@@ -25,6 +25,9 @@ namespace dol
 class SppPrefetcher : public Prefetcher
 {
   public:
+    /** Tables are indexed by mask: signatureEntries must be 4 (the
+     *  ways) times a power of two, and patternEntries and
+     *  filterEntries powers of two. The constructor refuses others. */
     struct Params
     {
         unsigned signatureEntries = 256;
@@ -50,6 +53,7 @@ class SppPrefetcher : public Prefetcher
         1u << (kPageBits - kLineBits);
     static constexpr unsigned kSignatureBits = 12;
     static constexpr unsigned kDeltasPerPattern = 4;
+    static constexpr unsigned kSignatureWays = 4;
     static constexpr unsigned kCounterMax = 15;
 
     struct SignatureEntry
@@ -81,6 +85,11 @@ class SppPrefetcher : public Prefetcher
     }
 
     SignatureEntry &lookupSignature(std::uint64_t page);
+    PatternEntry &
+    patternOf(std::uint16_t sig)
+    {
+        return _patterns[sig & _patternMask];
+    }
     void updatePattern(std::uint16_t sig, std::int16_t delta);
 
     /** Simple direct-mapped recent-prefetch filter. */
@@ -91,6 +100,10 @@ class SppPrefetcher : public Prefetcher
     std::vector<SignatureEntry> _signatures;
     std::vector<PatternEntry> _patterns;
     std::vector<Addr> _filter;
+    /** Index masks: table size - 1 (signatures: set count - 1). */
+    std::uint64_t _setMask;
+    std::uint64_t _patternMask;
+    std::uint64_t _filterMask;
     std::uint64_t _stamp = 0;
 };
 

@@ -245,6 +245,16 @@ TEST(Spp, FollowsAlternatingDeltaPattern)
               0.6 * static_cast<double>(comp.issued));
 }
 
+TEST(Spp, RefusesATableSizeItCannotMask)
+{
+    // SPP indexes its tables by mask, so a size that is not a power of
+    // two would alias entries; the constructor names the field instead.
+    SppPrefetcher::Params params;
+    params.patternEntries = 500;
+    EXPECT_EXIT(SppPrefetcher{params}, testing::ExitedWithCode(1),
+                "SPP patternEntries = 500 is not a power of two");
+}
+
 TEST(StorageBudgets, TrackTableII)
 {
     MemoryImage image;

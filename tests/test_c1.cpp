@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/c1.hpp"
 #include "mem/memory_system.hpp"
 #include "trace/context.hpp"
+#include "trace/counters.hpp"
 
 namespace dol
 {
@@ -290,6 +294,93 @@ TEST_F(C1Test, RegionWrapLastByteMapsToLastLine)
     EXPECT_EQ(dense[0].addr, base);
     // Line vector: bits 0-5 plus bit 15.
     EXPECT_EQ(dense[0].aux, 0x803fu);
+}
+
+/** A C1 with its own memory system, recording what it emits. */
+struct RecordedC1
+{
+    explicit RecordedC1(const C1Prefetcher::Params &params)
+        : emitter(mem), c1(params)
+    {
+        c1.setId(3);
+        emitter.setEmitHook([this](const PrefetchEmitter::EmitRecord &r) {
+            lines.push_back(r.addr);
+            levels.push_back(r.level);
+        });
+    }
+
+    std::string
+    counters() const
+    {
+        CounterRegistry registry;
+        c1.exportCounters(registry);
+        return registry.toText();
+    }
+
+    MemorySystem mem;
+    PrefetchEmitter emitter;
+    C1Prefetcher c1;
+    std::vector<Addr> lines;
+    std::vector<unsigned> levels;
+};
+
+TEST(C1SingleLookup, TrainAndClaimMatchesTheThreeCallSequence)
+{
+    // More instructions than IM entries, more regions than RM entries,
+    // and a marked-set capacity small enough to overflow: the stream
+    // reaches verdicts, vacates IM slots mid-training, and clears the
+    // marked set while other instructions are marked.
+    C1Prefetcher::Params params;
+    params.maxMarked = 3;
+    RecordedC1 sequence(params);
+    RecordedC1 single(params);
+    Rng rng(0xc1c1c1);
+    constexpr unsigned kInstrs = 40;
+    constexpr unsigned kRegions = 48;
+    Cycle now = 0;
+    for (int burst = 0; burst < 20000; ++burst) {
+        // One instruction touches one region in a burst; instructions
+        // with an even index touch many lines (dense regions), odd
+        // ones few, so both verdicts fall.
+        const unsigned instr = static_cast<unsigned>(rng.below(kInstrs));
+        const Pc m_pc = 0x4000 + 4 * instr;
+        const Addr base =
+            0x10000000 + rng.below(kRegions) * kRegionBytes;
+        const unsigned touches = static_cast<unsigned>(
+            instr % 2 == 0 ? rng.range(6, 16) : rng.range(1, 6));
+        for (unsigned t = 0; t < touches; ++t) {
+            now += 10;
+            AccessInfo info;
+            info.pc = m_pc;
+            info.mPc = m_pc;
+            info.addr = base + rng.below(kRegionBytes);
+            info.l1PrimaryMiss = rng.below(2) == 0;
+            info.when = now;
+            info.completion = now + 200;
+            sequence.emitter.setContext(3, now);
+            single.emitter.setContext(3, now);
+
+            if (info.l1PrimaryMiss)
+                sequence.c1.considerInstruction(m_pc);
+            sequence.c1.train(info, sequence.emitter);
+            const bool want = sequence.c1.isMarked(m_pc) ||
+                              sequence.c1.isMonitored(m_pc);
+            const bool got = single.c1.trainAndClaim(info, single.emitter);
+            ASSERT_EQ(got, want) << "claim of " << m_pc << " at " << now;
+        }
+    }
+    EXPECT_EQ(single.counters(), sequence.counters());
+    EXPECT_EQ(single.lines, sequence.lines);
+    EXPECT_EQ(single.levels, sequence.levels);
+
+    // The stream did reach the paths that differ: both verdicts, more
+    // marks than the marked set holds, and region prefetches.
+    CounterRegistry registry;
+    single.c1.exportCounters(registry);
+    EXPECT_GT(registry.counter("C1", "verdicts_marked"),
+              10 * params.maxMarked);
+    EXPECT_GT(registry.counter("C1", "verdicts_rejected"), 0u);
+    EXPECT_GT(registry.counter("C1", "regions_prefetched"), 0u);
 }
 
 TEST_F(C1Test, StorageBudgetNearTableII)

@@ -12,11 +12,16 @@
 #include <vector>
 
 #include "core/composite.hpp"
+#include "common/flat_table.hpp"
 #include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "mem/memory_image.hpp"
 #include "mem/memory_system.hpp"
 #include "prefetch/next_line.hpp"
+#include "sim/simulator.hpp"
+#include "trace/context.hpp"
+#include "trace/counters.hpp"
+#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -291,6 +296,117 @@ TEST_F(CompositeTest, StorageSumsComponents)
     // Table II: TPC = 4.57 KB.
     EXPECT_GT(total, 0.6 * 4.57 * 8 * 1024);
     EXPECT_LT(total, 1.4 * 4.57 * 8 * 1024);
+}
+
+/** What the owner-transition counters saw, and what ownerOf() says. */
+struct OwnerTally
+{
+    std::uint64_t counterClaims = 0;
+    std::uint64_t counterUnclaims = 0;
+    std::uint64_t observedClaims = 0;
+    std::uint64_t observedUnclaims = 0;
+    /** Accesses ownerOf() gives to a claimant whose slot is demoted,
+     *  so train() routed them past it. Indexed by slot. */
+    std::uint64_t demotedOwner[AdaptiveCoordinator::kFirstExtraSlot] = {};
+};
+
+/**
+ * Run @p workload under a traced composite and count ownership
+ * transitions from ownerOf() right after each train(), the way the
+ * coord_claims / coord_unclaims counters are defined.
+ */
+OwnerTally
+tallyOwners(const char *workload, const CompositePrefetcher::Config &cfg)
+{
+    MemoryImage image;
+    auto kernel = findWorkload(workload).factory(image);
+    CompositePrefetcher tpc(&image, cfg);
+    tpc.addComponent(std::make_unique<NextLinePrefetcher>(1));
+    tpc.addComponent(std::make_unique<NextLinePrefetcher>(2));
+    SimConfig config;
+    config.maxInstrs = 60000;
+    Simulator sim(config, *kernel, &tpc);
+    TraceContext trace;
+    sim.setTraceContext(&trace);
+
+    OwnerTally tally;
+    FlatHashMap<Pc, CompositePrefetcher::Owner> last;
+    sim.setAccessObserver([&](const AccessInfo &access) {
+        const auto owner = tpc.ownerOf(access.mPc);
+        const auto *seen = last.find(access.mPc);
+        const auto previous =
+            seen ? *seen : CompositePrefetcher::Owner::kNone;
+        if (owner != previous) {
+            if (previous != CompositePrefetcher::Owner::kNone)
+                ++tally.observedUnclaims;
+            if (owner != CompositePrefetcher::Owner::kNone)
+                ++tally.observedClaims;
+            if (last.size() > (1u << 16))
+                last.clear();
+            last[access.mPc] = owner;
+        }
+        // kT2, kP1 and kC1 follow kNone in slot order; kNone wraps
+        // and kExtra lands past the claimant slots.
+        const AdaptiveCoordinator *adapt = tpc.adaptive();
+        const auto slot = static_cast<std::size_t>(owner) - 1;
+        if (adapt && slot < AdaptiveCoordinator::kFirstExtraSlot &&
+            adapt->demoted(slot)) {
+            ++tally.demotedOwner[slot];
+        }
+    });
+    sim.run();
+
+    CounterRegistry registry;
+    sim.exportCounters(registry);
+    tally.counterClaims = registry.counter(tpc.name(), "coord_claims");
+    tally.counterUnclaims = registry.counter(tpc.name(), "coord_unclaims");
+    return tally;
+}
+
+/** Workloads whose accesses every claimant and the extras own. */
+constexpr const char *kOwnerWorkloads[] = {
+    "libquantum.syn", "mcf.syn", "xalancbmk.syn", "gcc.syn",
+    "shuflist.syn", "is.syn"};
+
+TEST(OwnerCounters, MatchOwnerOfAfterEveryTrainHardwired)
+{
+    for (const char *workload : kOwnerWorkloads) {
+        SCOPED_TRACE(workload);
+        const OwnerTally tally =
+            tallyOwners(workload, CompositePrefetcher::Config{});
+        EXPECT_GT(tally.counterClaims, 0u);
+        EXPECT_EQ(tally.counterClaims, tally.observedClaims);
+        EXPECT_EQ(tally.counterUnclaims, tally.observedUnclaims);
+    }
+}
+
+TEST(OwnerCounters, MatchOwnerOfAfterEveryTrainWithDemotedClaimants)
+{
+    // ownerOf() ignores demotion while train() routes around demoted
+    // claimants: the counters must follow ownerOf(). Any window with
+    // an issued prefetch that went unused demotes its claimant.
+    CompositePrefetcher::Config cfg;
+    cfg.adaptive = true;
+    cfg.adapt.windowAccesses = 64;
+    cfg.adapt.minWindowIssued = 1;
+    cfg.adapt.demoteFloorPermille = 1000;
+    cfg.adapt.demoteWindows = 1;
+    cfg.adapt.probationWindows = 3;
+    std::uint64_t demotedOwner[AdaptiveCoordinator::kFirstExtraSlot] = {};
+    for (const char *workload : kOwnerWorkloads) {
+        SCOPED_TRACE(workload);
+        const OwnerTally tally = tallyOwners(workload, cfg);
+        EXPECT_GT(tally.counterClaims, 0u);
+        EXPECT_EQ(tally.counterClaims, tally.observedClaims);
+        EXPECT_EQ(tally.counterUnclaims, tally.observedUnclaims);
+        for (std::size_t slot = 0;
+             slot < AdaptiveCoordinator::kFirstExtraSlot; ++slot) {
+            demotedOwner[slot] += tally.demotedOwner[slot];
+        }
+    }
+    EXPECT_GT(demotedOwner[AdaptiveCoordinator::kSlotT2], 0u);
+    EXPECT_GT(demotedOwner[AdaptiveCoordinator::kSlotP1], 0u);
+    EXPECT_GT(demotedOwner[AdaptiveCoordinator::kSlotC1], 0u);
 }
 
 TEST(Shunt, ForwardsEverythingToAllComponents)

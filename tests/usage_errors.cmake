@@ -23,7 +23,9 @@
 #  - a name given twice in the workload list (every --workload and
 #    --suite together), --prefetcher, --mix or --arbitration, in one
 #    flag or across repeated flags, which add to one list (it must
-#    not run the same cells twice under one seed);
+#    not run the same cells twice under one seed), and a journal
+#    given twice to --merge (it must name the journal, not report an
+#    uncovered cell);
 #  - --cell-timeout given to a contention mix or a fuzz campaign,
 #    whose jobs never poll its deadline.
 #
@@ -151,6 +153,12 @@ expect_usage_error("--dump-trace does not take --counters"
 expect_usage_error("--merge does not take --jobs 2"
                    "${DOLSIM}" --merge "${journal}"
                    --json "${out}/merged.json" --jobs 2)
+expect_usage_error("journal ${journal} given twice"
+                   "${DOLSIM}" --merge "${journal},${journal}"
+                   --json "${out}/merged.json")
+expect_usage_error("journal ${journal} given twice"
+                   "${DOLSIM}" --merge "${journal}" --merge "${journal}"
+                   --json "${out}/merged.json")
 expect_usage_error("--fuzz-replay does not take --checkpoint"
                    "${DOLSIM}" --fuzz-replay "${repro}" --fuzz-case-seed 1
                    --checkpoint "${out}/replay.ckpt")

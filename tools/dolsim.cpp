@@ -182,8 +182,8 @@ usage()
         "  --dump-trace --merge --fuzz-replay --fuzz --fuzz-adaptive\n"
         "  --fuzz-multicore --mix --record --shard --replay --trace-in\n"
         "  --trace; a mode refuses every flag it does not read but --quiet\n"
-        "lists: --workload, --suite, --prefetcher, --mix and --arbitration\n"
-        "  add up when repeated; a name given twice is an error\n"
+        "lists: --workload, --suite, --prefetcher, --mix, --arbitration and\n"
+        "  --merge add up when repeated; a name given twice is an error\n"
         "exit codes: 0 ok, 1 usage/fatal error, 3 cells quarantined "
         "in failed_cells,\n"
         "            128+signal interrupted (drained; re-run with "
@@ -396,7 +396,9 @@ parse(int argc, char **argv)
                            " (want I/N with 0 <= I < N)");
             }
         } else if (arg == "--merge") {
-            options.merge = nextList();
+            // Command-line order is commit order.
+            for (const auto &name : nextList())
+                options.merge.push_back(name);
         } else if (arg == "--seed-variants") {
             const std::string value = next();
             if (!parseUnsignedInRange(value, 1, 65536,
@@ -418,12 +420,14 @@ parse(int argc, char **argv)
         }
     }
     checkFlags(given);
-    // A name given twice would run its cells twice, under one seed.
+    // A name given twice would run its cells twice, under one seed;
+    // a journal given twice would merge its cells twice.
     const std::pair<std::string, const std::vector<std::string> &> lists[] = {
         {"workload", options.workloads},
         {"prefetcher", options.prefetchers},
         {"mix", options.mixes},
-        {"arbitration", options.arbitrations}};
+        {"arbitration", options.arbitrations},
+        {"journal", options.merge}};
     for (const auto &[kind, names] : lists) {
         for (auto it = names.begin(); it != names.end(); ++it) {
             if (std::find(names.begin(), it, *it) != it)
