@@ -293,7 +293,7 @@ std::vector<std::vector<double>> mixIpc;
 std::vector<FairnessMetrics> contentionFairness;
 
 /** Queue 4-core mix @p mix_index under @p prefetcher ("" = none);
- *  its per-core IPCs land in @p slot. */
+ *  its per-core IPCs, all it reads, land in @p slot. */
 void
 registerMix(unsigned mix_index, const std::string &prefetcher,
             std::vector<double> &slot)
@@ -305,7 +305,8 @@ registerMix(unsigned mix_index, const std::string &prefetcher,
         label, [mix_index, prefetcher, &slot](ExperimentRunner &) {
             MulticoreSimulator sim(
                 makeBenchConfig(40000),
-                makeMixes(kNumMixes, 2018, prefetcher)[mix_index]);
+                makeMixes(kNumMixes, 2018, prefetcher)[mix_index],
+                ShadowMode::kNone);
             slot = sim.run().ipc;
             return std::vector<RunOutput>{};
         });
@@ -800,12 +801,13 @@ registerDropPolicy()
                     makeMixes(kNumDropMixes, 4242, "TPC")[m];
                 const std::vector<double> baseline =
                     MulticoreSimulator(
-                        stressedConfig(DropPolicy::kRandomPrefetch), mix)
+                        stressedConfig(DropPolicy::kRandomPrefetch), mix,
+                        ShadowMode::kNone)
                         .run()
                         .ipc;
                 const auto ws = [&](DropPolicy policy) {
                     MulticoreSimulator sim(stressedConfig(policy),
-                                           tpc_mix);
+                                           tpc_mix, ShadowMode::kNone);
                     return computeFairness(baseline, sim.run().ipc)
                         .weightedSpeedup;
                 };

@@ -6,7 +6,9 @@
  * queues: both are drained in order and stay small, which a deque
  * punishes with 512-byte chunk allocations and per-push map
  * bookkeeping. The ring grows geometrically on the rare overflow and
- * never allocates otherwise.
+ * never allocates otherwise. The DRAM controller's channel queues,
+ * also drained in order, index it and erase from its middle when
+ * they drop a queued prefetch.
  */
 
 #ifndef DOL_COMMON_RING_BUFFER_HPP
@@ -60,6 +62,30 @@ class RingBuffer
         assert(_count > 0);
         _slots[_head] = T{};
         _head = (_head + 1) & (_slots.size() - 1);
+        --_count;
+    }
+
+    /** Element @p index in FIFO order (0 = front). */
+    T &operator[](std::size_t index)
+    {
+        assert(index < _count);
+        return _slots[(_head + index) & (_slots.size() - 1)];
+    }
+
+    const T &operator[](std::size_t index) const
+    {
+        assert(index < _count);
+        return _slots[(_head + index) & (_slots.size() - 1)];
+    }
+
+    /** Remove element @p index, keeping the others in order. */
+    void
+    erase(std::size_t index)
+    {
+        assert(index < _count);
+        for (; index + 1 < _count; ++index)
+            (*this)[index] = std::move((*this)[index + 1]);
+        (*this)[index] = T{};
         --_count;
     }
 

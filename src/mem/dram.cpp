@@ -1,7 +1,7 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cassert>
 
 namespace dol
 {
@@ -27,7 +27,7 @@ Dram::Dram(const DramParams &params)
     for (Channel &channel : _channels) {
         channel.banks.resize(params.ranksPerChannel *
                              params.banksPerRank);
-        channel.queue.reserve(params.queueCapacity);
+        channel.queue = RingBuffer<QueueEntry>(params.queueCapacity);
     }
     _dropScratch.reserve(params.queueCapacity);
 }
@@ -58,12 +58,37 @@ Dram::rowOf(Addr line_addr) const
     return lineNum(line_addr) / _params.channels / banks / lines_per_row;
 }
 
+void
+Dram::Channel::push(const QueueEntry &entry)
+{
+    assert(queue.empty() ||
+           queue[queue.size() - 1].completion <= entry.completion);
+    queue.push_back(entry);
+    if (entry.coreId >= coreQueued.size())
+        coreQueued.resize(entry.coreId + 1, 0);
+    ++coreQueued[entry.coreId];
+    prefetchesQueued += entry.isPrefetch;
+}
+
+void
+Dram::Channel::erase(std::size_t index)
+{
+    const QueueEntry &entry = queue[index];
+    --coreQueued[entry.coreId];
+    prefetchesQueued -= entry.isPrefetch;
+    if (index == 0)
+        queue.pop_front();
+    else
+        queue.erase(index);
+}
+
 std::size_t
 Dram::pruneQueue(Channel &channel, Cycle now)
 {
-    std::erase_if(channel.queue, [now](const QueueEntry &entry) {
-        return entry.completion <= now;
-    });
+    // Completion order: the completed entries are a prefix.
+    while (!channel.queue.empty() &&
+           channel.queue.front().completion <= now)
+        channel.erase(0);
     return channel.queue.size();
 }
 
@@ -115,8 +140,7 @@ Dram::makeRoom(Channel &channel, bool incoming_is_prefetch,
     if (_cancel)
         _cancel(channel.queue[victim].lineAddr);
     ++_stats.droppedPrefetches;
-    channel.queue.erase(channel.queue.begin() +
-                        static_cast<std::ptrdiff_t>(victim));
+    channel.erase(victim);
     return true;
 }
 
@@ -128,41 +152,29 @@ Dram::occupancy(Addr line_addr, Cycle now)
 }
 
 Dram::ArbDelay
-Dram::arbitrationDelay(Channel &channel, Cycle now,
-                       std::uint8_t core) const
+Dram::arbitrationDelay(const Channel &channel, std::uint8_t core) const
 {
-    ArbDelay result;
+    // Every queued entry is live: the caller pruned at arrival.
     std::uint64_t slots = 0;
-    bool live_prefetch = false;
     if (_params.arbitration == ArbitrationPolicy::kFifo) {
         // Strict arrival order: one burst slot per live entry.
-        for (const QueueEntry &entry : channel.queue) {
-            if (entry.completion <= now)
-                continue;
-            ++slots;
-            live_prefetch |= entry.isPrefetch;
-        }
+        slots = channel.queue.size();
     } else {
         // Round-robin: wait behind every own entry, but at most
         // (own + 1) entries of any competing core — a quiet core's
         // first request slots in after one round of the busy cores.
-        std::array<std::uint64_t, 256> counts{};
-        for (const QueueEntry &entry : channel.queue) {
-            if (entry.completion <= now)
-                continue;
-            ++counts[entry.coreId];
-            live_prefetch |= entry.isPrefetch;
-        }
-        const std::uint64_t own = counts[core];
+        const std::vector<std::uint32_t> &counts = channel.coreQueued;
+        const std::uint64_t own =
+            core < counts.size() ? counts[core] : 0;
         slots = own;
         for (std::size_t c = 0; c < counts.size(); ++c) {
-            if (c == core || counts[c] == 0)
-                continue;
-            slots += std::min(counts[c], own + 1);
+            if (c != core)
+                slots += std::min<std::uint64_t>(counts[c], own + 1);
         }
     }
+    ArbDelay result;
     result.cycles = slots * _params.tBurst;
-    result.behindPrefetch = slots > 0 && live_prefetch;
+    result.behindPrefetch = slots > 0 && channel.prefetchesQueued > 0;
     return result;
 }
 
@@ -201,7 +213,7 @@ Dram::access(Addr line_addr, Cycle now, bool is_write, bool is_prefetch,
     // at the occupancy limit upstream, so no extra delay is modelled.
     if (_params.arbitration != ArbitrationPolicy::kDemandFirst) {
         pruneQueue(channel, _clock);
-        const ArbDelay arb = arbitrationDelay(channel, _clock, core);
+        const ArbDelay arb = arbitrationDelay(channel, core);
         if (arb.cycles > 0) {
             // The delay is relative to the request's own arrival, so
             // a core that queues little is punished little (RR) or in
@@ -228,9 +240,9 @@ Dram::access(Addr line_addr, Cycle now, bool is_write, bool is_prefetch,
         }
         if (pruneQueue(channel, _clock) >= _params.queueCapacity) {
             // Demands wait for the oldest request to drain.
-            Cycle earliest = kNoCycle;
-            for (const QueueEntry &entry : channel.queue)
-                earliest = std::min(earliest, entry.completion);
+            const Cycle earliest = channel.queue.empty()
+                                       ? kNoCycle
+                                       : channel.queue.front().completion;
             now = std::max(now, earliest);
             pruneQueue(channel, now);
         }
@@ -275,8 +287,8 @@ Dram::access(Addr line_addr, Cycle now, bool is_write, bool is_prefetch,
     }
 
     if (channel.queue.size() < _params.queueCapacity) {
-        channel.queue.push_back({lineAddr(line_addr), completion,
-                                 is_prefetch, priority, core});
+        channel.push({lineAddr(line_addr), completion, is_prefetch,
+                      priority, core});
     }
 
     return {completion, false};

@@ -11,6 +11,15 @@
  * prefetches). A dropped queued prefetch is reported through a
  * cancellation hook so the owning cache level can discard the
  * speculatively installed line.
+ *
+ * Each channel's queue is in completion order: a request completes
+ * one burst after the channel's bus frees (busReadyAt, the previous
+ * request's completion) at the earliest, so every completion pushed
+ * is at least the one before it. A drop removes an entry from the
+ * middle without reordering the rest. So the completed requests are
+ * always a prefix, and the channel keeps running per-core and
+ * prefetch counts of the live ones beside the queue instead of
+ * rescanning it on every request.
  */
 
 #ifndef DOL_MEM_DRAM_HPP
@@ -21,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -208,14 +218,23 @@ class Dram
     {
         std::vector<Bank> banks;
         Cycle busReadyAt = 0;
-        std::vector<QueueEntry> queue;
+        /** Queued requests, in completion order. */
+        RingBuffer<QueueEntry> queue;
+        /** Queued requests per core (index = core id) and queued
+         *  prefetches: running counts over the queue. */
+        std::vector<std::uint32_t> coreQueued;
+        std::uint32_t prefetchesQueued = 0;
+
+        void push(const QueueEntry &entry);
+        /** Remove entry @p index from the queue and its counts. */
+        void erase(std::size_t index);
     };
 
     unsigned channelOf(Addr line_addr) const;
     unsigned bankOf(Addr line_addr) const;
     std::uint64_t rowOf(Addr line_addr) const;
 
-    /** Drop completed entries; returns live occupancy. */
+    /** Pop the completed prefix; returns live occupancy. */
     std::size_t pruneQueue(Channel &channel, Cycle now);
 
     /**
@@ -231,8 +250,9 @@ class Dram
         bool behindPrefetch = false;
     };
 
-    /** Queue-arbitration delay for a request arriving at @p now. */
-    ArbDelay arbitrationDelay(Channel &channel, Cycle now,
+    /** Queue-arbitration delay for a request from @p core, on a
+     *  channel pruned at the request's arrival. */
+    ArbDelay arbitrationDelay(const Channel &channel,
                               std::uint8_t core) const;
 
     /** Bandwidth-window throttle; may defer @p now to a boundary. */

@@ -1,6 +1,7 @@
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -20,6 +21,10 @@ namespace
  */
 constexpr std::size_t kPrefetchOccupancyLimit = 20;
 
+/** demandAccess's baseline level when the run keeps no alternate
+ *  reality: past DRAM (kNumCacheLevels), so it equals no cache level. */
+constexpr unsigned kNoBaselineLevel = kNumCacheLevels + 1;
+
 Cache::Params
 scaled(Cache::Params p, unsigned factor, const char *suffix)
 {
@@ -30,9 +35,10 @@ scaled(Cache::Params p, unsigned factor, const char *suffix)
 
 } // namespace
 
-SharedMemory::SharedMemory(const MemParams &params, unsigned num_cores)
+SharedMemory::SharedMemory(const MemParams &params, unsigned num_cores,
+                           ShadowMode shadow)
     : _l3(scaled(params.l3, std::max(1u, num_cores), "")),
-      _dram(params.dram)
+      _shadowMode(shadow), _dram(params.dram)
 {
     _dram.setCancelHook([this](Addr line_addr) {
         // Discard the speculatively installed copies of a prefetch the
@@ -61,7 +67,7 @@ MemorySystem::MemorySystem(const MemParams &params,
       _l2(params.l2),
       _replay(std::move(replay))
 {
-    if (!_replay) {
+    if (!_replay && _shared->_shadowMode == ShadowMode::kLiveWalk) {
         _shadowL1.emplace(scaled(params.l1, 1, ".shadow"));
         _shadowL2.emplace(scaled(params.l2, 1, ".shadow"));
         if (!_shared->_shadowL3)
@@ -264,12 +270,7 @@ MemorySystem::fillLine(unsigned level, Addr line, Cycle completion,
                        Cycle now)
 {
     Cache *cache = levelCache(level);
-    if (Cache::Line *existing = cache->find(line)) {
-        existing->dirty = existing->dirty || dirty;
-        existing->readyAt = std::min(existing->readyAt, completion);
-        cache->touch(*existing);
-        return;
-    }
+    assert(!cache->find(line));
     Cache::Line *filled = nullptr;
     auto victim = cache->insert(line, &filled);
     filled->readyAt = completion;
@@ -291,9 +292,13 @@ MemorySystem::demandAccess(Addr addr, Pc pc, Cycle when, bool is_store)
     _memClock = std::max(_memClock, when);
 
     // Baseline walk first: the alternate reality is independent of the
-    // prefetcher-perturbed state.
-    const unsigned shadow_hit =
-        _replay ? replayShadow() : shadowWalk(line, pc, is_store);
+    // prefetcher-perturbed state. Without one, no level is the
+    // baseline's, so no miss below counts as induced.
+    unsigned shadow_hit = kNoBaselineLevel;
+    if (_replay)
+        shadow_hit = replayShadow();
+    else if (_shadowL1)
+        shadow_hit = shadowWalk(line, pc, is_store);
 
     Cycle now = when;
     for (unsigned lv = 0; lv < kNumCacheLevels; ++lv) {

@@ -11,16 +11,28 @@
  * effective coverage, and the oracle for prefetch-induced misses
  * (paper sections III and V-C.1).
  *
- * On one core that alternate reality depends only on the demand
- * stream, which is the same for every prefetcher of a workload. So a
- * live walk can record it (the level the shadow walk hit, per access,
- * plus the shadow DRAM traffic) in a ShadowRecord, and a hierarchy
- * built to replay that record reads each access's outcome instead of
- * walking: it allocates no shadow cache and makes no shadowMiss
- * callback, but counts the same shadow misses, makes the same
- * induced-miss test and reports the same baseline DRAM traffic.
- * Multicore runs, whose shared shadow L3 sees a timing-dependent
- * interleave, always walk live.
+ * A hierarchy keeps its alternate reality in one of three ways,
+ * chosen when it is built; none of them changes the real machine:
+ *  - live walk (the default): every demand access also walks the
+ *    shadow caches. Baseline passes walk live, recording what they
+ *    see, and so do multicore runs, whose shared shadow L3 sees a
+ *    timing-dependent interleave, the fuzz harnesses and the
+ *    examples.
+ *  - replay: on one core the alternate reality depends only on the
+ *    demand stream, which is the same for every prefetcher of a
+ *    workload. So a live walk can record it (the level the shadow
+ *    walk hit, per access, plus the shadow DRAM traffic) in a
+ *    ShadowRecord, and a hierarchy built to replay that record reads
+ *    each access's outcome instead of walking: it allocates no shadow
+ *    cache and makes no shadowMiss callback, but counts the same
+ *    shadow misses, makes the same induced-miss test and reports the
+ *    same baseline DRAM traffic. Every single-core cell of
+ *    ExperimentRunner::run replays.
+ *  - none (ShadowMode::kNone on the SharedMemory): no shadow cache,
+ *    no shadow or induced miss, no baseline DRAM traffic. For runs
+ *    that read only IPC: the contention scenarios' solo runs, and
+ *    MulticoreSimulator runs built with kNone (fig_suite_grid's
+ *    homogeneous mixes and drop-policy ablation).
  */
 
 #ifndef DOL_MEM_MEMORY_SYSTEM_HPP
@@ -157,11 +169,19 @@ class ShadowRecord
     std::uint64_t _accesses = 0;
 };
 
+/** Whether hierarchies on a SharedMemory walk an alternate reality. */
+enum class ShadowMode : std::uint8_t
+{
+    kLiveWalk, ///< walk shadow caches beside the real ones
+    kNone,     ///< keep none: the run reads only the real machine
+};
+
 /** State shared by all cores: L3, its shadow, and the DRAM channel. */
 class SharedMemory
 {
   public:
-    SharedMemory(const MemParams &params, unsigned num_cores = 1);
+    SharedMemory(const MemParams &params, unsigned num_cores = 1,
+                 ShadowMode shadow = ShadowMode::kLiveWalk);
 
     Cache &l3() { return _l3; }
     Dram &dram() { return _dram; }
@@ -194,6 +214,7 @@ class SharedMemory
     }
 
     Cache _l3;
+    ShadowMode _shadowMode;
     /** Built when the first live-walking core registers. */
     std::optional<Cache> _shadowL3;
     Dram _dram;
@@ -224,7 +245,8 @@ class MemorySystem : public DataPort
      *
      * @param params  cache/DRAM configuration
      * @param shared  shared L3+DRAM; nullptr builds a private one
-     *                (the common single-core case)
+     *                (the common single-core case). Its ShadowMode
+     *                says whether this hierarchy walks shadow caches.
      * @param replay  replay this recorded alternate reality instead of
      *                walking shadow caches; single-core only, so
      *                @p shared must be null
@@ -311,7 +333,11 @@ class MemorySystem : public DataPort
     unsigned replayShadow();
     void shadowFill(unsigned level, Addr line, bool dirty);
 
-    /** Install @p line at @p level; handles eviction/writeback. */
+    /**
+     * Install @p line at @p level, which must not hold it: every
+     * caller fills a level the line just missed. Handles
+     * eviction/writeback.
+     */
     void fillLine(unsigned level, Addr line, Cycle completion,
                   bool prefetched, ComponentId comp, bool dirty,
                   Cycle now);
@@ -324,7 +350,7 @@ class MemorySystem : public DataPort
     std::shared_ptr<SharedMemory> _shared;
     Cache _l1;
     Cache _l2;
-    /** Live walk only; a replaying hierarchy leaves them unbuilt. */
+    /** Live walk only; replay and kNone leave them unbuilt. */
     std::optional<Cache> _shadowL1;
     std::optional<Cache> _shadowL2;
 

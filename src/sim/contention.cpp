@@ -22,7 +22,8 @@ toMilli(double value)
 /**
  * One core's workload alone on the machine, with the L3 scaled to
  * the mix's core count so solo and mix runs see the same capacity —
- * the slowdown then isolates contention, not cache size.
+ * the slowdown then isolates contention, not cache size. Only its
+ * IPC is read, so it walks no alternate reality.
  */
 double
 runSolo(const SimConfig &config, const CoreSpec &spec,
@@ -38,7 +39,8 @@ runSolo(const SimConfig &config, const CoreSpec &spec,
     SimConfig solo = config;
     if (spec.maxInstrs)
         solo.maxInstrs = spec.maxInstrs;
-    auto shared = std::make_shared<SharedMemory>(solo.mem, num_cores);
+    auto shared = std::make_shared<SharedMemory>(solo.mem, num_cores,
+                                                 ShadowMode::kNone);
     Simulator sim(solo, *kernel, prefetcher.get(), shared);
     sim.run();
     return sim.ipc();

@@ -46,10 +46,11 @@ computeFairness(const std::vector<double> &solo_ipc,
 }
 
 MulticoreSimulator::MulticoreSimulator(
-    const SimConfig &config, const std::vector<CoreSpec> &specs)
+    const SimConfig &config, const std::vector<CoreSpec> &specs,
+    ShadowMode shadow)
     : _config(config),
       _shared(std::make_shared<SharedMemory>(
-          config.mem, static_cast<unsigned>(specs.size())))
+          config.mem, static_cast<unsigned>(specs.size()), shadow))
 {
     for (const CoreSpec &spec : specs)
         addCore(spec);

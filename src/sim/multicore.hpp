@@ -72,10 +72,14 @@ class MulticoreSimulator
     /**
      * One CoreSpec per core, each naming its own workload, prefetcher
      * and optional instruction budget (the named mixes of
-     * contentionMixes() and the seeded ones of makeMixes()).
+     * contentionMixes() and the seeded ones of makeMixes()). A run
+     * that reads only IPC passes ShadowMode::kNone: its cores then
+     * walk no alternate reality, and its shadow and induced misses
+     * and baseline DRAM lines read 0.
      */
     MulticoreSimulator(const SimConfig &config,
-                       const std::vector<CoreSpec> &specs);
+                       const std::vector<CoreSpec> &specs,
+                       ShadowMode shadow = ShadowMode::kLiveWalk);
 
     /** Run every core to its instruction budget. */
     MulticoreResult run();

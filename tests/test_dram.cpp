@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "mem/dram.hpp"
 
 namespace dol
@@ -151,6 +153,178 @@ TEST(Dram, MonotonicClockPrunesCompletedWork)
     const auto later =
         dram.access(64 * 2 * kLineBytes, 1000000, false, true, 1);
     EXPECT_FALSE(later.dropped);
+}
+
+/**
+ * The controller keeps running per-core and prefetch counts beside
+ * each channel's queue. Check them against a linear scan over the
+ * live requests, which the test tracks itself: a request joins when
+ * access() returns its completion and the channel had room, and
+ * leaves when it completes or the cancel hook names it. Seeded random
+ * streams from 1-4 cores congest queues of 4, 8 and 64 entries under
+ * both drop policies and all three arbitrations; after every call the
+ * occupancy of each channel and the step in arbDelayCycles and
+ * demandsDelayedByPrefetch must match the scan.
+ */
+TEST(Dram, RunningCountsMatchLinearScanModel)
+{
+    struct Live
+    {
+        Addr line;
+        Cycle completion;
+        bool prefetch;
+        unsigned core;
+        unsigned channel;
+    };
+    const ArbitrationPolicy kArbs[] = {ArbitrationPolicy::kDemandFirst,
+                                       ArbitrationPolicy::kFifo,
+                                       ArbitrationPolicy::kCoreRoundRobin};
+    const DropPolicy kDrops[] = {DropPolicy::kRandomPrefetch,
+                                 DropPolicy::kLowPriorityPrefetch};
+    std::uint64_t drops = 0;
+    for (unsigned cores = 1; cores <= 4; ++cores) {
+      for (const unsigned capacity : {4u, 8u, 64u}) {
+        for (const DropPolicy drop : kDrops) {
+          for (const ArbitrationPolicy arb : kArbs) {
+            DramParams params;
+            params.queueCapacity = capacity;
+            params.dropPolicy = drop;
+            params.arbitration = arb;
+            params.rngSeed = 17 * cores + capacity;
+            Dram dram(params);
+            const std::string where =
+                std::to_string(cores) + " cores, capacity " +
+                std::to_string(capacity) + ", drop " +
+                std::to_string(static_cast<int>(drop)) + ", arb " +
+                std::to_string(static_cast<int>(arb));
+
+            std::vector<Live> live;
+            dram.setCancelHook([&](Addr line) {
+                const auto it =
+                    std::find_if(live.begin(), live.end(),
+                                 [&](const Live &l) { return l.line == line; });
+                ASSERT_NE(it, live.end()) << where;
+                live.erase(it);
+            });
+            const auto prune = [&](unsigned channel, Cycle now) {
+                std::erase_if(live, [&](const Live &l) {
+                    return l.channel == channel && l.completion <= now;
+                });
+            };
+            const auto queued = [&](unsigned channel) {
+                return static_cast<std::size_t>(
+                    std::count_if(live.begin(), live.end(),
+                                  [&](const Live &l) {
+                                      return l.channel == channel;
+                                  }));
+            };
+            const auto checkOccupancy = [&](Cycle clock, int step) {
+                for (unsigned ch = 0; ch < params.channels; ++ch) {
+                    prune(ch, clock);
+                    ASSERT_EQ(dram.occupancy(ch * kLineBytes, clock),
+                              queued(ch))
+                        << where << ", step " << step << ", channel "
+                        << ch;
+                }
+            };
+
+            Rng rng(0xd7a5 + 101 * cores + capacity +
+                    static_cast<unsigned>(arb));
+            Cycle clock = 0;
+            for (int step = 0; step < 3000; ++step) {
+                Cycle now = clock + rng.below(12);
+                if (rng.below(64) == 0)
+                    now += 1500; // let the queues drain
+                if (rng.below(8) == 0) {
+                    // An occupancy probe alone, as a prefetch asks.
+                    clock = std::max(clock, now);
+                    checkOccupancy(clock, step);
+                    continue;
+                }
+                const unsigned channel =
+                    static_cast<unsigned>(rng.below(params.channels));
+                const Addr line =
+                    (static_cast<Addr>(step) * params.channels + channel) *
+                    kLineBytes;
+                const unsigned kind = static_cast<unsigned>(rng.below(20));
+                const bool is_write = kind < 3;
+                const bool is_prefetch = kind >= 10;
+                const auto priority =
+                    static_cast<std::uint8_t>(rng.below(4));
+                const auto core =
+                    static_cast<std::uint8_t>(rng.below(cores));
+
+                // The scan's arbitration delay.
+                clock = std::max(clock, now);
+                Cycle delay = 0;
+                bool delayed_by_prefetch = false;
+                if (arb != ArbitrationPolicy::kDemandFirst) {
+                    prune(channel, clock);
+                    std::vector<std::uint64_t> per_core(cores, 0);
+                    bool any_prefetch = false;
+                    for (const Live &l : live) {
+                        if (l.channel != channel)
+                            continue;
+                        ++per_core[l.core];
+                        any_prefetch |= l.prefetch;
+                    }
+                    std::uint64_t slots = 0;
+                    if (arb == ArbitrationPolicy::kFifo) {
+                        slots = queued(channel);
+                    } else {
+                        const std::uint64_t own = per_core[core];
+                        slots = own;
+                        for (unsigned c = 0; c < cores; ++c) {
+                            if (c != core)
+                                slots += std::min(per_core[c], own + 1);
+                        }
+                    }
+                    delay = slots * params.tBurst;
+                    delayed_by_prefetch = delay > 0 && any_prefetch &&
+                                          !is_write && !is_prefetch;
+                    now += delay;
+                    clock = std::max(clock, now);
+                }
+                prune(channel, clock);
+
+                const DramStats before = dram.stats();
+                const Dram::Result res = dram.access(
+                    line, now - delay, is_write, is_prefetch, priority,
+                    core);
+                ASSERT_EQ(dram.stats().arbDelayCycles - before.arbDelayCycles,
+                          delay)
+                    << where << ", step " << step;
+                ASSERT_EQ(dram.stats().demandsDelayedByPrefetch -
+                              before.demandsDelayedByPrefetch,
+                          delayed_by_prefetch ? 1u : 0u)
+                    << where << ", step " << step;
+                drops += dram.stats().droppedPrefetches -
+                         before.droppedPrefetches;
+                if (!res.dropped) {
+                    if (queued(channel) >= capacity) {
+                        // Only demands queued: this demand waited for
+                        // the earliest to complete.
+                        Cycle earliest = kNoCycle;
+                        for (const Live &l : live) {
+                            if (l.channel == channel)
+                                earliest = std::min(earliest, l.completion);
+                        }
+                        prune(channel, std::max(now, earliest));
+                    }
+                    if (queued(channel) < capacity) {
+                        live.push_back({line, res.completion, is_prefetch,
+                                        core, channel});
+                    }
+                }
+                checkOccupancy(clock, step);
+            }
+          }
+        }
+      }
+    }
+    // The streams must reach makeRoom's drops, or the counts it
+    // decrements go unchecked.
+    EXPECT_GT(drops, 1000u);
 }
 
 } // namespace

@@ -177,39 +177,63 @@ TEST_P(GoldenTrace, MatchesCheckedInSnapshot)
 }
 
 /**
- * Multicore golden cell: the stream-starves-pchase mix (two cores,
- * two distinct per-core prefetchers) under FIFO arbitration, seeded
- * exactly like the contention sweep seeds it, snapshotting the merged
- * per-core + fairness + shared-channel counter registry. Pins down
- * the interleaving, the shared-L3 ownership accounting, and the
- * arbitration delay model in one file.
+ * A contention mix's merged per-core + fairness + shared-channel
+ * counter registry at 20k instructions under @p arbitration, seeded
+ * exactly like the contention sweep seeds it.
  */
-TEST(GoldenMix, StreamStarvesPchaseMatchesSnapshot)
+std::string
+mixSnapshot(const char *mix_name, ArbitrationPolicy arbitration,
+            const char *arbitration_name)
 {
-    const char *const kMixName = "stream_starves_pchase";
     constexpr std::uint64_t kMixInstrs = 20000;
-    const ContentionMix &mix = findContentionMix(kMixName);
+    const ContentionMix &mix = findContentionMix(mix_name);
 
     SimConfig config;
     config.maxInstrs = kMixInstrs;
-    config.mem.dram.arbitration = ArbitrationPolicy::kFifo;
+    config.mem.dram.arbitration = arbitration;
     // Mirror the sweep's per-cell seeding (label, "", variant).
-    config.mem.dram.rngSeed = runner::cellSeed(
-        std::string("mix:") + kMixName, "", ":arb=fifo");
+    config.mem.dram.rngSeed =
+        runner::cellSeed(std::string("mix:") + mix_name, "",
+                         std::string(":arb=") + arbitration_name);
 
     const ContentionOutcome outcome =
         runContentionScenario(config, mix);
 
     std::string fresh = "dol-golden-v1 mix:";
-    fresh += kMixName;
+    fresh += mix_name;
     fresh += ' ';
     fresh += mixPrefetcherLabel(mix);
     fresh += " instrs=" + std::to_string(kMixInstrs) + "\n";
     fresh += outcome.counters.toText();
+    return fresh;
+}
 
+/**
+ * Multicore golden cell: the stream-starves-pchase mix (two cores,
+ * two distinct per-core prefetchers) under FIFO arbitration. Pins
+ * down the interleaving, the shared-L3 ownership accounting, and the
+ * arbitration delay model in one file.
+ */
+TEST(GoldenMix, StreamStarvesPchaseMatchesSnapshot)
+{
     checkGolden(std::string(DOL_GOLDEN_DIR) +
                     "/mix.stream_starves_pchase.fifo.golden",
-                fresh, std::string("mix:") + kMixName);
+                mixSnapshot("stream_starves_pchase",
+                            ArbitrationPolicy::kFifo, "fifo"),
+                "mix:stream_starves_pchase");
+}
+
+/**
+ * The four-core, four-prefetcher hetero_quad mix under per-core
+ * round-robin arbitration: pins the round-robin slot count over four
+ * competing cores, and every solo IPC the fairness scope divides by.
+ */
+TEST(GoldenMix, HeteroQuadRoundRobinMatchesSnapshot)
+{
+    checkGolden(std::string(DOL_GOLDEN_DIR) + "/mix.hetero_quad.rr.golden",
+                mixSnapshot("hetero_quad",
+                            ArbitrationPolicy::kCoreRoundRobin, "rr"),
+                "mix:hetero_quad");
 }
 
 /** The fnv64 digest line is the strongest single check: it covers the

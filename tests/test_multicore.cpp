@@ -6,7 +6,9 @@
  * monotonicity, per-core DRAM attribution, and the headline
  * starvation result — per-core round-robin arbitration reduces the
  * pointer-chase core's slowdown relative to FIFO when it co-runs
- * with an aggressive streamer.
+ * with an aggressive streamer — and runs that keep no alternate
+ * reality (ShadowMode::kNone), which must leave the real machine as a
+ * live walk leaves it.
  */
 
 #include <numeric>
@@ -14,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "check/campaign.hpp"
+#include "core/registry.hpp"
 #include "sim/contention.hpp"
 #include "sim/multicore.hpp"
 #include "trace/counters.hpp"
 #include "workloads/contention.hpp"
+#include "workloads/suite.hpp"
 
 namespace dol
 {
@@ -315,6 +319,110 @@ TEST(ContentionScenario, ExportsPerCoreFairnessAndDramScopes)
           "dram.arb_delay_cycles"}) {
         EXPECT_NE(text.find(needle), std::string::npos)
             << "missing counter " << needle;
+    }
+}
+
+// ---------------------------------------------------------------
+// Runs without an alternate reality
+// ---------------------------------------------------------------
+
+const ArbitrationPolicy kAllArbitrations[] = {
+    ArbitrationPolicy::kDemandFirst, ArbitrationPolicy::kFifo,
+    ArbitrationPolicy::kCoreRoundRobin};
+
+/** @p registry's counters but the alternate reality's (shadow and
+ *  induced misses, baseline DRAM lines), whose sum goes to
+ *  @p shadow_total. */
+std::vector<std::pair<std::string, std::uint64_t>>
+realCounters(const CounterRegistry &registry, std::uint64_t &shadow_total)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> real;
+    for (const auto &[name, value] : registry.sorted()) {
+        if (name.ends_with(".shadow_misses") ||
+            name.ends_with(".induced_misses") ||
+            name == "dram.baseline_lines") {
+            shadow_total += value;
+        } else {
+            real.emplace_back(name, value);
+        }
+    }
+    return real;
+}
+
+/** runContentionScenario's solo run of every core of the four named
+ *  mixes, under every arbitration, walks no alternate reality: its
+ *  IPC and every real counter must equal a live-walk Simulator's. */
+TEST(NoAlternateReality, SoloRunMatchesLiveWalkOnEveryNamedMixCore)
+{
+    ASSERT_EQ(contentionMixes().size(), 4u);
+    for (const ContentionMix &mix : contentionMixes()) {
+        const auto cores = static_cast<unsigned>(mix.cores.size());
+        for (const ArbitrationPolicy arbitration : kAllArbitrations) {
+            SimConfig config = testConfig(6000);
+            config.mem.dram.arbitration = arbitration;
+            for (const CoreSpec &spec : mix.cores) {
+                const auto solo = [&](ShadowMode shadow,
+                                      CounterRegistry &counters) {
+                    MemoryImage image;
+                    auto kernel = findWorkload(spec.workload).factory(image);
+                    auto prefetcher =
+                        spec.prefetcher.empty()
+                            ? nullptr
+                            : makePrefetcher(spec.prefetcher, &image);
+                    Simulator sim(config, *kernel, prefetcher.get(),
+                                  std::make_shared<SharedMemory>(
+                                      config.mem, cores, shadow));
+                    sim.run();
+                    sim.exportCounters(counters);
+                    return sim.ipc();
+                };
+                const std::string where =
+                    mix.name + " " + spec.workload + "/" + spec.prefetcher +
+                    " arbitration " +
+                    std::to_string(static_cast<int>(arbitration));
+                CounterRegistry live_counters;
+                CounterRegistry none_counters;
+                const double live = solo(ShadowMode::kLiveWalk, live_counters);
+                const double none = solo(ShadowMode::kNone, none_counters);
+                EXPECT_EQ(none, live) << where;
+                std::uint64_t live_shadow = 0;
+                std::uint64_t none_shadow = 0;
+                EXPECT_EQ(realCounters(none_counters, none_shadow),
+                          realCounters(live_counters, live_shadow))
+                    << where;
+                EXPECT_GT(live_shadow, 0u) << where;
+                EXPECT_EQ(none_shadow, 0u) << where;
+            }
+        }
+    }
+}
+
+/** The same for a whole mix, as fig_suite_grid's IPC-only mixes run
+ *  it: per-core IPC and every real counter as a live walk's. */
+TEST(NoAlternateReality, MulticoreRunMatchesLiveWalkOnEveryNamedMix)
+{
+    for (const ContentionMix &mix : contentionMixes()) {
+        for (const ArbitrationPolicy arbitration : kAllArbitrations) {
+            SimConfig config = testConfig(6000);
+            config.mem.dram.arbitration = arbitration;
+            MulticoreSimulator live(config, mix.cores);
+            MulticoreSimulator none(config, mix.cores, ShadowMode::kNone);
+            const std::string where =
+                mix.name + " arbitration " +
+                std::to_string(static_cast<int>(arbitration));
+            EXPECT_EQ(none.run().ipc, live.run().ipc) << where;
+            CounterRegistry live_counters;
+            CounterRegistry none_counters;
+            live.exportCounters(live_counters);
+            none.exportCounters(none_counters);
+            std::uint64_t live_shadow = 0;
+            std::uint64_t none_shadow = 0;
+            EXPECT_EQ(realCounters(none_counters, none_shadow),
+                      realCounters(live_counters, live_shadow))
+                << where;
+            EXPECT_GT(live_shadow, 0u) << where;
+            EXPECT_EQ(none_shadow, 0u) << where;
+        }
     }
 }
 

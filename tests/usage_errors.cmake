@@ -24,8 +24,8 @@
 #    --suite together), --prefetcher, --mix or --arbitration, in one
 #    flag or across repeated flags, which add to one list (it must
 #    not run the same cells twice under one seed), and a journal
-#    given twice to --merge (it must name the journal, not report an
-#    uncovered cell);
+#    given twice to --merge, under one spelling or two (it must name
+#    the journal, not report an uncovered cell);
 #  - --cell-timeout given to a contention mix or a fuzz campaign,
 #    whose jobs never poll its deadline.
 #
@@ -159,6 +159,11 @@ expect_usage_error("journal ${journal} given twice"
 expect_usage_error("journal ${journal} given twice"
                    "${DOLSIM}" --merge "${journal}" --merge "${journal}"
                    --json "${out}/merged.json")
+# Two spellings of one file are one journal.
+expect_usage_error(
+    "journal ${CMAKE_CURRENT_BINARY_DIR}/./usage_errors_j.ckpt given twice"
+    "${DOLSIM}" --merge "${journal},${CMAKE_CURRENT_BINARY_DIR}/./usage_errors_j.ckpt"
+    --json "${out}/merged.json")
 expect_usage_error("--fuzz-replay does not take --checkpoint"
                    "${DOLSIM}" --fuzz-replay "${repro}" --fuzz-case-seed 1
                    --checkpoint "${out}/replay.ckpt")

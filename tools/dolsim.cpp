@@ -253,6 +253,15 @@ checkFlags(const Given &given)
     }
 }
 
+/** The file a journal name reaches: symlinks, `.` and `..` resolved. */
+std::filesystem::path
+resolvedJournal(const std::string &name)
+{
+    std::error_code ec;
+    std::filesystem::path path = std::filesystem::weakly_canonical(name, ec);
+    return ec ? std::filesystem::absolute(name).lexically_normal() : path;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -421,17 +430,29 @@ parse(int argc, char **argv)
     }
     checkFlags(given);
     // A name given twice would run its cells twice, under one seed;
-    // a journal given twice would merge its cells twice.
+    // a journal given twice, under any spelling of its file, would
+    // merge its cells twice.
+    std::vector<std::string> journals;
+    for (const std::string &name : options.merge)
+        journals.push_back(resolvedJournal(name).string());
     const std::pair<std::string, const std::vector<std::string> &> lists[] = {
         {"workload", options.workloads},
         {"prefetcher", options.prefetchers},
         {"mix", options.mixes},
         {"arbitration", options.arbitrations},
-        {"journal", options.merge}};
+        {"journal", journals}};
     for (const auto &[kind, names] : lists) {
         for (auto it = names.begin(); it != names.end(); ++it) {
-            if (std::find(names.begin(), it, *it) != it)
+            const auto first = std::find(names.begin(), it, *it);
+            if (first == it)
+                continue;
+            if (kind != "journal")
                 dol::fatal(kind + " " + *it + " given twice");
+            const std::string &given = options.merge[it - names.begin()];
+            const std::string &earlier =
+                options.merge[first - names.begin()];
+            dol::fatal("journal " + given + " given twice" +
+                       (given == earlier ? "" : " (as " + earlier + ")"));
         }
     }
     if (options.workloads.empty())
